@@ -45,6 +45,7 @@ print("\n map size   concepts")
 for hw in range(2, 9):
     print(f"  {hw}x{hw:<8}{concept_count(hw, hw, cfg)}")
 
-# It grows fast, which is why lca_forward streams one kernel at a time
-# instead of materializing the whole concept matrix; the count above is
-# still the number of vectors that pass through the shared embedding.
+# It grows fast. lca_forward never materializes the [P, C] concept matrix:
+# each window mean is a fixed average of map cells, so it embeds the H*W
+# cells once and pools the embeddings with one [P, H*W] matrix. The count
+# above is still the number of pooled vectors that pass the relu.

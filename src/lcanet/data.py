@@ -209,21 +209,25 @@ def write_feature_file(path, feats: np.ndarray, labels) -> None:
 
 def load_feature_file(path) -> Dataset:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _LCAF_MAGIC:
-        raise DataError(f"{path}: bad magic, not an LCAF feature file")
-    if len(blob) < 24:
-        raise DataError(f"{path}: truncated LCAF header")
-    version, n, c, h, w = struct.unpack("<5I", blob[4:24])
-    if version != _LCAF_VERSION:
-        raise DataError(f"{path}: unsupported LCAF version {version}")
-    need = 24 + 4 * n * c * h * w + 4 * n
-    if len(blob) != need:
-        raise DataError(f"{path}: LCAF payload is {len(blob)} bytes, need {need}")
-    feats = np.frombuffer(blob, dtype="<f4", count=n * c * h * w, offset=24)
-    labels = np.frombuffer(blob, dtype="<u4", count=n, offset=24 + 4 * n * c * h * w)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(24)
+        if head[:4] != _LCAF_MAGIC:
+            raise DataError(f"{path}: bad magic, not an LCAF feature file")
+        if len(head) < 24:
+            raise DataError(f"{path}: truncated LCAF header")
+        version, n, c, h, w = struct.unpack("<5I", head[4:24])
+        if version != _LCAF_VERSION:
+            raise DataError(f"{path}: unsupported LCAF version {version}")
+        count = n * c * h * w
+        need = 24 + 4 * count + 4 * n
+        if size != need:
+            raise DataError(f"{path}: LCAF payload is {size} bytes, need {need}")
+        feats = np.fromfile(fh, dtype="<f4", count=count)
+        labels = np.fromfile(fh, dtype="<u4", count=n)
+    if feats.size != count or labels.size != n:
+        raise DataError(f"{path}: LCAF file ended early ({size} bytes announced)")
     return Dataset(
-        inputs=feats.reshape(n, c, h, w).astype(np.float32),
+        inputs=feats.reshape(n, c, h, w).astype(np.float32, copy=False),
         labels=labels.astype(np.int64),
         mode="feature",
     )

@@ -221,9 +221,10 @@ def _kink_margin(loss: Tensor) -> float:
     """
     margin = np.inf
     seen: set[int] = set()
-    stack = [loss.node]
+    stack = [loss]
     while stack:
-        node = stack.pop()
+        out = stack.pop()  # a node's output, as its consumer holds it
+        node = out.node
         if node is None or id(node) in seen:
             continue
         seen.add(id(node))
@@ -232,14 +233,14 @@ def _kink_margin(loss: Tensor) -> float:
         elif node.op == "maxpool2d":
             xin = node.parents[0].data
             n, c, h, w = xin.shape
-            oh, ow = node.out.data.shape[2:]
+            oh, ow = out.shape[2:]
             kh, kw = h // oh, w // ow
             win = xin.reshape(n, c, oh, kh, ow, kw).transpose(0, 1, 2, 4, 3, 5)
             top2 = np.sort(win.reshape(n, c, oh, ow, kh * kw), axis=-1)[..., -2:]
             live = top2[..., 1] > 0
             if live.any():
                 margin = min(margin, float((top2[..., 1] - top2[..., 0])[live].min()))
-        stack.extend(p.node for p in node.parents if p.node is not None)
+        stack.extend(node.parents)
     return margin
 
 

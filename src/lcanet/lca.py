@@ -1,23 +1,24 @@
 """Local-concepts accumulation head.
 
 Given a feature map of shape [B, C, H, W], every rectangular pooling kernel
-other than 1x1 is slid over the map at stride 1. Each spatial position of
-each pooled map is one C-dimensional local-concept vector; all of them pass
-through one shared linear embedding followed by ReLU, and the head's output
-is the arithmetic mean of every embedded vector. The channel count is
-preserved by pooling, so every concept vector has exactly C entries no
-matter which kernel produced it.
+other than 1x1 is slid over the map at stride 1. Each window's mean is one
+C-dimensional local-concept vector; all of them pass through one shared
+linear embedding followed by ReLU, and the head's output is the arithmetic
+mean of every embedded vector.
 
-Kernels are processed one at a time so peak memory stays at O(C*H*W) per
-kernel, and the accumulation order is fixed (kh-major, then kw), which keeps
-results bit-stable run to run.
+The window set is one cached pooling matrix A [P, H*W], shared by
+``lca_forward`` and ``concept_vectors``. Each row of A sums to 1 and the
+embedding is affine, so the head embeds the H*W cells first and pools in
+embedding space: relu(A (X W^T + b)) equals relu(A X W^T + b).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor
@@ -84,22 +85,36 @@ def lca_param_init(cfg: LcaConfig, rng) -> LcaParams:
     )
 
 
+@functools.lru_cache(maxsize=32)
+def pooling_matrix(h: int, w: int, cfg: LcaConfig, dtype) -> np.ndarray:
+    """Read-only [P, H*W] matrix; row p holds 1/area on window p's cells.
+
+    Rows follow ``enumerate_kernels``, then window position row-major.
+    """
+    index = np.arange(h * w).reshape(h, w)
+    blocks = []
+    for kh, kw in enumerate_kernels(h, w, cfg):
+        cells = sliding_window_view(index, (kh, kw)).reshape(-1, kh * kw)
+        block = np.zeros((len(cells), h * w), dtype=dtype)
+        np.put_along_axis(block, cells, 1.0 / (kh * kw), axis=1)
+        blocks.append(block)
+    a = np.concatenate(blocks)
+    a.flags.writeable = False
+    return a
+
+
 def concept_vectors(featmap: np.ndarray, cfg: LcaConfig) -> np.ndarray:
     """Materialize every raw local-concept vector as an array [B, P, C].
 
-    Reference-path companion to lca_forward: same kernels, same ordering,
-    no embedding. Intended for verification and demonstration, not training
-    (it holds all P vectors at once).
+    Same windows and ordering as lca_forward, no embedding. Intended for
+    verification and demonstration, not training (it holds all P vectors
+    at once).
     """
     b, c, h, w = featmap.shape
     if c != cfg.in_channels:
         raise ShapeError(f"feature map has {c} channels, config says {cfg.in_channels}")
-    chunks = []
-    for kh, kw in enumerate_kernels(h, w, cfg):
-        win = np.lib.stride_tricks.sliding_window_view(featmap, (kh, kw), axis=(2, 3))
-        pooled = win.mean(axis=(-2, -1))  # [B, C, H', W']
-        chunks.append(pooled.transpose(0, 2, 3, 1).reshape(b, -1, c))
-    return np.concatenate(chunks, axis=1)
+    a = pooling_matrix(h, w, cfg, np.result_type(featmap.dtype, np.float32))
+    return a @ featmap.reshape(b, c, h * w).transpose(0, 2, 1)
 
 
 def lca_forward(featmap: Tensor, params: LcaParams, cfg: LcaConfig) -> Tensor:
@@ -110,19 +125,9 @@ def lca_forward(featmap: Tensor, params: LcaParams, cfg: LcaConfig) -> Tensor:
     if c != cfg.in_channels:
         raise ShapeError(f"feature map has {c} channels, config says {cfg.in_channels}")
 
-    kernels = enumerate_kernels(h, w, cfg)
-    wt = T.transpose(params.fc_weight)  # [C, D]
-    total = None
-    positions = 0
-    for kh, kw in kernels:
-        pooled = T.avgpool2d(featmap, kh, kw, stride=1)  # [B, C, H', W']
-        hp, wp = pooled.shape[2], pooled.shape[3]
-        vecs = T.reshape(T.transpose(pooled, (0, 2, 3, 1)), (b * hp * wp, c))
-        emb = T.relu(T.add(T.matmul(vecs, wt), params.fc_bias))  # [B*H'*W', D]
-        ksum = T.tensor_sum(T.reshape(emb, (b, hp * wp, cfg.embed_dim)), axis=1)
-        total = ksum if total is None else T.add(total, ksum)
-        positions += hp * wp
-
-    expected = concept_count(h, w, cfg)
-    assert positions == expected, f"materialized {positions} concepts, expected {expected}"
-    return T.scale(total, 1.0 / positions)
+    a = Tensor(pooling_matrix(h, w, cfg, featmap.dtype))  # constant [P, H*W]
+    cells = T.reshape(T.transpose(featmap, (2, 3, 0, 1)), (h * w * b, c))
+    emb = T.add(T.matmul(cells, T.transpose(params.fc_weight)), params.fc_bias)
+    pooled = T.matmul(a, T.reshape(emb, (h * w, b * cfg.embed_dim)))  # [P, B*D]
+    total = T.reshape(T.tensor_sum(T.relu(pooled), axis=0), (b, cfg.embed_dim))
+    return T.scale(total, 1.0 / a.shape[0])

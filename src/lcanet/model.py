@@ -237,11 +237,17 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
     def entry(self):
-        name = self.take(self.u("<H")).decode("utf-8")
+        raw = self.take(self.u("<H"))
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"parameter name {raw!r} is not UTF-8") from None
         dtype_tag = self.u("<B")
         if dtype_tag != 1:
             raise CheckpointError(f"param {name}: unknown dtype tag {dtype_tag}")
         rank = self.u("<B")
+        if rank > 4:  # no parameter has more axes than a conv kernel
+            raise CheckpointError(f"param {name}: rank {rank} exceeds 4")
         shape = tuple(self.u("<I") for _ in range(rank))
         count = int(np.prod(shape, dtype=np.int64)) if rank else 1
         data = np.frombuffer(self.take(4 * count), dtype="<f4").reshape(shape)
@@ -318,10 +324,13 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     if r.pos != len(r.blob):
         raise CheckpointError(f"{path}: {len(r.blob) - r.pos} trailing bytes")
 
-    backbone = BackboneConfig(BACKBONE_KINDS[bk], channels, (h, w))
     head = HEAD_KINDS[hk]
-    lca_cfg = LcaConfig(channels[-1], embed, bool(inc)) if head == "lca" else None
-    model = build_model(backbone, head, lca_cfg, num_classes, rng=None)
+    try:
+        backbone = BackboneConfig(BACKBONE_KINDS[bk], channels, (h, w))
+        lca_cfg = LcaConfig(channels[-1], embed, bool(inc)) if head == "lca" else None
+        model = build_model(backbone, head, lca_cfg, num_classes, rng=None)
+    except ValueError as exc:  # ConfigError, or LcaConfig's own range check
+        raise CheckpointError(f"{path}: invalid architecture: {exc}") from None
 
     names = {p.name for p in model.parameters()}
     for name, data in entries:

@@ -70,16 +70,18 @@ def _as_dtype(dtype):
 
 
 class Node:
-    """One tape entry: operation tag, inputs, output and the adjoint rule."""
+    """One tape entry: operation tag, inputs and the adjoint rule.
 
-    __slots__ = ("op", "parents", "grad_fn", "seq", "out")
+    It holds no reference to its output, so no tensor and node form a cycle.
+    """
+
+    __slots__ = ("op", "parents", "grad_fn", "seq")
 
     def __init__(self, op, parents, grad_fn):
         self.op = op
         self.parents = parents
         self.grad_fn = grad_fn
         self.seq = next(_seq)
-        self.out = None  # producing tensor, linked by _record
 
 
 class Tensor:
@@ -206,7 +208,6 @@ def _record(op: str, out: np.ndarray, parents, grad_fn) -> Tensor:
     if _grad_enabled and any(p.requires_grad for p in parents):
         t.requires_grad = True
         t.node = Node(op, tuple(parents), grad_fn)
-        t.node.out = t
     return t
 
 
@@ -247,10 +248,10 @@ def backward(loss: Tensor) -> None:
                 stack.append(p.node)
     nodes.sort(key=lambda n: n.seq, reverse=True)
 
-    adjoint = {id(loss): np.ones((), dtype=loss.dtype)}
+    adjoint = {id(loss.node): np.ones((), dtype=loss.dtype)}
     leaves = {}
     for node in nodes:
-        g = adjoint.pop(id(node.out), None)
+        g = adjoint.pop(id(node), None)
         if g is None:
             continue  # output never fed the loss
         for p, gp in zip(node.parents, node.grad_fn(g)):
@@ -260,8 +261,8 @@ def backward(loss: Tensor) -> None:
                 prev = leaves.get(id(p))
                 leaves[id(p)] = (p, gp if prev is None else prev[1] + gp)
             else:
-                acc = adjoint.get(id(p))
-                adjoint[id(p)] = gp if acc is None else acc + gp
+                acc = adjoint.get(id(p.node))
+                adjoint[id(p.node)] = gp if acc is None else acc + gp
 
     for p, g in leaves.values():
         if p.grad is None:

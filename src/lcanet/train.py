@@ -15,6 +15,7 @@ identical runs.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -99,6 +100,25 @@ def evaluate(model: model_mod.Model, ds: data_mod.Dataset, batch_size: int = 256
     return EvalResult(acc, per_class, n)
 
 
+def _rows_before(path: str, epoch: int) -> list:
+    """Rows of the metrics CSV at ``path`` for the epochs before ``epoch``.
+
+    A resumed run restarts at its checkpoint's epoch; rows from that epoch
+    on (a run that went further, or one that crashed between its CSV and
+    checkpoint writes) would otherwise repeat.
+    """
+    if not os.path.exists(path):
+        return []
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    if lines and lines[0].rstrip("\n") != CSV_HEADER:
+        raise DataError(f"{path}: header is not the metrics CSV header; not resuming into it")
+    try:
+        return [ln for ln in lines[1:] if int(ln.split(",", 1)[0]) < epoch]
+    except ValueError:
+        raise DataError(f"{path}: a metrics row does not start with an epoch number") from None
+
+
 def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
     master = Rng(cfg.seed)
     init_rng = master.spawn()
@@ -172,12 +192,13 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
     )
     loss_cfg = LossConfig(lambda_entropy=cfg.lambda_entropy)
 
-    mode = "a" if resume is not None else "w"
-    csv = open(cfg.log_csv, mode, encoding="utf-8", newline="\n")
+    kept = _rows_before(cfg.log_csv, start_epoch) if resume is not None else []
+    tmp = f"{cfg.log_csv}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n" + "".join(kept))
+    os.replace(tmp, cfg.log_csv)
+    csv = open(cfg.log_csv, "a", encoding="utf-8", newline="\n")
     try:
-        if csv.tell() == 0:
-            csv.write(CSV_HEADER + "\n")
-            csv.flush()
         last_row = None
         for epoch in range(start_epoch, cfg.epochs):
             t0 = time.perf_counter()

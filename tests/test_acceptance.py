@@ -73,24 +73,40 @@ def _brute_windows(h, w):
     return n
 
 
-def _taped_positions(out):
-    """Count pooled window positions recorded on the tape behind ``out``.
+def _taped_positions(out, h, w):
+    """Count the pooling windows recorded on the tape behind ``out``.
 
-    Each stride-1 average-pool position is exactly one concept vector fed
-    to the shared embedding, so this measures what the forward actually
-    materialized, independent of its own bookkeeping.
+    The head pools an HxW map with one constant matrix operand of a
+    matmul: one row per concept vector fed to the shared embedding, holding
+    its window's weights over the H*W map cells. Every row must be one window — equal
+    weights 1/area on a rectangle of cells, not a single cell — and no
+    window may appear twice, so the row count measures what the forward
+    actually pooled, independent of its own bookkeeping.
     """
-    total, seen, stack = 0, set(), [out.node]
+    pools, seen, stack = [], set(), [out]
     while stack:
-        node = stack.pop()
+        t = stack.pop()
+        node = t.node
         if node is None or id(node) in seen:
             continue
         seen.add(id(node))
-        if node.op == "avgpool2d":
-            hp, wp = node.out.data.shape[2:]
-            total += hp * wp
-        stack.extend(p.node for p in node.parents if p.node is not None)
-    return total
+        if node.op == "matmul" and not node.parents[0].requires_grad:
+            pools.append(node.parents[0].data)
+        stack.extend(node.parents)
+    assert len(pools) == 1, f"expected one constant pooling operand, found {len(pools)}"
+    a = pools[0]
+    assert a.shape[1] == h * w
+    windows = set()
+    for row in a:
+        cells = np.flatnonzero(row).tolist()
+        rs = sorted({k // w for k in cells})
+        cs = sorted({k % w for k in cells})
+        assert len(cells) == len(rs) * len(cs) > 1, "not a window larger than 1x1"
+        assert rs == list(range(rs[0], rs[-1] + 1)) and cs == list(range(cs[0], cs[-1] + 1))
+        np.testing.assert_allclose(row[cells], 1.0 / len(cells), rtol=1e-6)
+        windows.add(tuple(cells))
+    assert len(windows) == len(a), "a window is pooled twice"
+    return len(a)
 
 
 def test_criterion_2_concept_count_matches_enumeration():
@@ -118,7 +134,7 @@ def test_criterion_2_concept_count_matches_enumeration():
             fc_bias=Parameter("fc_bias", np.zeros(3, dtype=np.float32)),
         )
         out = lca_forward(Tensor(fm, requires_grad=True), params, cfg)
-        assert _taped_positions(out) == _brute_windows(h, w), (h, w)
+        assert _taped_positions(out, h, w) == _brute_windows(h, w), (h, w)
 
 
 # --- criterion 3: worked example -------------------------------------------

@@ -7,6 +7,7 @@ codes and stdout formats are part of the tool's contract (0 ok,
 
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -147,6 +148,30 @@ def test_train_resume_appends_rows(workdir):
     assert [r.split(",")[0] for r in rows] == ["epoch", "0", "1", "2", "3"]
 
 
+def test_train_resume_from_older_checkpoint_drops_later_rows(workdir):
+    """Resuming a 4-epoch run from its epoch-2 checkpoint rewrites epochs 2
+    and 3 instead of appending them twice, and reproduces their rows."""
+    make_data(workdir)
+    write_cfg(workdir, name="short.cfg", epochs="2", **{"ckpt.out": "ep2.lcac"})
+    long_cfg = write_cfg(workdir, name="long.cfg", epochs="4")
+    assert main(["train", "--config", str(workdir / "short.cfg")]) == 0
+    assert main(["train", "--config", str(long_cfg)]) == 0
+    straight = (workdir / "metrics.csv").read_text().splitlines()
+    assert main(["train", "--config", str(long_cfg), "--resume", "ep2.lcac"]) == 0
+    resumed = (workdir / "metrics.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in resumed] == ["epoch", "0", "1", "2", "3"]
+    assert resumed[:3] == straight[:3]
+    assert [r.rsplit(",", 1)[0] for r in resumed] == [r.rsplit(",", 1)[0] for r in straight]
+
+
+def test_train_resume_into_foreign_csv_exits_3(workdir):
+    make_data(workdir)
+    cfg = write_cfg(workdir, epochs="2")
+    assert main(["train", "--config", str(write_cfg(workdir, name="one.cfg"))]) == 0
+    (workdir / "metrics.csv").write_text("not,a,metrics,header\n")
+    assert main(["train", "--config", str(cfg), "--resume", "model.lcac"]) == 3
+
+
 def test_train_resume_beyond_epochs_exits_2(workdir):
     make_data(workdir)
     cfg = write_cfg(workdir, epochs="1")
@@ -273,3 +298,14 @@ def test_inspect_lists_params_and_total(workdir, capsys):
 def test_inspect_corrupt_magic_exits_3(workdir):
     (workdir / "junk.lcac").write_bytes(b"JUNKxxxxxxxx")
     assert main(["inspect", "--ckpt", "junk.lcac"]) == 3
+
+
+def test_inspect_invalid_architecture_exits_3(workdir, capsys):
+    model = build_model(
+        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), "lca", LcaConfig(8, 4), 2, rng=None
+    )
+    model.lca_cfg = SimpleNamespace(embed_dim=0, include_one_by_k=True)
+    save_checkpoint(model, "bad.lcac", velocities={}, epoch=0,
+                    rng_state=Rng(0).state_bytes())
+    assert main(["inspect", "--ckpt", "bad.lcac"]) == 3
+    assert "embed_dim" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Data ingestion: PPM files, LCAF feature files, the synthetic glyph
 dataset, augmentation, and epoch batching."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,19 @@ def test_lcaf_size_mismatch(tmp_path):
                        [0, 1])
     raw = path.read_bytes()
     path.write_bytes(raw[:-4])  # drop one label
+    with pytest.raises(DataError):
+        load_feature_file(path)
+
+
+def test_lcaf_short_read(tmp_path, monkeypatch):
+    """A file that yields fewer bytes than its size announced is rejected."""
+    rng = Rng(4)
+    path = tmp_path / "r.lcaf"
+    write_feature_file(path, rng.uniform_array((2, 1, 2, 2), 0, 1, dtype=np.float32),
+                       [0, 1])
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-6])
+    monkeypatch.setattr(D.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
     with pytest.raises(DataError):
         load_feature_file(path)
 

@@ -88,7 +88,8 @@ def test_concept_count_spot_values(hw, expected):
 
 
 def test_concept_count_matches_enumeration_everywhere():
-    """Brute-force window enumeration over every map size up to 8x8."""
+    """Brute-force window enumeration over every map size up to 8x8: the
+    count, and every concept vector's value in order."""
     rng = Rng(31)
     for h in range(1, 9):
         for w in range(1, 9):
@@ -98,8 +99,11 @@ def test_concept_count_matches_enumeration_everywhere():
             for include in (True, False):
                 if not include and (h < 2 or w < 2):
                     continue
+                ref = brute_concepts(fm, include)
                 got = concept_count(h, w, cfg(include=include))
-                assert got == len(brute_concepts(fm, include)), (h, w, include)
+                assert got == len(ref), (h, w, include)
+                vecs = concept_vectors(fm[None], cfg(include=include))[0]
+                np.testing.assert_allclose(vecs, ref, atol=1e-13, err_msg=f"{(h, w, include)}")
 
 
 def test_concept_count_closed_form():
@@ -175,12 +179,12 @@ def test_forward_matches_brute_force_reference():
     bias = rng.uniform_array((d,), -0.5, 0.5, dtype=np.float64)
 
     params = LcaParams(fc_weight=Tensor(w), fc_bias=Tensor(bias))
-    got = lca_forward(Tensor(fm), params, cfg(c=c, d=d)).data
-
-    for n in range(2):
-        concepts = brute_concepts(fm[n])  # [P, C]
-        ref = np.maximum(concepts @ w.T + bias, 0.0).mean(axis=0)
-        np.testing.assert_allclose(got[n], ref, atol=1e-12)
+    for include in (True, False):
+        got = lca_forward(Tensor(fm), params, cfg(c=c, d=d, include=include)).data
+        for n in range(2):
+            concepts = brute_concepts(fm[n], include)  # [P, C]
+            ref = np.maximum(concepts @ w.T + bias, 0.0).mean(axis=0)
+            np.testing.assert_allclose(got[n], ref, atol=1e-12, err_msg=f"include={include}")
 
 
 def test_output_shape_is_b_by_d_for_any_spatial_size():

@@ -1,5 +1,7 @@
 """Model assembly, forward composition, and checkpoint persistence."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,36 @@ class TestCorruptFiles:
     def test_trailing_garbage(self, blob):
         path, raw = blob
         path.write_bytes(raw + b"\x00")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_param_name_not_utf8(self, blob):
+        path, raw = blob
+        # the first name starts after magic, version, param count, name length
+        path.write_bytes(raw[:14] + b"\xff" + raw[15:])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_rank_above_numpy_limit(self, blob):
+        path, raw = blob
+        # the first entry's rank byte follows its name and dtype tag
+        name_len = int.from_bytes(raw[12:14], "little")
+        at = 14 + name_len + 1
+        path.write_bytes(raw[:at] + bytes([65]) + bytes(4 * 65) + raw[at + 1:])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lca_cfg", SimpleNamespace(embed_dim=0, include_one_by_k=True)),
+        ("backbone", SimpleNamespace(kind="tiny_cnn", channels=(0, 6), input_size=(8, 8))),
+    ], ids=["embed_dim_zero", "channel_zero"])
+    def test_invalid_architecture(self, tmp_path, field, value):
+        """Architecture fields the model constructors reject (embed_dim 0,
+        a zero channel count) are a corrupt checkpoint, not a bad config."""
+        m = small_model()
+        setattr(m, field, value)
+        path = tmp_path / "m.lcac"
+        save_checkpoint(m, path, velocities={}, epoch=3, rng_state=RNG_STATE)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
