@@ -15,10 +15,6 @@ from lcanet.cli import main as lcanet_main
 from lcanet.config import load_config
 from lcanet.train import run_training
 
-root = Path(tempfile.mkdtemp(prefix="lcanet_demo_"))
-lcanet_main(["synth", "--out", str(root / "data"), "--seed", "42"])
-# defaults: 8 classes, 64 train + 16 test images per class
-
 BASE = """
 seed = 42
 epochs = 30
@@ -39,14 +35,18 @@ head = {head}
 """
 
 results = {}
-for head in ("lca", "gap"):
-    cfg_path = root / f"{head}.cfg"
-    cfg_path.write_text(BASE.format(root=root, head=head))
-    summary = run_training(load_config(cfg_path))
-    results[head] = summary
-    print(f"{head}: train {summary.final_train_acc:.2f}%  "
-          f"test {summary.final_test_acc:.2f}%")
+with tempfile.TemporaryDirectory(prefix="lcanet_demo_") as tmp:
+    root = Path(tmp)
+    lcanet_main(["synth", "--out", str(root / "data"), "--seed", "42"])
+    # defaults: 8 classes, 64 train + 16 test images per class
+
+    for head in ("lca", "gap"):
+        cfg_path = root / f"{head}.cfg"
+        cfg_path.write_text(BASE.format(root=root, head=head))
+        summary = run_training(load_config(cfg_path))
+        results[head] = summary
+        print(f"{head}: train {summary.final_train_acc:.2f}%  "
+              f"test {summary.final_test_acc:.2f}%")
 
 delta = results["lca"].final_test_acc - results["gap"].final_test_acc
 print(f"\nlocal-concepts head vs global pooling on test: {delta:+.2f} points")
-print(f"per-epoch metrics: {root}/lca.csv and {root}/gap.csv")

@@ -22,7 +22,6 @@ from lcanet.rng import Rng
 from lcanet.tensor import Tensor, no_grad
 from lcanet.train import run_training
 
-root = Path(tempfile.mkdtemp(prefix="lcanet_feats_"))
 K = 5
 train, test = synth_glyphs(K, 40, 10, seed=11)
 # make_glyphs with the same seed yields the class templates synth drew
@@ -49,14 +48,16 @@ def featurize(images):
 raw_train, raw_test = featurize(train.inputs), featurize(test.inputs)
 mu = raw_train.mean(axis=(0, 2, 3), keepdims=True)
 sd = raw_train.std(axis=(0, 2, 3), keepdims=True)
-write_feature_file(root / "train.lcaf", (raw_train - mu) / sd, train.labels)
-write_feature_file(root / "test.lcaf", (raw_test - mu) / sd, test.labels)
+with tempfile.TemporaryDirectory(prefix="lcanet_feats_") as tmp:
+    root = Path(tmp)
+    write_feature_file(root / "train.lcaf", (raw_train - mu) / sd, train.labels)
+    write_feature_file(root / "test.lcaf", (raw_test - mu) / sd, test.labels)
 
-back = load_feature_file(root / "train.lcaf")
-print("stored feature tensor:", back.inputs.shape, back.inputs.dtype)
+    back = load_feature_file(root / "train.lcaf")
+    print("stored feature tensor:", back.inputs.shape, back.inputs.dtype)
 
-cfg_path = root / "run.cfg"
-cfg_path.write_text(f"""
+    cfg_path = root / "run.cfg"
+    cfg_path.write_text(f"""
 seed = 11
 epochs = 40
 batch_size = 25
@@ -75,7 +76,8 @@ ckpt.out = {root}/feat.lcac
 log.csv = {root}/feat.csv
 """)
 
-summary = run_training(load_config(cfg_path))
+    summary = run_training(load_config(cfg_path))
+
 print(f"head-only model on detector-bank features: "
       f"train {summary.final_train_acc:.2f}%  test {summary.final_test_acc:.2f}%")
 print("(no backbone parameters were trained; the multi-scale windows over")

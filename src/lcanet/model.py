@@ -18,6 +18,7 @@ are byte-identical.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -55,6 +56,13 @@ class BackboneConfig:
             raise ConfigError("external_features takes exactly one channel count")
         if any(c < 1 for c in self.channels):
             raise ConfigError(f"channel counts must be >= 1, got {self.channels}")
+
+    def feature_shape(self) -> tuple:
+        """(C, H', W') of the map this backbone hands the head."""
+        h, w = self.input_size
+        if self.kind == "tiny_cnn":
+            return (self.channels[1], h // 2 // 2, w // 2 // 2)
+        return (self.channels[0], h, w)
 
 
 def _glorot(rng, shape, fan_in, fan_out, dtype):
@@ -104,10 +112,7 @@ class Model:
 
     def feature_shape(self) -> tuple:
         """(C, H', W') of the map the head consumes, per the declared input size."""
-        h, w = self.backbone.input_size
-        if self.backbone.kind == "tiny_cnn":
-            return (self.backbone.channels[1], h // 2 // 2, w // 2 // 2)
-        return (self.backbone.channels[0], h, w)
+        return self.backbone.feature_shape()
 
     # -- forward -------------------------------------------------------------
 
@@ -140,12 +145,12 @@ class Model:
         return T.add(logits, self.param("cls_bias"))
 
 
-def build_model(backbone: BackboneConfig, head: str, lca_cfg: LcaConfig | None,
-                num_classes: int, rng=None, dtype=np.float32) -> Model:
-    """Assemble and (if an rng is given) initialize the full model.
+def param_shapes(backbone: BackboneConfig, head: str, lca_cfg: LcaConfig | None,
+                 num_classes: int) -> dict:
+    """Validate an architecture and return its parameter shapes, in init order.
 
-    With ``rng=None`` every parameter is zero-filled — the checkpoint loader
-    uses that path and then overwrites from the file.
+    Allocates nothing, so the checkpoint loader can check a file's declared
+    architecture against the tensors it actually holds before building.
     """
     if head not in HEAD_KINDS:
         raise ConfigError(f"unknown head kind {head!r}")
@@ -166,39 +171,44 @@ def build_model(backbone: BackboneConfig, head: str, lca_cfg: LcaConfig | None,
                 f"lca.in_channels {lca_cfg.in_channels} != backbone output channels {feat_c}"
             )
 
-    m = Model(backbone, head, lca_cfg if head == "lca" else None, num_classes, dtype)
-    fc, fh, fw_ = m.feature_shape()
+    _, fh, fw_ = backbone.feature_shape()
     if head == "lca" and fh * fw_ < 2:
         raise ConfigError(
             f"lca head needs a feature map larger than 1x1, got {fh}x{fw_} "
             f"(input {backbone.input_size})"
         )
 
-    def draw(shape, fan_in, fan_out):
-        if rng is None:
-            return np.zeros(shape, dtype=dtype)
-        return _glorot(rng, shape, fan_in, fan_out, dtype)
-
-    def draw_conv(shape, fan_in):
-        if rng is None:
-            return np.zeros(shape, dtype=dtype)
-        return _he_uniform(rng, shape, fan_in, dtype)
-
+    shapes = {}
     if backbone.kind == "tiny_cnn":
         c1, c2 = backbone.channels
-        m._add("conv1_weight", draw_conv((c1, 3, 3, 3), 3 * 9))
-        m._add("conv1_bias", np.zeros(c1, dtype=dtype))
-        m._add("conv2_weight", draw_conv((c2, c1, 3, 3), c1 * 9))
-        m._add("conv2_bias", np.zeros(c2, dtype=dtype))
+        shapes.update(conv1_weight=(c1, 3, 3, 3), conv1_bias=(c1,),
+                      conv2_weight=(c2, c1, 3, 3), conv2_bias=(c2,))
+    cls_in = feat_c
     if head == "lca":
-        d = lca_cfg.embed_dim
-        m._add("fc_weight", draw((d, feat_c), feat_c, d))
-        m._add("fc_bias", np.zeros(d, dtype=dtype))
-        cls_in = d
-    else:
-        cls_in = feat_c
-    m._add("cls_weight", draw((num_classes, cls_in), cls_in, num_classes))
-    m._add("cls_bias", np.zeros(num_classes, dtype=dtype))
+        cls_in = lca_cfg.embed_dim
+        shapes.update(fc_weight=(cls_in, feat_c), fc_bias=(cls_in,))
+    shapes.update(cls_weight=(num_classes, cls_in), cls_bias=(num_classes,))
+    return shapes
+
+
+def build_model(backbone: BackboneConfig, head: str, lca_cfg: LcaConfig | None,
+                num_classes: int, rng=None, dtype=np.float32) -> Model:
+    """Assemble and (if an rng is given) initialize the full model.
+
+    With ``rng=None`` every parameter is zero-filled — the checkpoint loader
+    uses that path and then overwrites from the file. Biases start at zero;
+    conv kernels draw He-uniform and linear weights Glorot, in shape order.
+    """
+    shapes = param_shapes(backbone, head, lca_cfg, num_classes)
+    m = Model(backbone, head, lca_cfg if head == "lca" else None, num_classes, dtype)
+    for name, shape in shapes.items():
+        if rng is None or name.endswith("_bias"):
+            data = np.zeros(shape, dtype=dtype)
+        elif name.startswith("conv"):
+            data = _he_uniform(rng, shape, math.prod(shape[1:]), dtype)
+        else:
+            data = _glorot(rng, shape, shape[1], shape[0], dtype)
+        m._add(name, data)
     return m
 
 
@@ -256,7 +266,7 @@ class _Reader:
 
 def save_checkpoint(model: Model, path, *, velocities: dict, epoch: int,
                     rng_state: bytes) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
+    """Write atomically: temp file in the target directory, synced, then rename."""
     if len(rng_state) != 32:
         raise CheckpointError(f"rng state must be 32 bytes, got {len(rng_state)}")
     params = model.parameters()
@@ -289,6 +299,8 @@ def save_checkpoint(model: Model, path, *, velocities: dict, epoch: int,
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(blob)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -328,28 +340,30 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     try:
         backbone = BackboneConfig(BACKBONE_KINDS[bk], channels, (h, w))
         lca_cfg = LcaConfig(channels[-1], embed, bool(inc)) if head == "lca" else None
-        model = build_model(backbone, head, lca_cfg, num_classes, rng=None)
+        shapes = param_shapes(backbone, head, lca_cfg, num_classes)
     except ValueError as exc:  # ConfigError, or LcaConfig's own range check
         raise CheckpointError(f"{path}: invalid architecture: {exc}") from None
 
-    names = {p.name for p in model.parameters()}
+    # Every shape the architecture fields imply must match a tensor already
+    # read from the file before anything is allocated from those fields.
     for name, data in entries:
-        if name not in names:
-            raise CheckpointError(f"checkpoint param {name} not in rebuilt model")
-        p = model.param(name)
-        if data.shape != p.data.shape:
+        if name not in shapes:
+            raise CheckpointError(f"checkpoint param {name} is not in the architecture")
+        if data.shape != shapes[name]:
             raise CheckpointError(
-                f"param {name}: stored shape {data.shape} != expected {p.data.shape}"
+                f"param {name}: stored shape {data.shape} != expected {shapes[name]}"
             )
-        p.data[...] = data
-    if len(entries) != len(names):
-        missing = names - {n for n, _ in entries}
-        raise CheckpointError(f"checkpoint missing params: {sorted(missing)}")
-
+    stored = sorted(n for n, _ in entries)
+    if stored != sorted(shapes):
+        raise CheckpointError(f"checkpoint params {stored} != expected {sorted(shapes)}")
     for name, vel in velocities.items():
-        if name not in names:
+        if name not in shapes:
             raise CheckpointError(f"velocity for unknown param {name}")
-        if vel.shape != model.param(name).data.shape:
+        if vel.shape != shapes[name]:
             raise CheckpointError(f"velocity {name}: shape {vel.shape} mismatched")
+
+    model = build_model(backbone, head, lca_cfg, num_classes, rng=None)
+    for name, data in entries:
+        model.param(name).data[...] = data
 
     return LoadedCheckpoint(model, velocities, epoch, rng_state)

@@ -8,6 +8,13 @@ which a stdlib or numpy generator does not guarantee across versions.
 
 The generator state is exactly 32 bytes (four u64 words), which is what
 checkpoints persist to resume a run mid-stream.
+
+Gaussian arrays (``normal_array``, the noise augmentation) are counter-based:
+each call takes one u64 from the stream as a key and evaluates the first 2n
+outputs of ``splitmix64(key)`` at once over numpy uint64, in the manner of
+counter-mode SplitMix64 (Steele et al. 2014) and Philox (Salmon et al. 2011).
+The u64 values are exact integer arithmetic and so platform-independent; the
+floats follow numpy's ``log`` and ``cos``.
 """
 
 from __future__ import annotations
@@ -32,6 +39,18 @@ def splitmix64(seed: int):
         z = ((z ^ (z >> 30)) * _SPLITMIX_MUL1) & _MASK64
         z = ((z ^ (z >> 27)) * _SPLITMIX_MUL2) & _MASK64
         yield z ^ (z >> 31)
+
+
+def _splitmix64_array(seed: int, n: int) -> np.ndarray:
+    """The first ``n`` outputs of ``splitmix64(seed)`` as a uint64 array.
+
+    Output i mixes the counter ``seed + (i+1)*gamma``; uint64 array
+    arithmetic wraps modulo 2**64 like the masked scalar version.
+    """
+    x = (seed & _MASK64) + np.arange(1, n + 1, dtype=np.uint64) * _SPLITMIX_GAMMA
+    x = (x ^ (x >> 30)) * _SPLITMIX_MUL1
+    x = (x ^ (x >> 27)) * _SPLITMIX_MUL2
+    return x ^ (x >> 31)
 
 
 def _rotl(x: int, k: int) -> int:
@@ -95,9 +114,15 @@ class Rng:
         return (lo + (hi - lo) * out).reshape(shape).astype(dtype)
 
     def normal_array(self, shape, sigma: float, dtype=np.float32) -> np.ndarray:
-        out = np.empty(int(np.prod(shape)), dtype=np.float64)
-        for i in range(out.size):
-            out[i] = self.normal()
+        """Gaussian array keyed by one ``next_u64`` draw, whatever the shape.
+
+        Element i is ``normal()``'s Box-Muller transform applied to outputs
+        2i and 2i+1 of ``splitmix64(key)``.
+        """
+        z = _splitmix64_array(self.next_u64(), 2 * int(np.prod(shape)))
+        u1 = ((z[0::2] >> 11) + 1) * 2.0**-53  # in (0, 1]
+        u2 = (z[1::2] >> 11) * 2.0**-53
+        out = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
         return (sigma * out).reshape(shape).astype(dtype)
 
     def shuffle(self, items) -> None:

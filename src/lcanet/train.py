@@ -25,7 +25,6 @@ from . import data as data_mod, losses, model as model_mod, tensor as T
 from .config import ConfigError, RunConfig
 from .data import AugmentConfig, DataError, augment, batches
 from .lca import LcaConfig
-from .losses import LossConfig
 from .optim import SGD
 from .rng import Rng
 from .tensor import NumericsError, Tensor, backward, no_grad
@@ -190,7 +189,6 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
         gauss_noise_sigma=cfg.aug_noise_sigma,
         hflip=cfg.aug_hflip,
     )
-    loss_cfg = LossConfig(lambda_entropy=cfg.lambda_entropy)
 
     kept = _rows_before(cfg.log_csv, start_epoch) if resume is not None else []
     tmp = f"{cfg.log_csv}.tmp"

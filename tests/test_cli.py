@@ -164,6 +164,26 @@ def test_train_resume_from_older_checkpoint_drops_later_rows(workdir):
     assert [r.rsplit(",", 1)[0] for r in resumed] == [r.rsplit(",", 1)[0] for r in straight]
 
 
+def test_train_resume_with_augmentation_is_exact(workdir):
+    """With every augmentation knob on (noise included), 2 epochs plus a
+    resume to 3 give the rows and checkpoint bytes of 3 epochs straight."""
+    make_data(workdir)
+    aug = {"aug.translate_px": "1", "aug.brightness": "0.1",
+           "aug.noise_sigma": "0.05", "aug.hflip": "true"}
+    straight_cfg = write_cfg(workdir, name="straight.cfg", epochs="3", **aug,
+                             **{"ckpt.out": "straight.lcac", "log.csv": "straight.csv"})
+    write_cfg(workdir, name="short.cfg", epochs="2", **aug)
+    long_cfg = write_cfg(workdir, name="long.cfg", epochs="3", **aug)
+    assert main(["train", "--config", str(straight_cfg)]) == 0
+    assert main(["train", "--config", str(workdir / "short.cfg")]) == 0
+    assert main(["train", "--config", str(long_cfg), "--resume", "model.lcac"]) == 0
+    straight = (workdir / "straight.csv").read_text().splitlines()
+    resumed = (workdir / "metrics.csv").read_text().splitlines()
+    assert len(resumed) == 4
+    assert [r.rsplit(",", 1)[0] for r in resumed] == [r.rsplit(",", 1)[0] for r in straight]
+    assert (workdir / "model.lcac").read_bytes() == (workdir / "straight.lcac").read_bytes()
+
+
 def test_train_resume_into_foreign_csv_exits_3(workdir):
     make_data(workdir)
     cfg = write_cfg(workdir, epochs="2")
@@ -309,3 +329,14 @@ def test_inspect_invalid_architecture_exits_3(workdir, capsys):
                     rng_state=Rng(0).state_bytes())
     assert main(["inspect", "--ckpt", "bad.lcac"]) == 3
     assert "embed_dim" in capsys.readouterr().err
+
+
+def test_inspect_huge_embed_dim_exits_3(workdir, capsys):
+    model = build_model(
+        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), "lca", LcaConfig(8, 4), 2, rng=None
+    )
+    model.lca_cfg = SimpleNamespace(embed_dim=2**31 - 1, include_one_by_k=True)
+    save_checkpoint(model, "huge.lcac", velocities={}, epoch=0,
+                    rng_state=Rng(0).state_bytes())
+    assert main(["inspect", "--ckpt", "huge.lcac"]) == 3
+    assert "fc_weight" in capsys.readouterr().err

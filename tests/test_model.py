@@ -302,6 +302,23 @@ class TestCorruptFiles:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("lca_cfg", SimpleNamespace(embed_dim=2**31 - 1, include_one_by_k=True)),
+        ("num_classes", 2**31 - 1),
+        ("backbone", SimpleNamespace(kind="tiny_cnn", channels=(4, 2**31 - 1),
+                                     input_size=(8, 8))),
+    ], ids=["embed_dim", "num_classes", "last_channel"])
+    def test_huge_architecture_field_allocates_nothing(self, tmp_path, field, value):
+        """A size field patched far beyond the tensors the file holds is a
+        corrupt checkpoint, caught before the model is built from it (at
+        2**31-1 that build would ask for tens of GiB)."""
+        m = small_model()
+        setattr(m, field, value)
+        path = tmp_path / "m.lcac"
+        save_checkpoint(m, path, velocities={}, epoch=3, rng_state=RNG_STATE)
+        with pytest.raises(CheckpointError, match="stored shape"):
+            load_checkpoint(path)
+
 
 def test_bad_rng_state_length_rejected(tmp_path):
     with pytest.raises(CheckpointError):

@@ -6,10 +6,13 @@ transition shows up as a hard failure, not a silent reshuffle of every
 downstream dataset and training run.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from lcanet.rng import Rng
+from lcanet.rng import Rng, _splitmix64_array, splitmix64
 
 
 # First four raw draws for seed 42, frozen at construction time.
@@ -98,6 +101,47 @@ def test_normal_moments():
     xs = r.normal_array((20_000,), sigma=2.0)
     assert abs(float(xs.mean())) < 0.06
     assert abs(float(xs.std()) - 2.0) < 0.06
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 16, 16)])
+def test_normal_array_is_splitmix_keyed_by_one_draw(shape):
+    """normal_array(shape) reads outputs 0..2n-1 of splitmix64(key), key
+    being the next u64 of the stream, and Box-Mullers pairs (2i, 2i+1)."""
+    r = Rng(21)
+    r.next_u64()
+    key = Rng.from_state_bytes(r.state_bytes()).next_u64()
+    n = int(np.prod(shape))
+    bits = list(itertools.islice(splitmix64(key), 2 * n))
+    assert _splitmix64_array(key, 2 * n).tolist() == bits
+
+    sigma = 0.05
+    ref = np.array([
+        sigma * math.sqrt(-2.0 * math.log(((z1 >> 11) + 1) * 2.0**-53))
+        * math.cos(2.0 * math.pi * (z2 >> 11) * 2.0**-53)
+        for z1, z2 in zip(bits[0::2], bits[1::2])
+    ], dtype=np.float32).reshape(shape)
+    got = r.normal_array(shape, sigma=sigma)
+    assert got.shape == shape and got.dtype == np.float32
+    np.testing.assert_array_max_ulp(got, ref, maxulp=1)
+
+
+def test_splitmix_array_wraps_at_the_top_of_the_u64_range():
+    for key in (0, 2**63, 2**64 - 1):
+        assert _splitmix64_array(key, 64).tolist() == list(itertools.islice(splitmix64(key), 64))
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (5,), (3, 16, 16), (2, 3, 32, 32)])
+def test_normal_array_advances_the_stream_by_one_draw(shape):
+    a, b = Rng(31), Rng(31)
+    a.normal_array(shape, sigma=1.0)
+    b.next_u64()
+    assert a.state == b.state
+
+
+def test_successive_normal_arrays_differ():
+    r = Rng(32)
+    first, second = r.normal_array((3, 8, 8), 1.0), r.normal_array((3, 8, 8), 1.0)
+    assert not np.array_equal(first, second)
 
 
 def test_permutation_is_a_permutation():
