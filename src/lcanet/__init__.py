@@ -29,7 +29,7 @@ from .lca import (
     lca_forward,
     lca_param_init,
 )
-from .losses import LossConfig, entropy, max_entropy_loss, nll_loss
+from .losses import LossConfig, entropy, loss_terms, max_entropy_loss, nll_loss
 from .model import (
     BackboneConfig,
     CheckpointError,

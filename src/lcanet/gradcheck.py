@@ -113,7 +113,9 @@ def _check_conv2d(rng):
     x, w, b = _t(rng, (2, 3, 5, 5)), _t(rng, (4, 3, 3, 3)), _t(rng, (4,))
     rel1 = grad_check(lambda x, w, b: _sq(T.conv2d(x, w, b, stride=1, pad=1)), [x, w, b])
     rel2 = grad_check(lambda x, w, b: _sq(T.conv2d(x, w, b, stride=2, pad=0)), [x, w, b])
-    return max(rel1, rel2)
+    w23 = _t(rng, (4, 3, 2, 3))  # non-square kernel, strided and padded
+    rel3 = grad_check(lambda x, w, b: _sq(T.conv2d(x, w, b, stride=2, pad=1)), [x, w23, b])
+    return max(rel1, rel2, rel3)
 
 
 def _check_avgpool(rng):
@@ -127,7 +129,9 @@ def _check_maxpool(rng):
     x = _spread(rng, (2, 2, 6, 6))
     rel1 = grad_check(lambda x: _sq(T.maxpool2d(x, 2, stride=2)), x)
     rel2 = grad_check(lambda x: _sq(T.maxpool2d(x, 3, stride=1)), x)
-    return max(rel1, rel2)
+    x7 = _spread(rng, (2, 2, 7, 7))  # ragged: the last row and column sit in no window
+    rel3 = grad_check(lambda x: _sq(T.maxpool2d(x, 2, stride=2)), x7)
+    return max(rel1, rel2, rel3)
 
 
 def _check_relu(rng):

@@ -72,10 +72,20 @@ def entropy(logp: Tensor) -> Tensor:
     return _record("entropy", np.asarray(out, dtype=logp.dtype), (logp,), grad_fn)
 
 
+def loss_terms(logits: Tensor, targets, cfg: LossConfig) -> tuple[Tensor, Tensor, Tensor]:
+    """(NLL − λ·entropy, NLL, entropy), all over log_softmax(logits).
+
+    With λ = 0 the loss is the NLL tensor itself; the entropy is still
+    computed, for reporting, but does not feed the loss.
+    """
+    logp = T.log_softmax(logits)
+    nll = nll_loss(logp, targets)
+    ent = entropy(logp)
+    if cfg.lambda_entropy == 0.0:
+        return nll, nll, ent
+    return T.sub(nll, T.scale(ent, cfg.lambda_entropy)), nll, ent
+
+
 def max_entropy_loss(logits: Tensor, targets, cfg: LossConfig) -> Tensor:
     """NLL − λ·entropy, both taken over log_softmax(logits)."""
-    logp = T.log_softmax(logits)
-    loss = nll_loss(logp, targets)
-    if cfg.lambda_entropy != 0.0:
-        loss = T.sub(loss, T.scale(entropy(logp), cfg.lambda_entropy))
-    return loss
+    return loss_terms(logits, targets, cfg)[0]

@@ -353,10 +353,9 @@ def _pool_windows(x: np.ndarray, kh: int, kw: int, stride: int):
 
 
 def _scatter_slices(hout: int, wout: int, i: int, j: int, stride: int):
-    return (
-        slice(i, i + stride * (hout - 1) + 1, stride),
-        slice(j, j + stride * (wout - 1) + 1, stride),
-    )
+    """Index of the input cells at offset (i, j) of each window."""
+    span_h, span_w = stride * (hout - 1) + 1, stride * (wout - 1) + 1
+    return (..., slice(i, i + span_h, stride), slice(j, j + span_w, stride))
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -379,21 +378,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         )
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    win = _pool_windows(xp, kh, kw, stride)  # B,Cin,H',W',kh,kw
-    out = np.einsum("bchwij,ocij->bohw", win, w.data, optimize=True)
+    win = _pool_windows(xp, kh, kw, stride)  # B,Cin,H',W',kh,kw view, kept for backward
+    hout, wout = win.shape[2:4]
+    wmat = w.data.reshape(cout, cin * kh * kw)
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(bsz, cin * kh * kw, -1)  # im2col copy
+    out = (wmat @ cols).reshape(bsz, cout, hout, wout)
     out += b.data[None, :, None, None]
-    hout, wout = out.shape[2], out.shape[3]
 
     def grad_fn(g):
         gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         gw = np.einsum("bohw,bchwij->ocij", g, win, optimize=True) if w.requires_grad else None
         gx = None
         if x.requires_grad:
+            gcols = (wmat.T @ g.reshape(bsz, cout, -1)).reshape(bsz, cin, kh, kw, hout, wout)
             gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    hs, ws = _scatter_slices(hout, wout, i, j, stride)
-                    gxp[:, :, hs, ws] += np.einsum("bohw,oc->bchw", g, w.data[:, :, i, j])
+            for i, j in itertools.product(range(kh), range(kw)):  # col2im
+                gxp[_scatter_slices(hout, wout, i, j, stride)] += gcols[:, :, i, j]
             gx = gxp[:, :, pad : pad + h, pad : pad + wdt] if pad else gxp
         return gx, gw, gb
 
@@ -420,10 +420,8 @@ def avgpool2d(x: Tensor, kh: int, kw: int, stride: int = 1) -> Tensor:
     def grad_fn(g):
         gx = np.zeros_like(x.data)
         share = g / np.asarray(kh * kw, dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                hs, ws = _scatter_slices(hout, wout, i, j, stride)
-                gx[:, :, hs, ws] += share
+        for i, j in itertools.product(range(kh), range(kw)):
+            gx[_scatter_slices(hout, wout, i, j, stride)] += share
         return (gx,)
 
     return _record("avgpool2d", out, (x,), grad_fn)
@@ -433,24 +431,26 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     """Windowed max; gradient routes to the first argmax in row-major order."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects a 4-D tensor, got shape {x.shape}")
-    bsz, c, h, w = x.shape
+    _, _, h, w = x.shape
     if not 1 <= k <= min(h, w):
         raise ShapeError(f"maxpool2d: kernel {k} exceeds input extent ({h}x{w})")
     if stride < 1:
         raise ContractError(f"maxpool2d: stride {stride} must be >= 1")
 
-    win = _pool_windows(x.data, k, k, stride)
-    hout, wout = win.shape[2], win.shape[3]
-    flat = win.reshape(bsz, c, hout, wout, k * k)
-    arg = flat.argmax(axis=-1)  # numpy argmax = first index on ties
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    hout, wout = (h - k) // stride + 1, (w - k) // stride + 1
+    offsets = itertools.product(range(k), repeat=2)  # row-major in the window
+    slices = [_scatter_slices(hout, wout, i, j, stride) for i, j in offsets]
+    # Running max: the strict > keeps the first offset on ties, np.maximum keeps NaN.
+    out = x.data[slices[0]].copy()
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
+    for idx, sl in enumerate(slices[1:], 1):
+        arg[x.data[sl] > out] = idx
+        np.maximum(out, x.data[sl], out=out)
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
-        bi, ci, oi, oj = np.indices((bsz, c, hout, wout), sparse=True)
-        hh = oi * stride + arg // k
-        ww = oj * stride + arg % k
-        np.add.at(gx, (bi, ci, hh, ww), g)
+        for idx, sl in enumerate(slices):
+            gx[sl] += g * (arg == idx)
         return (gx,)
 
     return _record("maxpool2d", out, (x,), grad_fn)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import data as data_mod, losses, model as model_mod, tensor as T
+from . import data as data_mod, losses, model as model_mod
 from .config import ConfigError, RunConfig
 from .data import AugmentConfig, DataError, augment, batches
 from .lca import LcaConfig
@@ -189,6 +189,7 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
         gauss_noise_sigma=cfg.aug_noise_sigma,
         hflip=cfg.aug_hflip,
     )
+    loss_cfg = losses.LossConfig(lambda_entropy=cfg.lambda_entropy)
 
     kept = _rows_before(cfg.log_csv, start_epoch) if resume is not None else []
     tmp = f"{cfg.log_csv}.tmp"
@@ -212,13 +213,7 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
                 # the way there are redundant noise.
                 with np.errstate(over="ignore", invalid="ignore"):
                     logits = model.forward(x)
-                    logp = T.log_softmax(logits)
-                    nll = losses.nll_loss(logp, b.labels)
-                    ent = losses.entropy(logp)
-                    if cfg.lambda_entropy != 0.0:
-                        loss = T.sub(nll, T.scale(ent, cfg.lambda_entropy))
-                    else:
-                        loss = nll
+                    loss, nll, ent = losses.loss_terms(logits, b.labels, loss_cfg)
 
                 lv, nv, ev = loss.item(), nll.item(), ent.item()
                 if not math.isfinite(lv):

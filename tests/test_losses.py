@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lcanet.tensor as T
-from lcanet import LossConfig, Rng, entropy, max_entropy_loss, nll_loss
+from lcanet import LossConfig, Rng, entropy, loss_terms, max_entropy_loss, nll_loss
 from lcanet.gradcheck import grad_check
 from lcanet.tensor import Tensor, backward, log_softmax
 
@@ -118,6 +118,20 @@ def test_lambda_zero_is_exactly_nll():
     combined = max_entropy_loss(Tensor(logits), ts, LossConfig(0.0)).item()
     plain = nll_loss(log_softmax(Tensor(logits)), ts).item()
     assert abs(combined - plain) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_loss_terms_match_the_separate_losses_bit_for_bit(lam):
+    rng = Rng(6)
+    logits = Tensor(rng.uniform_array((5, 7), -3, 3, dtype=np.float32))
+    ts = targets(*(rng.randint(7) for _ in range(5)))
+    loss, nll, ent = loss_terms(logits, ts, LossConfig(lam))
+    logp = log_softmax(logits)
+    assert nll.data.tobytes() == nll_loss(logp, ts).data.tobytes()
+    assert ent.data.tobytes() == entropy(logp).data.tobytes()
+    assert loss.data.tobytes() == max_entropy_loss(logits, ts, LossConfig(lam)).data.tobytes()
+    if lam == 0.0:
+        assert loss is nll
 
 
 def test_uniform_logits_closed_form():

@@ -103,6 +103,46 @@ def test_conv2d_matches_direct_loop():
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
+def _conv_adjoints_direct(x, w, g, stride, pad):
+    """Loop-over-outputs adjoints of cross-correlation for upstream ``g``."""
+    kh, kw = w.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for n, o, i, j in np.ndindex(*g.shape):
+        rows = slice(i * stride, i * stride + kh)
+        cols = slice(j * stride, j * stride + kw)
+        gw[o] += g[n, o, i, j] * xp[n, :, rows, cols]
+        gxp[n, :, rows, cols] += g[n, o, i, j] * w[o]
+    gx = gxp[:, :, pad : pad + x.shape[2], pad : pad + x.shape[3]]
+    return gx, gw, g.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "xshape, wshape, stride, pad, x_grad",
+    [
+        ((2, 3, 6, 7), (5, 3, 2, 3), 1, 0, True),
+        ((2, 3, 7, 6), (4, 3, 2, 3), 2, 1, True),
+        ((3, 2, 5, 5), (4, 2, 3, 3), 1, 1, False),  # a first layer: the input needs no gradient
+    ],
+)
+def test_conv2d_adjoints_match_direct_loop(xshape, wshape, stride, pad, x_grad):
+    rng = np.random.default_rng(7)
+    x = t64(rng.uniform(-1, 1, size=xshape), requires_grad=x_grad)
+    w = t64(rng.uniform(-1, 1, size=wshape), requires_grad=True)
+    b = t64(rng.uniform(-1, 1, size=wshape[0]), requires_grad=True)
+    out = T.conv2d(x, w, b, stride=stride, pad=pad)
+    g = rng.uniform(-1, 1, size=out.shape)
+    T.backward(T.tensor_sum(T.mul(out, t64(g))))
+
+    gx, gw, gb = _conv_adjoints_direct(x.data, w.data, g, stride, pad)
+    if x_grad:
+        np.testing.assert_allclose(x.grad, gx, rtol=0, atol=1e-12)
+    else:
+        assert out.node.grad_fn(g)[0] is None and x.grad is None
+    np.testing.assert_allclose(w.grad, gw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.grad, gb, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # pooling
 # ---------------------------------------------------------------------------
@@ -157,6 +197,41 @@ def test_maxpool_overlapping_windows_accumulate():
     x = t64([[[[9.0, 1.0], [2.0, 3.0]]]], requires_grad=True)
     T.backward(T.tensor_sum(T.maxpool2d(x, 1, stride=1)))
     np.testing.assert_array_equal(x.grad, np.ones((1, 1, 2, 2)))
+
+
+def _maxpool_direct(x, g, k, stride):
+    """Per-window first argmax in row-major order, and its gradient routing."""
+    n, c, h, w = x.shape
+    out = np.empty((n, c, (h - k) // stride + 1, (w - k) // stride + 1), dtype=x.dtype)
+    gx = np.zeros_like(x)
+    for b, ch, i, j in np.ndindex(*out.shape):
+        win = x[b, ch, i * stride : i * stride + k, j * stride : j * stride + k]
+        best = (0, 0)
+        for p, q in np.ndindex(k, k):
+            if win[p, q] > win[best]:
+                best = (p, q)
+        out[b, ch, i, j] = win[best]
+        gx[b, ch, i * stride + best[0], j * stride + best[1]] += g[b, ch, i, j]
+    return out, gx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, stride", [(2, 2), (3, 1), (2, 1), (3, 2)])
+def test_maxpool_matches_first_argmax_reference(k, stride, dtype):
+    rng = np.random.default_rng(k * 10 + stride)
+    # Half-steps in [-2, 2], relu'd: zeros and repeated values tie often.
+    # On the odd 7x5 extent, k=2 stride 2 leaves the last row and column out.
+    raw = rng.integers(-4, 5, size=(2, 3, 7, 5)) / 2
+    x = Tensor(np.where(raw > 0, raw, 0).astype(dtype), requires_grad=True)
+    out = T.maxpool2d(x, k, stride=stride)
+    # Integer upstream gradients keep every accumulation order exact.
+    g = rng.integers(-3, 4, size=out.shape).astype(dtype)
+    T.backward(T.tensor_sum(T.mul(out, Tensor(g))))
+
+    ref_out, ref_gx = _maxpool_direct(x.data, g, k, stride)
+    assert out.dtype == dtype and x.grad.dtype == dtype
+    np.testing.assert_array_equal(out.data, ref_out)
+    np.testing.assert_array_equal(x.grad, ref_gx)
 
 
 # ---------------------------------------------------------------------------
