@@ -9,12 +9,14 @@ which a stdlib or numpy generator does not guarantee across versions.
 The generator state is exactly 32 bytes (four u64 words), which is what
 checkpoints persist to resume a run mid-stream.
 
-Gaussian arrays (``normal_array``, the noise augmentation) are counter-based:
-each call takes one u64 from the stream as a key and evaluates the first 2n
-outputs of ``splitmix64(key)`` at once over numpy uint64, in the manner of
+Arrays are counter-based: each ``uniform_array`` (parameter init, gradient
+suite inputs) or ``normal_array`` (the noise augmentation) call takes one
+u64 from the stream as a key, whatever the shape, and evaluates the outputs
+of ``splitmix64(key)`` it needs at once over numpy uint64, in the manner of
 counter-mode SplitMix64 (Steele et al. 2014) and Philox (Salmon et al. 2011).
-The u64 values are exact integer arithmetic and so platform-independent; the
-floats follow numpy's ``log`` and ``cos``.
+The u64 values are exact integer arithmetic and so platform-independent, and
+so are the uniform floats; the Gaussian floats follow numpy's ``log`` and
+``cos``.
 """
 
 from __future__ import annotations
@@ -93,8 +95,8 @@ class Rng:
 
     def randint(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
-        if n <= 0:
-            raise ValueError(f"randint bound must be positive, got {n}")
+        if not 0 < n <= 2**64:
+            raise ValueError(f"randint bound must be in [1, 2**64], got {n}")
         limit = (2**64 // n) * n
         while True:
             r = self.next_u64()
@@ -108,9 +110,13 @@ class Rng:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def uniform_array(self, shape, lo: float, hi: float, dtype=np.float32) -> np.ndarray:
-        out = np.empty(int(np.prod(shape)), dtype=np.float64)
-        for i in range(out.size):
-            out[i] = self.random()
+        """Uniform array in [lo, hi) keyed by one ``next_u64`` draw, whatever the shape.
+
+        Element i is ``random()``'s transform applied to output i of
+        ``splitmix64(key)``.
+        """
+        z = _splitmix64_array(self.next_u64(), int(np.prod(shape)))
+        out = (z >> 11) * 2.0**-53
         return (lo + (hi - lo) * out).reshape(shape).astype(dtype)
 
     def normal_array(self, shape, sigma: float, dtype=np.float32) -> np.ndarray:

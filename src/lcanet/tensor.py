@@ -325,7 +325,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
-    return _record("relu", np.where(mask, x.data, 0), (x,), lambda g: (g * mask,))
+    return _record("relu", np.fmax(x.data, 0), (x,), lambda g: (g * mask,))
 
 
 def log_softmax(x: Tensor) -> Tensor:

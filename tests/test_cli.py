@@ -125,6 +125,13 @@ def test_train_unknown_key_exits_2(workdir):
     assert main(["train", "--config", str(cfg)]) == 2
 
 
+def test_train_config_not_utf8_exits_2(workdir, capsys):
+    cfg = workdir / "latin1.cfg"
+    cfg.write_bytes(b"seed = 1\n# caf\xe9 \xff\n")
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "latin1.cfg" in capsys.readouterr().err
+
+
 def test_train_missing_data_exits_3(workdir):
     cfg = write_cfg(workdir)  # data dirs not created
     assert main(["train", "--config", str(cfg)]) == 3

@@ -60,6 +60,22 @@ def test_lca_classifier_input_is_embed_dim():
     assert m.param("cls_weight").shape == (8, 12)
 
 
+@pytest.mark.parametrize("backbone,head,lca_cfg", [
+    (tiny_backbone(), "lca", LcaConfig(32, 32)),
+    (tiny_backbone(), "gap", None),
+    (ext_backbone(512, 7, 7), "lca", LcaConfig(512, 512)),
+])
+def test_init_takes_one_stream_draw_per_weight(backbone, head, lca_cfg):
+    """Each weight array is keyed by one u64, whatever its size; biases draw nothing."""
+    a, b = Rng(7), Rng(7)
+    m = build_model(backbone, head, lca_cfg, 8, rng=a)
+    weights = [p for p in m.parameters() if not p.name.endswith("_bias")]
+    assert len(weights) < len(m.parameters())
+    for _ in weights:
+        b.next_u64()
+    assert a.state == b.state
+
+
 def test_parameter_names_are_stable():
     m = build_model(tiny_backbone(), "lca", LcaConfig(32, 32), 8, rng=Rng(0))
     assert [p.name for p in m.parameters()] == [

@@ -83,6 +83,40 @@ def test_uniform_bounds():
     assert xs.min() >= -2.5 and xs.max() < 1.5
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 16, 16), (32, 512)])
+def test_uniform_array_is_splitmix_keyed_by_one_draw(shape):
+    """uniform_array(shape) maps output i of splitmix64(key), key being the
+    next u64 of the stream, through random()'s 53-bit transform."""
+    r = Rng(22)
+    r.next_u64()
+    key = Rng.from_state_bytes(r.state_bytes()).next_u64()
+    n = int(np.prod(shape))
+    lo, hi = -0.75, 1.25
+    ref = np.array([
+        lo + (hi - lo) * ((z >> 11) * 2.0**-53)
+        for z in itertools.islice(splitmix64(key), n)
+    ], dtype=np.float64).reshape(shape)
+    got = r.uniform_array(shape, lo, hi, dtype=np.float64)
+    assert got.shape == shape and got.dtype == np.float64
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (5,), (3, 16, 16), (2, 0, 4)])
+def test_uniform_array_advances_the_stream_by_one_draw(shape):
+    a, b = Rng(33), Rng(33)
+    a.uniform_array(shape, 0.0, 1.0)
+    b.next_u64()
+    assert a.state == b.state
+
+
+def test_uniform_array_values_in_half_open_range():
+    r = Rng(34)
+    for lo, hi in ((0.0, 1.0), (-3.0, -1.0), (-0.25, 0.25)):
+        xs = r.uniform_array((4096,), lo, hi, dtype=np.float64)
+        assert xs.min() >= lo and xs.max() < hi
+        assert abs(float(xs.mean()) - (lo + hi) / 2) < 0.03 * (hi - lo)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 100])
 def test_randint_range(n):
     r = Rng(11)
@@ -94,6 +128,21 @@ def test_randint_hits_every_bucket():
     r = Rng(12)
     seen = {r.randint(8) for _ in range(400)}
     assert seen == set(range(8))
+
+
+def test_randint_full_u64_range_is_one_draw():
+    a, b = Rng(13), Rng(13)
+    assert a.randint(2**64) == b.next_u64()
+    assert a.state == b.state
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**64 + 1, 2**65, 2**200])
+def test_randint_bound_outside_one_to_2_64_raises(n):
+    r = Rng(14)
+    before = r.state
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        r.randint(n)
+    assert r.state == before
 
 
 def test_normal_moments():

@@ -255,6 +255,30 @@ def test_relu_gradient_sides():
     np.testing.assert_array_equal(x.grad, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_bytes_and_gradient_match_where_reference(dtype):
+    """Forward bytes equal np.where(x > 0, x, 0): -0.0, NaN and negative
+    subnormals map to +0.0; +inf and positive subnormals pass. The adjoint
+    is g * (x > 0)."""
+    info = np.finfo(dtype)
+    tiny = info.smallest_subnormal
+    special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
+                        info.tiny / 2, -info.tiny / 2, info.max, -info.max], dtype=dtype)
+    rng = np.random.default_rng(0)
+    normals = rng.standard_normal(500).astype(dtype)
+    data = np.concatenate([special, normals, special[::-1]])
+    for x in (data, data.reshape(2, -1), data.reshape(2, -1).T):
+        t = Tensor(x, requires_grad=True)
+        out = T.relu(t)
+        ref = np.where(x > 0, x, 0)
+        assert out.dtype == dtype
+        assert out.data.tobytes() == np.ascontiguousarray(ref).tobytes()
+        g = rng.standard_normal(x.shape).astype(dtype)
+        (gx,) = out.node.grad_fn(g)
+        assert gx.dtype == dtype
+        assert gx.tobytes() == np.ascontiguousarray(g * (x > 0)).tobytes()
+
+
 def test_log_softmax_uniform():
     out = T.log_softmax(t64([[0.0, 0.0, 0.0, 0.0]]))
     np.testing.assert_allclose(out.data, np.full((1, 4), -np.log(4.0)), atol=1e-12)
