@@ -27,7 +27,6 @@ from .lca import (
     concept_vectors,
     enumerate_kernels,
     lca_forward,
-    lca_param_init,
 )
 from .losses import LossConfig, entropy, loss_terms, max_entropy_loss, nll_loss
 from .model import (
@@ -49,7 +48,6 @@ from .tensor import (
     add,
     avgpool2d,
     backward,
-    concat,
     conv2d,
     log_softmax,
     matmul,

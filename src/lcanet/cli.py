@@ -45,13 +45,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     loaded = model_mod.load_checkpoint(args.ckpt)
     model = loaded.model
-    if args.format == "ppm":
-        if model.backbone.kind != "tiny_cnn":
-            raise DataError("checkpoint expects feature-map data, not images")
+    if model.backbone.kind == "tiny_cnn":
         ds = data_mod.load_image_dir(args.data, model.backbone.input_size)
     else:
-        if model.backbone.kind != "external_features":
-            raise DataError("checkpoint expects image data, not feature maps")
         ds = data_mod.load_feature_file(args.data)
     if len(ds) == 0:
         raise DataError(f"{args.data}: no samples")
@@ -138,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=("ppm", "lcaf"), default="ppm")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference suite")

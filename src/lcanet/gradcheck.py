@@ -163,14 +163,14 @@ def _check_bias_add(rng):
 
 
 def _check_shape_ops(rng):
-    a, b = _t(rng, (2, 3, 4)), _t(rng, (2, 3, 4))
+    x = _t(rng, (2, 3, 4))
+    r = _probe(rng, (4, 6))
 
-    def f(a, b):
-        cat = T.concat([a, b], axis=2)  # [2,3,8]
-        moved = T.transpose(cat, (2, 0, 1))  # [8,2,3]
-        return _sq(T.reshape(moved, (8, 6)))
+    def f(x):
+        moved = T.transpose(x, (2, 0, 1))  # [4,2,3]
+        return T.mul(T.reshape(moved, (4, 6)), r).sum()
 
-    return grad_check(f, [a, b])
+    return grad_check(f, x)
 
 
 def _check_reductions(rng):

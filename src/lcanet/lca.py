@@ -75,16 +75,6 @@ def concept_count(h: int, w: int, cfg: LcaConfig) -> int:
     return total
 
 
-def lca_param_init(cfg: LcaConfig, rng) -> LcaParams:
-    """Glorot-uniform weight, zero bias; deterministic given the rng state."""
-    s = float(np.sqrt(6.0 / (cfg.in_channels + cfg.embed_dim)))
-    w = rng.uniform_array((cfg.embed_dim, cfg.in_channels), -s, s)
-    return LcaParams(
-        fc_weight=T.Parameter("fc_weight", w),
-        fc_bias=T.Parameter("fc_bias", np.zeros(cfg.embed_dim, dtype=np.float32)),
-    )
-
-
 @functools.lru_cache(maxsize=32)
 def pooling_matrix(h: int, w: int, cfg: LcaConfig, dtype) -> np.ndarray:
     """Read-only [P, H*W] matrix; row p holds 1/area on window p's cells.

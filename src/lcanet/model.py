@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ConfigError
-from .lca import LcaConfig, LcaParams, concept_count, lca_forward
+from .lca import LcaConfig, LcaParams, lca_forward
 from .tensor import Parameter, ShapeError, Tensor
 
 
@@ -105,15 +105,6 @@ class Model:
     def param(self, name: str) -> Parameter:
         return self._params[name]
 
-    def trainable_parameters(self, freeze_backbone: bool = False) -> list[Parameter]:
-        if not freeze_backbone:
-            return self.parameters()
-        return [p for p in self.parameters() if not p.name.startswith("conv")]
-
-    def feature_shape(self) -> tuple:
-        """(C, H', W') of the map the head consumes, per the declared input size."""
-        return self.backbone.feature_shape()
-
     # -- forward -------------------------------------------------------------
 
     def feature_map(self, x: Tensor) -> Tensor:
@@ -136,8 +127,8 @@ class Model:
         if self.head == "lca":
             params = LcaParams(self.param("fc_weight"), self.param("fc_bias"))
             return lca_forward(fm, params, self.lca_cfg)
-        pooled = T.avgpool2d(fm, fm.shape[2], fm.shape[3], 1)
-        return T.reshape(pooled, (fm.shape[0], fm.shape[1]))
+        b, c, h, w = fm.shape
+        return T.tensor_mean(T.reshape(fm, (b, c, h * w)), axis=2)
 
     def forward(self, x: Tensor) -> Tensor:
         feat = self.head_output(self.feature_map(x))

@@ -9,14 +9,15 @@ which a stdlib or numpy generator does not guarantee across versions.
 The generator state is exactly 32 bytes (four u64 words), which is what
 checkpoints persist to resume a run mid-stream.
 
-Arrays are counter-based: each ``uniform_array`` (parameter init, gradient
-suite inputs) or ``normal_array`` (the noise augmentation) call takes one
-u64 from the stream as a key, whatever the shape, and evaluates the outputs
-of ``splitmix64(key)`` it needs at once over numpy uint64, in the manner of
-counter-mode SplitMix64 (Steele et al. 2014) and Philox (Salmon et al. 2011).
-The u64 values are exact integer arithmetic and so platform-independent, and
-so are the uniform floats; the Gaussian floats follow numpy's ``log`` and
-``cos``.
+Scalar draws (``random``, ``uniform``, ``randint``) read the stream one u64
+at a time. Arrays are counter-based: each ``uniform_array`` (parameter init,
+gradient suite inputs) or ``normal_array`` (the noise augmentation, the only
+Gaussian draw) call takes one u64 from the stream as a key, whatever the
+shape, and evaluates the outputs of ``splitmix64(key)`` it needs at once over
+numpy uint64, in the manner of counter-mode SplitMix64 (Steele et al. 2014)
+and Philox (Salmon et al. 2011). The u64 values are exact integer arithmetic
+and so platform-independent, and so are the uniform floats; the Gaussian
+floats follow numpy's ``log`` and ``cos``.
 """
 
 from __future__ import annotations
@@ -103,12 +104,6 @@ class Rng:
             if r < limit:
                 return r % n
 
-    def normal(self) -> float:
-        """Standard normal draw (Box-Muller, two uniforms, no caching)."""
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53  # in (0, 1]
-        u2 = self.random()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
     def uniform_array(self, shape, lo: float, hi: float, dtype=np.float32) -> np.ndarray:
         """Uniform array in [lo, hi) keyed by one ``next_u64`` draw, whatever the shape.
 
@@ -122,8 +117,9 @@ class Rng:
     def normal_array(self, shape, sigma: float, dtype=np.float32) -> np.ndarray:
         """Gaussian array keyed by one ``next_u64`` draw, whatever the shape.
 
-        Element i is ``normal()``'s Box-Muller transform applied to outputs
-        2i and 2i+1 of ``splitmix64(key)``.
+        Element i is the Box-Muller transform ``sigma*sqrt(-2 ln u1)*cos(2 pi u2)``
+        of outputs z[2i] and z[2i+1] of ``splitmix64(key)``, with
+        u1 = ((z[2i] >> 11) + 1) * 2**-53 in (0, 1] and u2 = (z[2i+1] >> 11) * 2**-53.
         """
         z = _splitmix64_array(self.next_u64(), 2 * int(np.prod(shape)))
         u1 = ((z[0::2] >> 11) + 1) * 2.0**-53  # in (0, 1]

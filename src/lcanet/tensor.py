@@ -125,15 +125,8 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0
 
     # -- operator sugar ----------------------------------------------------
 
@@ -324,8 +317,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return _record("relu", np.fmax(x.data, 0), (x,), lambda g: (g * mask,))
+    return _record("relu", np.fmax(x.data, 0), (x,), lambda g: (g * (x.data > 0),))
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -479,20 +471,6 @@ def transpose(x: Tensor, axes=None) -> Tensor:
         (x,),
         lambda g: (np.transpose(g, inverse),),
     )
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise ContractError("concat of an empty tensor list")
-    _check_dtypes("concat", *tensors)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-
-    def grad_fn(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record("concat", out, tensors, grad_fn)
 
 
 def tensor_sum(x: Tensor, axis=None) -> Tensor:

@@ -65,17 +65,10 @@ def _check_mode(cfg: RunConfig, ds: data_mod.Dataset) -> None:
 
 
 def build_from_config(cfg: RunConfig, num_classes: int, feat_hw=None, rng=None):
-    """Construct the model a RunConfig describes (shared by train and tests)."""
-    if cfg.backbone == "tiny_cnn":
-        backbone = model_mod.BackboneConfig("tiny_cnn", tuple(cfg.channels), cfg.input_size)
-    else:
-        if len(cfg.channels) != 1:
-            raise ConfigError(
-                f"config key channels: external_features takes one count, got {cfg.channels}"
-            )
-        backbone = model_mod.BackboneConfig(
-            "external_features", tuple(cfg.channels), feat_hw or cfg.input_size
-        )
+    """Construct the model a RunConfig describes; ``feat_hw`` is the feature
+    map extent an ``external_features`` backbone reads from its data."""
+    backbone = model_mod.BackboneConfig(cfg.backbone, tuple(cfg.channels),
+                                        feat_hw or cfg.input_size)
     lca_cfg = None
     if cfg.head == "lca":
         lca_cfg = LcaConfig(backbone.channels[-1], cfg.lca_embed_dim, cfg.lca_include_one_by_k)
@@ -172,7 +165,7 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
                 p.requires_grad = False
 
     optim = SGD(
-        model.trainable_parameters(cfg.freeze_backbone),
+        [p for p in model.parameters() if p.requires_grad],
         lr=cfg.lr,
         momentum=cfg.momentum,
         weight_decay=cfg.weight_decay,

@@ -137,6 +137,15 @@ def test_train_missing_data_exits_3(workdir):
     assert main(["train", "--config", str(cfg)]) == 3
 
 
+def test_train_external_features_with_two_channel_counts_exits_2(workdir, capsys):
+    write_feature_file("feats.lcaf", np.zeros((4, 8, 4, 4), dtype=np.float32), [0, 1, 0, 1])
+    cfg = write_cfg(workdir, backbone="external_features", channels="4,8",
+                    **{"data.format": "lcaf", "data.train": "feats.lcaf",
+                       "data.test": "feats.lcaf"})
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "one channel count" in capsys.readouterr().err
+
+
 def test_train_divergence_exits_4(workdir, capsys):
     make_data(workdir)
     cfg = write_cfg(workdir, lr="1e30", epochs="2")
@@ -264,8 +273,21 @@ def test_eval_format_mismatch_exits_3(workdir):
                        np.zeros((1, 8, 4, 4), dtype=np.float32), [0])
     cfg = write_cfg(workdir)
     main(["train", "--config", str(cfg)])
-    assert main(["eval", "--ckpt", "model.lcac", "--data", "feats.lcaf",
-                 "--format", "lcaf"]) == 3
+    assert main(["eval", "--ckpt", "model.lcac", "--data", "feats.lcaf"]) == 3
+
+
+def test_eval_feature_checkpoint_on_image_tree_exits_3(workdir, capsys):
+    """The loader follows the checkpoint's backbone: an LCAF reader on a PPM tree."""
+    make_data(workdir)
+    model = build_model(
+        BackboneConfig("external_features", (8,), (4, 4)), "gap", None, 2, rng=Rng(0)
+    )
+    save_checkpoint(model, "feat.lcac", velocities={}, epoch=0,
+                    rng_state=Rng(0).state_bytes())
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", "feat.lcac", "--data", "data/test"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
 
 
 def test_eval_labels_beyond_model_classes_exit_3(workdir):

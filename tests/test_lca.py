@@ -10,15 +10,16 @@ import pytest
 
 import lcanet.tensor as T
 from lcanet import (
+    BackboneConfig,
     EmptyKernelError,
     LcaConfig,
     LcaParams,
     Rng,
+    build_model,
     concept_count,
     concept_vectors,
     enumerate_kernels,
     lca_forward,
-    lca_param_init,
 )
 from lcanet.gradcheck import grad_check
 from lcanet.tensor import ShapeError, Tensor
@@ -261,27 +262,35 @@ def test_gradients_flow_through_the_head():
 
 
 class TestParamInit:
+    """The head's weights as ``build_model`` draws them on a C-channel map."""
+
+    @staticmethod
+    def head(c, d, seed):
+        m = build_model(BackboneConfig("external_features", (c,), (2, 2)), "lca",
+                        cfg(c=c, d=d), 2, rng=Rng(seed))
+        return m.param("fc_weight"), m.param("fc_bias")
+
     def test_glorot_bound(self):
-        c = cfg(c=32, d=32)
-        params = lca_param_init(c, Rng(0))
+        w, _ = self.head(32, 32, 0)
         s = np.sqrt(6.0 / 64.0)
         assert abs(s - 0.3062) < 5e-5  # formula spot value
-        assert params.fc_weight.shape == (32, 32)
-        assert np.abs(params.fc_weight.data).max() <= s
+        assert w.shape == (32, 32)
+        assert np.abs(w.data).max() <= s
 
     def test_bias_exactly_zero(self):
-        params = lca_param_init(cfg(c=8, d=4), Rng(1))
-        assert not params.fc_bias.data.any()
+        w, b = self.head(8, 4, 1)
+        assert w.shape == (4, 8) and b.shape == (4,)
+        assert not b.data.any()
 
     def test_deterministic_given_seed(self):
-        a = lca_param_init(cfg(c=8, d=4), Rng(2))
-        b = lca_param_init(cfg(c=8, d=4), Rng(2))
-        np.testing.assert_array_equal(a.fc_weight.data, b.fc_weight.data)
+        a, _ = self.head(8, 4, 2)
+        b, _ = self.head(8, 4, 2)
+        np.testing.assert_array_equal(a.data, b.data)
 
     def test_weights_fill_the_interval(self):
-        params = lca_param_init(cfg(c=32, d=32), Rng(3))
+        w, _ = self.head(32, 32, 3)
         s = np.sqrt(6.0 / 64.0)
-        assert np.abs(params.fc_weight.data).max() > 0.9 * s
+        assert np.abs(w.data).max() > 0.9 * s
 
 
 def test_config_validation():

@@ -19,8 +19,11 @@ from lcanet import (
     max_entropy_loss,
     save_checkpoint,
 )
+from lcanet.cli import main
+from lcanet.config import parse_config
 from lcanet.optim import SGD
 from lcanet.tensor import ShapeError, Tensor
+from lcanet.train import build_from_config, run_training
 
 
 def tiny_backbone(h=16, w=16, channels=(16, 32)):
@@ -41,12 +44,12 @@ RNG_STATE = Rng(0).state_bytes()
 
 def test_feature_shape_tiny_cnn():
     m = build_model(tiny_backbone(), "gap", None, 8, rng=Rng(0))
-    assert m.feature_shape() == (32, 4, 4)
+    assert m.backbone.feature_shape() == (32, 4, 4)
 
 
 def test_lca_head_concept_count_on_default_geometry():
     m = build_model(tiny_backbone(), "lca", LcaConfig(32, 32), 8, rng=Rng(0))
-    c, h, w = m.feature_shape()
+    c, h, w = m.backbone.feature_shape()
     assert concept_count(h, w, m.lca_cfg) == 84  # (10*10) - 16
 
 
@@ -91,10 +94,24 @@ def test_same_seed_same_initial_logits():
     np.testing.assert_array_equal(a.forward(x).data, b.forward(x).data)
 
 
-def test_freeze_backbone_excludes_conv_params():
-    m = build_model(tiny_backbone(), "lca", LcaConfig(32, 16), 4, rng=Rng(0))
-    names = [p.name for p in m.trainable_parameters(freeze_backbone=True)]
-    assert names == ["fc_weight", "fc_bias", "cls_weight", "cls_bias"]
+def test_freeze_backbone_excludes_conv_params(tmp_path):
+    """One frozen epoch leaves the conv tensors at their init bytes and keeps
+    momentum for the head and classifier only."""
+    assert main(["synth", "--out", str(tmp_path), "--classes", "2",
+                 "--per-class", "4", "--test-per-class", "2"]) == 0
+    cfg = parse_config(
+        "seed = 3\nepochs = 1\nbatch_size = 4\nchannels = 4,8\nlca.embed_dim = 6\n"
+        f"train.freeze_backbone = true\ndata.train = {tmp_path / 'train'}\n"
+        f"data.test = {tmp_path / 'test'}\nckpt.out = {tmp_path / 'm.lcac'}\n"
+        f"log.csv = {tmp_path / 'm.csv'}\n"
+    )
+    run_training(cfg)
+    init = build_from_config(cfg, 2, rng=Rng(cfg.seed).spawn())  # the init stream
+    loaded = load_checkpoint(cfg.ckpt_out)
+    for p in loaded.model.parameters():
+        same = p.data.tobytes() == init.param(p.name).data.tobytes()
+        assert same == p.name.startswith("conv"), p.name
+    assert sorted(loaded.velocities) == ["cls_bias", "cls_weight", "fc_bias", "fc_weight"]
 
 
 class TestBuildValidation:
@@ -170,6 +187,24 @@ def test_external_mode_rejects_wrong_channels():
     m = build_model(ext_backbone(c=4, h=3, w=3), "gap", None, 4, rng=Rng(0))
     with pytest.raises(ShapeError):
         m.forward(Tensor(np.zeros((1, 3, 3, 3), dtype=np.float32)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c,h,w", [(32, 4, 4), (512, 7, 7), (64, 14, 14), (3, 5, 9), (2, 1, 3)])
+def test_gap_head_bytes_match_full_map_avgpool(c, h, w, dtype):
+    """The GAP head's output and feature-map gradient equal avgpool2d over the
+    whole map, bit for bit."""
+    m = build_model(ext_backbone(c, h, w), "gap", None, 2, rng=None, dtype=dtype)
+    rng = Rng(c * h * w)
+    x = rng.uniform_array((3, c, h, w), -1, 1, dtype=dtype)
+    probe = Tensor(rng.uniform_array((3, c), -1, 1, dtype=dtype))
+    fm, ref_fm = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+    out = m.head_output(fm)
+    ref = T.reshape(T.avgpool2d(ref_fm, h, w, 1), (3, c))
+    T.backward(T.mul(out, probe).sum())
+    T.backward(T.mul(ref, probe).sum())
+    assert out.data.tobytes() == ref.data.tobytes()
+    assert fm.grad.tobytes() == ref_fm.grad.tobytes()
 
 
 def test_gap_head_output_length_is_spatial_free():

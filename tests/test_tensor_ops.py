@@ -419,16 +419,6 @@ def test_reshape_transpose_roundtrip():
     np.testing.assert_allclose(x.grad, 2 * x.data)
 
 
-def test_concat_and_split_adjoint():
-    a = t64(np.ones((2, 2)), requires_grad=True)
-    b = t64(np.full((3, 2), 2.0), requires_grad=True)
-    out = T.concat([a, b], axis=0)
-    assert out.shape == (5, 2)
-    T.backward(T.tensor_sum(T.mul(out, out)))
-    np.testing.assert_allclose(a.grad, 2 * a.data)
-    np.testing.assert_allclose(b.grad, 2 * b.data)
-
-
 def test_mean_reduction_axis_and_full():
     x = t64(np.arange(6.0).reshape(2, 3), requires_grad=True)
     m = T.tensor_mean(x, axis=0)
