@@ -22,7 +22,6 @@ from .gradcheck import CheckResult, grad_check, run_suite
 from .lca import (
     EmptyKernelError,
     LcaConfig,
-    LcaParams,
     concept_count,
     concept_vectors,
     enumerate_kernels,

@@ -172,6 +172,7 @@ def _validate(cfg: RunConfig) -> None:
     need(cfg.lr > 0, "lr", f"must be > 0, got {cfg.lr}")
     need(0 <= cfg.momentum < 1, "momentum", f"must be in [0,1), got {cfg.momentum}")
     need(cfg.weight_decay >= 0, "weight_decay", f"must be >= 0, got {cfg.weight_decay}")
+    need(cfg.lr_step_epoch >= 0, "lr_step_epoch", f"must be >= 0, got {cfg.lr_step_epoch}")
     need(cfg.lr_step_factor > 0, "lr_step_factor", f"must be > 0, got {cfg.lr_step_factor}")
     need(cfg.lambda_entropy >= 0, "lambda_entropy", f"must be >= 0, got {cfg.lambda_entropy}")
     need(cfg.head in ("lca", "gap"), "head", f"must be lca or gap, got {cfg.head!r}")

@@ -353,6 +353,8 @@ def _shift(img: np.ndarray, dr: int, dc: int) -> np.ndarray:
     """Integer translation with zero padding, [C,H,W]."""
     out = np.zeros_like(img)
     _, h, w = img.shape
+    # A shift of the full extent or more leaves nothing in frame.
+    dr, dc = min(max(dr, -h), h), min(max(dc, -w), w)
     rs, re = max(dr, 0), min(h + dr, h)
     cs, ce = max(dc, 0), min(w + dc, w)
     out[:, rs:re, cs:ce] = img[:, rs - dr : re - dr, cs - dc : ce - dc]

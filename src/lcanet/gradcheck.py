@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, model as model_mod, tensor as T
-from .lca import LcaConfig, LcaParams, lca_forward
+from .lca import LcaConfig, lca_forward
 from .rng import Rng
 from .tensor import Tensor, backward, no_grad
 
@@ -183,13 +183,12 @@ def _check_reductions(rng):
 
 
 def _check_lca(rng):
-    cfg = LcaConfig(in_channels=3, embed_dim=2)
     fm = _t(rng, (2, 3, 3, 4))
     fw, fb = _t(rng, (2, 3)), _t(rng, (2,))
     r = _probe(rng, (2, 2))
 
     def f(fm, fw, fb):
-        out = lca_forward(fm, LcaParams(fw, fb), cfg)
+        out = lca_forward(fm, fw, fb)
         return T.mul(out, r).sum()
 
     return grad_check(f, [fm, fw, fb])
@@ -256,13 +255,12 @@ def _kink_margin(loss: Tensor) -> float:
 _E2E_MARGIN = 100 * DEFAULT_EPS
 
 
-def _e2e(rng, head: str, input_hw: int):
+def _e2e(rng, lca_cfg, input_hw: int):
     cfg = losses.LossConfig(lambda_entropy=0.1)
     for _ in range(64):
         m = model_mod.build_model(
             model_mod.BackboneConfig("tiny_cnn", (2, 3), (input_hw, input_hw)),
-            head,
-            LcaConfig(in_channels=3, embed_dim=2),
+            lca_cfg,
             num_classes=3,
             rng=rng.spawn(),
             dtype=np.float64,
@@ -293,11 +291,11 @@ def _e2e(rng, head: str, input_hw: int):
 
 
 def _check_e2e_gap(rng):
-    return _e2e(rng, "gap", 4)
+    return _e2e(rng, None, 4)
 
 
 def _check_e2e_lca(rng):
-    return _e2e(rng, "lca", 8)
+    return _e2e(rng, LcaConfig(embed_dim=2), 8)
 
 
 _CHECKS = [

@@ -4,8 +4,9 @@ A model is backbone -> head -> linear classifier. The backbone is either a
 small two-stage CNN for end-to-end desk-scale training, or a pass-through
 (``external_features``) that consumes precomputed feature maps, standing in
 for a large pretrained trunk. The head is either the local-concepts
-accumulation layer or plain global average pooling (the baseline it is
-compared against); the classifier is a single linear layer.
+accumulation layer (given an ``LcaConfig``) or, with ``lca_cfg=None``,
+plain global average pooling (the baseline it is compared against); the
+classifier is a single linear layer.
 
 Checkpoints are little-endian binary: magic ``LCAC`` | u32 version=1 |
 u32 param-count | per-param (u16 name-len, name UTF-8, u8 dtype=1 for f32,
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ConfigError
-from .lca import LcaConfig, LcaParams, lca_forward
+from .lca import LcaConfig, lca_forward
 from .tensor import Parameter, ShapeError, Tensor
 
 
@@ -84,10 +85,9 @@ def _he_uniform(rng, shape, fan_in, dtype):
 
 
 class Model:
-    def __init__(self, backbone: BackboneConfig, head: str, lca_cfg, num_classes, dtype):
+    def __init__(self, backbone: BackboneConfig, lca_cfg, num_classes, dtype):
         self.backbone = backbone
-        self.head = head
-        self.lca_cfg = lca_cfg
+        self.lca_cfg = lca_cfg  # None: the GAP head
         self.num_classes = num_classes
         self.dtype = np.dtype(dtype)
         self._params: dict[str, Parameter] = {}
@@ -104,6 +104,10 @@ class Model:
 
     def param(self, name: str) -> Parameter:
         return self._params[name]
+
+    @property
+    def head(self) -> str:
+        return "gap" if self.lca_cfg is None else "lca"
 
     # -- forward -------------------------------------------------------------
 
@@ -124,9 +128,9 @@ class Model:
         return T.maxpool2d(T.relu(y), 2, 2)
 
     def head_output(self, fm: Tensor) -> Tensor:
-        if self.head == "lca":
-            params = LcaParams(self.param("fc_weight"), self.param("fc_bias"))
-            return lca_forward(fm, params, self.lca_cfg)
+        if self.lca_cfg is not None:
+            return lca_forward(fm, self.param("fc_weight"), self.param("fc_bias"),
+                               self.lca_cfg.include_one_by_k)
         b, c, h, w = fm.shape
         return T.tensor_mean(T.reshape(fm, (b, c, h * w)), axis=2)
 
@@ -136,34 +140,23 @@ class Model:
         return T.add(logits, self.param("cls_bias"))
 
 
-def param_shapes(backbone: BackboneConfig, head: str, lca_cfg: LcaConfig | None,
+def param_shapes(backbone: BackboneConfig, lca_cfg: LcaConfig | None,
                  num_classes: int) -> dict:
     """Validate an architecture and return its parameter shapes, in init order.
 
     Allocates nothing, so the checkpoint loader can check a file's declared
     architecture against the tensors it actually holds before building.
     """
-    if head not in HEAD_KINDS:
-        raise ConfigError(f"unknown head kind {head!r}")
     if num_classes < 2:
         raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
 
-    feat_c = backbone.channels[-1]
     if backbone.kind == "tiny_cnn":
         h, w = backbone.input_size
         if h < 4 or w < 4:
             raise ConfigError(f"tiny_cnn needs input >= 4x4, got {h}x{w}")
 
-    if head == "lca":
-        if lca_cfg is None:
-            raise ConfigError("lca head requires an LcaConfig")
-        if lca_cfg.in_channels != feat_c:
-            raise ConfigError(
-                f"lca.in_channels {lca_cfg.in_channels} != backbone output channels {feat_c}"
-            )
-
-    _, fh, fw_ = backbone.feature_shape()
-    if head == "lca" and fh * fw_ < 2:
+    feat_c, fh, fw_ = backbone.feature_shape()
+    if lca_cfg is not None and fh * fw_ < 2:
         raise ConfigError(
             f"lca head needs a feature map larger than 1x1, got {fh}x{fw_} "
             f"(input {backbone.input_size})"
@@ -175,23 +168,24 @@ def param_shapes(backbone: BackboneConfig, head: str, lca_cfg: LcaConfig | None,
         shapes.update(conv1_weight=(c1, 3, 3, 3), conv1_bias=(c1,),
                       conv2_weight=(c2, c1, 3, 3), conv2_bias=(c2,))
     cls_in = feat_c
-    if head == "lca":
+    if lca_cfg is not None:
         cls_in = lca_cfg.embed_dim
         shapes.update(fc_weight=(cls_in, feat_c), fc_bias=(cls_in,))
     shapes.update(cls_weight=(num_classes, cls_in), cls_bias=(num_classes,))
     return shapes
 
 
-def build_model(backbone: BackboneConfig, head: str, lca_cfg: LcaConfig | None,
+def build_model(backbone: BackboneConfig, lca_cfg: LcaConfig | None,
                 num_classes: int, rng=None, dtype=np.float32) -> Model:
-    """Assemble and (if an rng is given) initialize the full model.
+    """Assemble and (if an rng is given) initialize the full model; an
+    ``lca_cfg`` of None gives the GAP head.
 
     With ``rng=None`` every parameter is zero-filled — the checkpoint loader
     uses that path and then overwrites from the file. Biases start at zero;
     conv kernels draw He-uniform and linear weights Glorot, in shape order.
     """
-    shapes = param_shapes(backbone, head, lca_cfg, num_classes)
-    m = Model(backbone, head, lca_cfg if head == "lca" else None, num_classes, dtype)
+    shapes = param_shapes(backbone, lca_cfg, num_classes)
+    m = Model(backbone, lca_cfg, num_classes, dtype)
     for name, shape in shapes.items():
         if rng is None or name.endswith("_bias"):
             data = np.zeros(shape, dtype=dtype)
@@ -327,11 +321,10 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     if r.pos != len(r.blob):
         raise CheckpointError(f"{path}: {len(r.blob) - r.pos} trailing bytes")
 
-    head = HEAD_KINDS[hk]
     try:
         backbone = BackboneConfig(BACKBONE_KINDS[bk], channels, (h, w))
-        lca_cfg = LcaConfig(channels[-1], embed, bool(inc)) if head == "lca" else None
-        shapes = param_shapes(backbone, head, lca_cfg, num_classes)
+        lca_cfg = LcaConfig(embed, bool(inc)) if HEAD_KINDS[hk] == "lca" else None
+        shapes = param_shapes(backbone, lca_cfg, num_classes)
     except ValueError as exc:  # ConfigError, or LcaConfig's own range check
         raise CheckpointError(f"{path}: invalid architecture: {exc}") from None
 
@@ -353,7 +346,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         if vel.shape != shapes[name]:
             raise CheckpointError(f"velocity {name}: shape {vel.shape} mismatched")
 
-    model = build_model(backbone, head, lca_cfg, num_classes, rng=None)
+    model = build_model(backbone, lca_cfg, num_classes, rng=None)
     for name, data in entries:
         model.param(name).data[...] = data
 

@@ -71,8 +71,8 @@ def build_from_config(cfg: RunConfig, num_classes: int, feat_hw=None, rng=None):
                                         feat_hw or cfg.input_size)
     lca_cfg = None
     if cfg.head == "lca":
-        lca_cfg = LcaConfig(backbone.channels[-1], cfg.lca_embed_dim, cfg.lca_include_one_by_k)
-    return model_mod.build_model(backbone, cfg.head, lca_cfg, num_classes, rng=rng)
+        lca_cfg = LcaConfig(cfg.lca_embed_dim, cfg.lca_include_one_by_k)
+    return model_mod.build_model(backbone, lca_cfg, num_classes, rng=rng)
 
 
 def evaluate(model: model_mod.Model, ds: data_mod.Dataset, batch_size: int = 256) -> EvalResult:
@@ -141,7 +141,6 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
         loaded = model_mod.load_checkpoint(resume)
         same = (
             loaded.model.backbone == model.backbone
-            and loaded.model.head == model.head
             and loaded.model.lca_cfg == model.lca_cfg
             and loaded.model.num_classes == model.num_classes
         )

@@ -21,14 +21,7 @@ from lcanet.cli import main as lcanet_main
 from lcanet.config import load_config
 from lcanet.data import batches, synth_glyphs
 from lcanet.gradcheck import run_suite
-from lcanet.lca import (
-    EmptyKernelError,
-    LcaConfig,
-    LcaParams,
-    concept_count,
-    concept_vectors,
-    lca_forward,
-)
+from lcanet.lca import EmptyKernelError, concept_count, concept_vectors, lca_forward
 from lcanet.losses import LossConfig
 from lcanet.model import load_checkpoint, save_checkpoint
 from lcanet.rng import Rng
@@ -110,30 +103,27 @@ def _taped_positions(out, h, w):
 
 
 def test_criterion_2_concept_count_matches_enumeration():
-    cfg = LcaConfig(in_channels=2, embed_dim=3)
     for h in range(1, 9):
         for w in range(1, 9):
             expected = _brute_windows(h, w)
             if expected == 0:  # only the 1x1 map; no admissible kernel exists
                 with pytest.raises(EmptyKernelError):
-                    concept_count(h, w, cfg)
+                    concept_count(h, w)
                 continue
-            assert concept_count(h, w, cfg) == expected, (h, w)
+            assert concept_count(h, w) == expected, (h, w)
 
-    assert concept_count(2, 2, cfg) == 5
-    assert concept_count(3, 3, cfg) == 27
-    assert concept_count(8, 8, cfg) == 1232
+    assert concept_count(2, 2) == 5
+    assert concept_count(3, 3) == 27
+    assert concept_count(8, 8) == 1232
 
     # the forward pass materializes exactly that many concept vectors
     rng = Rng(0)
     for h, w in ((2, 2), (3, 3), (5, 4), (8, 8)):
         fm = rng.uniform_array((2, 2, h, w), -1.0, 1.0)
-        assert concept_vectors(fm, cfg).shape[1] == _brute_windows(h, w)
-        params = LcaParams(
-            fc_weight=Parameter("fc_weight", rng.uniform_array((3, 2), -1.0, 1.0)),
-            fc_bias=Parameter("fc_bias", np.zeros(3, dtype=np.float32)),
-        )
-        out = lca_forward(Tensor(fm, requires_grad=True), params, cfg)
+        assert concept_vectors(fm).shape[1] == _brute_windows(h, w)
+        fc_weight = Parameter("fc_weight", rng.uniform_array((3, 2), -1.0, 1.0))
+        fc_bias = Parameter("fc_bias", np.zeros(3, dtype=np.float32))
+        out = lca_forward(Tensor(fm, requires_grad=True), fc_weight, fc_bias)
         assert _taped_positions(out, h, w) == _brute_windows(h, w), (h, w)
 
 
@@ -143,11 +133,9 @@ def test_criterion_3_worked_example_value():
     """[[1,2],[3,4]] with an identity embedding: the five window means are
     1.5, 3.5, 2, 3, 2.5 (by hand), and their average is 2.5."""
     fm = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-    params = LcaParams(
-        fc_weight=Parameter("fc_weight", np.array([[1.0]])),
-        fc_bias=Parameter("fc_bias", np.array([0.0])),
-    )
-    out = lca_forward(fm, params, LcaConfig(in_channels=1, embed_dim=1))
+    fc_weight = Parameter("fc_weight", np.array([[1.0]]))
+    fc_bias = Parameter("fc_bias", np.array([0.0]))
+    out = lca_forward(fm, fc_weight, fc_bias)
     assert out.data.shape == (1, 1)
     assert abs(out.item() - 2.5) <= 1e-6
 
@@ -333,28 +321,27 @@ def test_criterion_6_determinism_and_persistence(small_corpus, tmp_path):
 
 def test_criterion_7_invariance_properties():
     rng = Rng(11)
-    cfg = LcaConfig(in_channels=3, embed_dim=4)
     fm = rng.uniform_array((2, 3, 5, 4), -1.0, 1.0, dtype=np.float64)
     w = rng.uniform_array((4, 3), -1.0, 1.0, dtype=np.float64)
-    params = LcaParams(
-        fc_weight=Parameter("fc_weight", w),
-        fc_bias=Parameter("fc_bias", np.zeros(4, dtype=np.float64)),
+    params = (
+        Parameter("fc_weight", w),
+        Parameter("fc_bias", np.zeros(4, dtype=np.float64)),
     )
-    out = lca_forward(Tensor(fm), params, cfg).data
+    out = lca_forward(Tensor(fm), *params).data
 
     # aggregation is permutation-invariant: shuffling the concept vectors
     # leaves the head output unchanged
     def reference(concepts):
         return np.maximum(concepts @ w.T, 0.0).mean(axis=1)
 
-    concepts = concept_vectors(fm, cfg)
+    concepts = concept_vectors(fm)
     perm = np.array(rng.permutation(concepts.shape[1]))
     assert np.abs(reference(concepts) - reference(concepts[:, perm])).max() <= 1e-12
     assert np.abs(out - reference(concepts)).max() <= 1e-12
 
     # positive homogeneity with zero bias: f(c*x) = c*f(x) for c > 0
     for c in (0.5, 2.0, 7.25):
-        scaled = lca_forward(Tensor(c * fm), params, cfg).data
+        scaled = lca_forward(Tensor(c * fm), *params).data
         assert np.abs(scaled - c * out).max() <= 1e-10, c
 
     # 1x1 stride-1 average pooling is the identity, bit for bit

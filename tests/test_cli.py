@@ -146,6 +146,21 @@ def test_train_external_features_with_two_channel_counts_exits_2(workdir, capsys
     assert "one channel count" in capsys.readouterr().err
 
 
+def test_train_tiny_cnn_on_feature_file_exits_2(workdir, capsys):
+    write_feature_file("feats.lcaf", np.zeros((4, 8, 4, 4), dtype=np.float32), [0, 1, 0, 1])
+    cfg = write_cfg(workdir, **{"data.format": "lcaf", "data.train": "feats.lcaf",
+                                "data.test": "feats.lcaf"})
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "data.format" in capsys.readouterr().err
+
+
+def test_train_external_features_on_image_tree_exits_2(workdir, capsys):
+    make_data(workdir)
+    cfg = write_cfg(workdir, backbone="external_features", channels="3")
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "data.format" in capsys.readouterr().err
+
+
 def test_train_divergence_exits_4(workdir, capsys):
     make_data(workdir)
     cfg = write_cfg(workdir, lr="1e30", epochs="2")
@@ -200,6 +215,14 @@ def test_train_resume_with_augmentation_is_exact(workdir):
     assert (workdir / "model.lcac").read_bytes() == (workdir / "straight.lcac").read_bytes()
 
 
+def test_train_translate_wider_than_the_image_exits_0(workdir, capsys):
+    """aug.translate_px = 40 on 16x16 glyphs draws shifts that empty the frame."""
+    make_data(workdir)
+    cfg = write_cfg(workdir, **{"aug.translate_px": "40"})
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert "trained 1 epoch(s)" in capsys.readouterr().out
+
+
 def test_train_resume_into_foreign_csv_exits_3(workdir):
     make_data(workdir)
     cfg = write_cfg(workdir, epochs="2")
@@ -246,7 +269,7 @@ def test_eval_zero_classifier_ties_to_class_zero(workdir, capsys):
     """All-zero logits argmax to index 0: class 0 scores 100%, the rest 0."""
     make_data(workdir, classes=2, per_class=2, test_per_class=2)
     model = build_model(
-        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), "gap", None, 2, rng=None
+        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), None, 2, rng=None
     )
     save_checkpoint(model, "zero.lcac", velocities={}, epoch=0,
                     rng_state=Rng(0).state_bytes())
@@ -280,7 +303,7 @@ def test_eval_feature_checkpoint_on_image_tree_exits_3(workdir, capsys):
     """The loader follows the checkpoint's backbone: an LCAF reader on a PPM tree."""
     make_data(workdir)
     model = build_model(
-        BackboneConfig("external_features", (8,), (4, 4)), "gap", None, 2, rng=Rng(0)
+        BackboneConfig("external_features", (8,), (4, 4)), None, 2, rng=Rng(0)
     )
     save_checkpoint(model, "feat.lcac", velocities={}, epoch=0,
                     rng_state=Rng(0).state_bytes())
@@ -294,7 +317,6 @@ def test_eval_labels_beyond_model_classes_exit_3(workdir):
     make_data(workdir, classes=2)
     cfg = write_cfg(workdir)
     main(["train", "--config", str(cfg)])
-    make_data(workdir / "more", classes=4) if False else None
     main(["synth", "--out", "more", "--classes", "4", "--per-class", "1",
           "--test-per-class", "1", "--seed", "1"])
     assert main(["eval", "--ckpt", "model.lcac", "--data", "more/test"]) == 3
@@ -351,7 +373,7 @@ def test_inspect_corrupt_magic_exits_3(workdir):
 
 def test_inspect_invalid_architecture_exits_3(workdir, capsys):
     model = build_model(
-        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), "lca", LcaConfig(8, 4), 2, rng=None
+        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), LcaConfig(4), 2, rng=None
     )
     model.lca_cfg = SimpleNamespace(embed_dim=0, include_one_by_k=True)
     save_checkpoint(model, "bad.lcac", velocities={}, epoch=0,
@@ -362,7 +384,7 @@ def test_inspect_invalid_architecture_exits_3(workdir, capsys):
 
 def test_inspect_huge_embed_dim_exits_3(workdir, capsys):
     model = build_model(
-        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), "lca", LcaConfig(8, 4), 2, rng=None
+        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), LcaConfig(4), 2, rng=None
     )
     model.lca_cfg = SimpleNamespace(embed_dim=2**31 - 1, include_one_by_k=True)
     save_checkpoint(model, "huge.lcac", velocities={}, epoch=0,

@@ -140,6 +140,7 @@ def test_bad_values(line):
         ("lr = -0.1", "lr"),
         ("momentum = 1.0", "momentum"),
         ("weight_decay = -1", "weight_decay"),
+        ("lr_step_epoch = -3", "lr_step_epoch"),
         ("lambda_entropy = -0.5", "lambda_entropy"),
         ("head = attention", "head"),
         ("lca.embed_dim = 0", "lca.embed_dim"),

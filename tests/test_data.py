@@ -12,8 +12,6 @@ from lcanet import (
     ConfigError,
     DataError,
     Dataset,
-    LcaConfig,
-    LcaParams,
     Rng,
     SampleBatch,
     augment,
@@ -187,11 +185,9 @@ def test_lcaf_fixture_matches_head_worked_example(tmp_path):
         path, np.array([[[[1, 2], [3, 4]]]], dtype=np.float32), [0]
     )
     ds = load_feature_file(path)
-    params = LcaParams(
-        fc_weight=Tensor(np.eye(1, dtype=np.float32)),
-        fc_bias=Tensor(np.zeros(1, dtype=np.float32)),
-    )
-    out = lca_forward(Tensor(ds.inputs), params, LcaConfig(1, 1))
+    fc_weight = Tensor(np.eye(1, dtype=np.float32))
+    fc_bias = Tensor(np.zeros(1, dtype=np.float32))
+    out = lca_forward(Tensor(ds.inputs), fc_weight, fc_bias)
     np.testing.assert_allclose(out.data, [[2.5]], atol=1e-6)
 
 
@@ -368,6 +364,35 @@ def test_translate_keeps_centered_glyph_in_frame():
     # cheap proxy: the brightest pixel (class glyph) survives translation
     for before, after in zip(b.inputs, out.inputs):
         assert after.max() == before.max()
+
+
+def _shift_reference(img, dr, dc):
+    """Zero-padded translation, pixel by pixel."""
+    out = np.zeros_like(img)
+    _, h, w = img.shape
+    for r in range(h):
+        for c in range(w):
+            if 0 <= r - dr < h and 0 <= c - dc < w:
+                out[:, r, c] = img[:, r - dr, c - dc]
+    return out
+
+
+def test_shift_matches_pixelwise_reference_within_the_image():
+    img = Rng(4).uniform_array((3, 5, 4), 0, 1, dtype=np.float32)
+    for dr in range(-5, 6):
+        for dc in range(-4, 5):
+            got = D._shift(img, dr, dc)
+            assert got.tobytes() == _shift_reference(img, dr, dc).tobytes(), (dr, dc)
+
+
+@pytest.mark.parametrize("dr,dc", [(17, 0), (-17, 0), (0, 17), (0, -17),
+                                   (20, 3), (-20, -3), (2, 20), (-2, -20), (20, -20)])
+def test_shift_beyond_the_image_is_all_zero(dr, dc):
+    """A shift wider than the image moves every pixel out of frame."""
+    img = Rng(5).uniform_array((3, 16, 16), 0.1, 1, dtype=np.float32)
+    out = D._shift(img, dr, dc)
+    assert out.shape == img.shape and out.dtype == img.dtype
+    assert not out.any()
 
 
 def test_augment_config_validation():

@@ -13,7 +13,6 @@ from lcanet import (
     BackboneConfig,
     EmptyKernelError,
     LcaConfig,
-    LcaParams,
     Rng,
     build_model,
     concept_count,
@@ -41,51 +40,47 @@ def brute_concepts(fm: np.ndarray, include_one_by_k: bool = True) -> np.ndarray:
     return np.array(out)  # [P, C]
 
 
-def cfg(c=1, d=1, include=True):
-    return LcaConfig(in_channels=c, embed_dim=d, include_one_by_k=include)
-
-
 # ---------------------------------------------------------------------------
 # kernel enumeration and counting
 # ---------------------------------------------------------------------------
 
 
 def test_kernels_2x2():
-    assert enumerate_kernels(2, 2, cfg()) == [(1, 2), (2, 1), (2, 2)]
+    assert enumerate_kernels(2, 2) == [(1, 2), (2, 1), (2, 2)]
 
 
 def test_kernels_3x3_count():
-    assert len(enumerate_kernels(3, 3, cfg())) == 8
+    assert len(enumerate_kernels(3, 3)) == 8
 
 
 def test_kernels_single_row():
-    assert enumerate_kernels(1, 4, cfg()) == [(1, 2), (1, 3), (1, 4)]
+    assert enumerate_kernels(1, 4) == [(1, 2), (1, 3), (1, 4)]
 
 
 def test_kernels_ordering_is_kh_major():
-    ks = enumerate_kernels(3, 2, cfg())
+    ks = enumerate_kernels(3, 2)
     assert ks == sorted(ks)
 
 
 def test_kernels_1x1_map_has_none():
     with pytest.raises(EmptyKernelError):
-        enumerate_kernels(1, 1, cfg())
+        enumerate_kernels(1, 1)
 
 
 def test_kernels_square_only_mode():
-    assert enumerate_kernels(3, 3, cfg(include=False)) == [
+    assert enumerate_kernels(3, 3, include_one_by_k=False) == [
         (2, 2), (2, 3), (3, 2), (3, 3),
     ]
 
 
 def test_kernels_square_only_mode_on_single_row_is_empty():
     with pytest.raises(EmptyKernelError):
-        enumerate_kernels(1, 4, cfg(include=False))
+        enumerate_kernels(1, 4, include_one_by_k=False)
 
 
 @pytest.mark.parametrize("hw,expected", [((2, 2), 5), ((3, 3), 27), ((8, 8), 1232)])
 def test_concept_count_spot_values(hw, expected):
-    assert concept_count(*hw, cfg()) == expected
+    assert concept_count(*hw) == expected
 
 
 def test_concept_count_matches_enumeration_everywhere():
@@ -101,9 +96,9 @@ def test_concept_count_matches_enumeration_everywhere():
                 if not include and (h < 2 or w < 2):
                     continue
                 ref = brute_concepts(fm, include)
-                got = concept_count(h, w, cfg(include=include))
+                got = concept_count(h, w, include)
                 assert got == len(ref), (h, w, include)
-                vecs = concept_vectors(fm[None], cfg(include=include))[0]
+                vecs = concept_vectors(fm[None], include)[0]
                 np.testing.assert_allclose(vecs, ref, atol=1e-13, err_msg=f"{(h, w, include)}")
 
 
@@ -115,21 +110,21 @@ def test_concept_count_closed_form():
             if h == w == 1:
                 continue
             formula = (h * (h + 1) // 2) * (w * (w + 1) // 2) - h * w
-            assert concept_count(h, w, cfg()) == formula
+            assert concept_count(h, w) == formula
 
 
 def test_concept_vectors_materializes_the_count():
     rng = Rng(77)
     for h, w in [(2, 2), (3, 5), (8, 8)]:
         fm = rng.uniform_array((2, 3, h, w), -1, 1, dtype=np.float64)
-        vecs = concept_vectors(fm, cfg(c=3))
-        assert vecs.shape == (2, concept_count(h, w, cfg(c=3)), 3)
+        vecs = concept_vectors(fm)
+        assert vecs.shape == (2, concept_count(h, w), 3)
 
 
 def test_concept_vectors_values_match_brute_force():
     rng = Rng(78)
     fm = rng.uniform_array((1, 2, 4, 3), -1, 1, dtype=np.float64)
-    got = concept_vectors(fm, cfg(c=2))[0]
+    got = concept_vectors(fm)[0]
     ref = brute_concepts(fm[0])
     # same multiset of vectors, same deterministic order
     np.testing.assert_allclose(got, ref, atol=1e-13)
@@ -141,33 +136,28 @@ def test_concept_vectors_values_match_brute_force():
 
 
 def identity_params(c):
-    return LcaParams(
-        fc_weight=Tensor(np.eye(c, dtype=np.float64)),
-        fc_bias=Tensor(np.zeros(c, dtype=np.float64)),
-    )
+    """(fc_weight, fc_bias) of an identity embedding on C channels."""
+    return Tensor(np.eye(c, dtype=np.float64)), Tensor(np.zeros(c, dtype=np.float64))
 
 
 def test_worked_example_2x2():
     """[[1,2],[3,4]]: windows average to {1.5, 3.5, 2, 3, 2.5}, mean 2.5."""
     fm = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-    out = lca_forward(fm, identity_params(1), cfg())
+    out = lca_forward(fm, *identity_params(1))
     assert out.shape == (1, 1)
     np.testing.assert_allclose(out.data, [[2.5]], atol=1e-6)
 
 
 def test_constant_map_passes_through():
     fm = Tensor(np.full((2, 3, 4, 4), 0.7))
-    out = lca_forward(fm, identity_params(3), cfg(c=3, d=3))
+    out = lca_forward(fm, *identity_params(3))
     np.testing.assert_allclose(out.data, np.full((2, 3), 0.7), atol=1e-12)
 
 
 def test_zero_weights_zero_output():
     rng = Rng(9)
     fm = Tensor(rng.uniform_array((1, 2, 3, 3), -1, 1, dtype=np.float64))
-    params = LcaParams(
-        fc_weight=Tensor(np.zeros((4, 2))), fc_bias=Tensor(np.zeros(4))
-    )
-    out = lca_forward(fm, params, cfg(c=2, d=4))
+    out = lca_forward(fm, Tensor(np.zeros((4, 2))), Tensor(np.zeros(4)))
     np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
 
@@ -179,9 +169,8 @@ def test_forward_matches_brute_force_reference():
     w = rng.uniform_array((d, c), -1, 1, dtype=np.float64)
     bias = rng.uniform_array((d,), -0.5, 0.5, dtype=np.float64)
 
-    params = LcaParams(fc_weight=Tensor(w), fc_bias=Tensor(bias))
     for include in (True, False):
-        got = lca_forward(Tensor(fm), params, cfg(c=c, d=d, include=include)).data
+        got = lca_forward(Tensor(fm), Tensor(w), Tensor(bias), include).data
         for n in range(2):
             concepts = brute_concepts(fm[n], include)  # [P, C]
             ref = np.maximum(concepts @ w.T + bias, 0.0).mean(axis=0)
@@ -192,20 +181,20 @@ def test_output_shape_is_b_by_d_for_any_spatial_size():
     rng = Rng(11)
     for h, w in [(1, 2), (2, 1), (2, 2), (5, 3), (8, 8)]:
         fm = Tensor(rng.uniform_array((3, 2, h, w), -1, 1, dtype=np.float64))
-        out = lca_forward(fm, identity_params(2), cfg(c=2, d=2))
+        out = lca_forward(fm, *identity_params(2))
         assert out.shape == (3, 2), (h, w)
 
 
 def test_channel_mismatch_rejected():
     fm = Tensor(np.zeros((1, 3, 2, 2)))
     with pytest.raises(ShapeError):
-        lca_forward(fm, identity_params(2), cfg(c=2, d=2))
+        lca_forward(fm, *identity_params(2))
 
 
 def test_1x1_map_rejected():
     fm = Tensor(np.zeros((1, 1, 1, 1)))
     with pytest.raises(EmptyKernelError):
-        lca_forward(fm, identity_params(1), cfg())
+        lca_forward(fm, *identity_params(1))
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +208,7 @@ def test_permutation_invariance_of_aggregation():
     c, d = 2, 3
     fm = rng.uniform_array((1, c, 3, 4), -1, 1, dtype=np.float64)
     w = rng.uniform_array((d, c), -1, 1, dtype=np.float64)
-    params = LcaParams(fc_weight=Tensor(w), fc_bias=Tensor(np.zeros(d)))
-    got = lca_forward(Tensor(fm), params, cfg(c=c, d=d)).data[0]
+    got = lca_forward(Tensor(fm), Tensor(w), Tensor(np.zeros(d))).data[0]
 
     concepts = brute_concepts(fm[0])
     embedded = np.maximum(concepts @ w.T, 0.0)
@@ -234,10 +222,10 @@ def test_positive_homogeneity_with_zero_bias():
     c, d = 3, 4
     fm = rng.uniform_array((2, c, 4, 4), -1, 1, dtype=np.float64)
     w = rng.uniform_array((d, c), -1, 1, dtype=np.float64)
-    params = LcaParams(fc_weight=Tensor(w), fc_bias=Tensor(np.zeros(d)))
-    base = lca_forward(Tensor(fm), params, cfg(c=c, d=d)).data
+    params = (Tensor(w), Tensor(np.zeros(d)))
+    base = lca_forward(Tensor(fm), *params).data
     for alpha in (0.5, 2.0, 7.25):
-        scaled = lca_forward(Tensor(alpha * fm), params, cfg(c=c, d=d)).data
+        scaled = lca_forward(Tensor(alpha * fm), *params).data
         np.testing.assert_allclose(scaled, alpha * base, atol=1e-10)
 
 
@@ -250,7 +238,7 @@ def test_gradients_flow_through_the_head():
     probe = Tensor(rng.uniform_array((d, 1), -1, 1, dtype=np.float64))
 
     def f(fm_, w_, b_):
-        out = lca_forward(fm_, LcaParams(w_, b_), cfg(c=c, d=d))
+        out = lca_forward(fm_, w_, b_)
         return T.tensor_sum(T.matmul(out, probe))
 
     assert grad_check(f, [fm, w, bias]) < 1e-5
@@ -266,8 +254,8 @@ class TestParamInit:
 
     @staticmethod
     def head(c, d, seed):
-        m = build_model(BackboneConfig("external_features", (c,), (2, 2)), "lca",
-                        cfg(c=c, d=d), 2, rng=Rng(seed))
+        m = build_model(BackboneConfig("external_features", (c,), (2, 2)),
+                        LcaConfig(embed_dim=d), 2, rng=Rng(seed))
         return m.param("fc_weight"), m.param("fc_bias")
 
     def test_glorot_bound(self):
@@ -294,7 +282,8 @@ class TestParamInit:
 
 
 def test_config_validation():
+    """A zero input width is the backbone's to reject; a zero output width the head's."""
     with pytest.raises(ValueError):
-        LcaConfig(in_channels=0, embed_dim=4)
+        BackboneConfig("external_features", (0,), (2, 2))
     with pytest.raises(ValueError):
-        LcaConfig(in_channels=4, embed_dim=0)
+        LcaConfig(embed_dim=0)

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import lcanet.tensor as T
 from lcanet import LossConfig, Rng, entropy, loss_terms, max_entropy_loss, nll_loss
 from lcanet.gradcheck import grad_check
 from lcanet.tensor import Tensor, backward, log_softmax

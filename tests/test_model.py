@@ -43,35 +43,36 @@ RNG_STATE = Rng(0).state_bytes()
 
 
 def test_feature_shape_tiny_cnn():
-    m = build_model(tiny_backbone(), "gap", None, 8, rng=Rng(0))
+    m = build_model(tiny_backbone(), None, 8, rng=Rng(0))
     assert m.backbone.feature_shape() == (32, 4, 4)
 
 
 def test_lca_head_concept_count_on_default_geometry():
-    m = build_model(tiny_backbone(), "lca", LcaConfig(32, 32), 8, rng=Rng(0))
+    m = build_model(tiny_backbone(), LcaConfig(32), 8, rng=Rng(0))
     c, h, w = m.backbone.feature_shape()
-    assert concept_count(h, w, m.lca_cfg) == 84  # (10*10) - 16
+    assert concept_count(h, w, m.lca_cfg.include_one_by_k) == 84  # (10*10) - 16
 
 
 def test_gap_classifier_input_is_channel_count():
-    m = build_model(tiny_backbone(), "gap", None, 8, rng=Rng(0))
+    m = build_model(tiny_backbone(), None, 8, rng=Rng(0))
     assert m.param("cls_weight").shape == (8, 32)
 
 
 def test_lca_classifier_input_is_embed_dim():
-    m = build_model(tiny_backbone(), "lca", LcaConfig(32, 12), 8, rng=Rng(0))
+    m = build_model(tiny_backbone(), LcaConfig(12), 8, rng=Rng(0))
     assert m.param("cls_weight").shape == (8, 12)
 
 
 @pytest.mark.parametrize("backbone,head,lca_cfg", [
-    (tiny_backbone(), "lca", LcaConfig(32, 32)),
+    (tiny_backbone(), "lca", LcaConfig(32)),
     (tiny_backbone(), "gap", None),
-    (ext_backbone(512, 7, 7), "lca", LcaConfig(512, 512)),
+    (ext_backbone(512, 7, 7), "lca", LcaConfig(512)),
 ])
 def test_init_takes_one_stream_draw_per_weight(backbone, head, lca_cfg):
     """Each weight array is keyed by one u64, whatever its size; biases draw nothing."""
     a, b = Rng(7), Rng(7)
-    m = build_model(backbone, head, lca_cfg, 8, rng=a)
+    m = build_model(backbone, lca_cfg, 8, rng=a)
+    assert m.head == head
     weights = [p for p in m.parameters() if not p.name.endswith("_bias")]
     assert len(weights) < len(m.parameters())
     for _ in weights:
@@ -80,7 +81,7 @@ def test_init_takes_one_stream_draw_per_weight(backbone, head, lca_cfg):
 
 
 def test_parameter_names_are_stable():
-    m = build_model(tiny_backbone(), "lca", LcaConfig(32, 32), 8, rng=Rng(0))
+    m = build_model(tiny_backbone(), LcaConfig(32), 8, rng=Rng(0))
     assert [p.name for p in m.parameters()] == [
         "conv1_weight", "conv1_bias", "conv2_weight", "conv2_bias",
         "fc_weight", "fc_bias", "cls_weight", "cls_bias",
@@ -89,8 +90,8 @@ def test_parameter_names_are_stable():
 
 def test_same_seed_same_initial_logits():
     x = Tensor(Rng(5).uniform_array((2, 3, 16, 16), 0, 1, dtype=np.float32))
-    a = build_model(tiny_backbone(), "lca", LcaConfig(32, 16), 4, rng=Rng(7))
-    b = build_model(tiny_backbone(), "lca", LcaConfig(32, 16), 4, rng=Rng(7))
+    a = build_model(tiny_backbone(), LcaConfig(16), 4, rng=Rng(7))
+    b = build_model(tiny_backbone(), LcaConfig(16), 4, rng=Rng(7))
     np.testing.assert_array_equal(a.forward(x).data, b.forward(x).data)
 
 
@@ -115,25 +116,17 @@ def test_freeze_backbone_excludes_conv_params(tmp_path):
 
 
 class TestBuildValidation:
-    def test_unknown_head(self):
-        with pytest.raises(ConfigError):
-            build_model(tiny_backbone(), "attention", None, 4, rng=Rng(0))
-
     def test_num_classes_lower_bound(self):
         with pytest.raises(ConfigError):
-            build_model(tiny_backbone(), "gap", None, 1, rng=Rng(0))
+            build_model(tiny_backbone(), None, 1, rng=Rng(0))
 
     def test_input_too_small_for_backbone(self):
         with pytest.raises(ConfigError):
-            build_model(tiny_backbone(3, 3), "gap", None, 4, rng=Rng(0))
-
-    def test_lca_channel_mismatch(self):
-        with pytest.raises(ConfigError):
-            build_model(tiny_backbone(), "lca", LcaConfig(16, 8), 4, rng=Rng(0))
+            build_model(tiny_backbone(3, 3), None, 4, rng=Rng(0))
 
     def test_lca_needs_spatial_extent(self):
         with pytest.raises(ConfigError):
-            build_model(ext_backbone(4, 1, 1), "lca", LcaConfig(4, 4), 4, rng=Rng(0))
+            build_model(ext_backbone(4, 1, 1), LcaConfig(4), 4, rng=Rng(0))
 
     def test_backbone_kind_checked(self):
         with pytest.raises(ConfigError):
@@ -151,7 +144,7 @@ class TestBuildValidation:
 
 def test_external_features_reproduces_head_worked_example():
     """Hand map [[1,2],[3,4]] through identity FC gives 2.5 pre-classifier."""
-    m = build_model(ext_backbone(), "lca", LcaConfig(1, 1), 2, rng=None)
+    m = build_model(ext_backbone(), LcaConfig(1), 2, rng=None)
     m.param("fc_weight").data[...] = 1.0
     fm = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32))
     head = m.head_output(m.feature_map(fm))
@@ -159,7 +152,7 @@ def test_external_features_reproduces_head_worked_example():
 
 
 def test_zero_classifier_gives_uniform_predictions():
-    m = build_model(tiny_backbone(), "gap", None, 5, rng=None)
+    m = build_model(tiny_backbone(), None, 5, rng=None)
     x = Tensor(Rng(1).uniform_array((3, 3, 16, 16), 0, 1, dtype=np.float32))
     logits = m.forward(x)
     np.testing.assert_array_equal(logits.data, np.zeros((3, 5)))
@@ -169,7 +162,7 @@ def test_zero_classifier_gives_uniform_predictions():
 
 
 def test_identical_images_identical_logit_rows():
-    m = build_model(tiny_backbone(), "lca", LcaConfig(32, 16), 4, rng=Rng(3))
+    m = build_model(tiny_backbone(), LcaConfig(16), 4, rng=Rng(3))
     one = Rng(4).uniform_array((1, 3, 16, 16), 0, 1, dtype=np.float32)
     batch = Tensor(np.repeat(one, 5, axis=0))
     logits = m.forward(batch).data
@@ -178,13 +171,13 @@ def test_identical_images_identical_logit_rows():
 
 
 def test_forward_rejects_wrong_image_shape():
-    m = build_model(tiny_backbone(), "gap", None, 4, rng=Rng(0))
+    m = build_model(tiny_backbone(), None, 4, rng=Rng(0))
     with pytest.raises(ShapeError):
         m.forward(Tensor(np.zeros((1, 3, 8, 8), dtype=np.float32)))
 
 
 def test_external_mode_rejects_wrong_channels():
-    m = build_model(ext_backbone(c=4, h=3, w=3), "gap", None, 4, rng=Rng(0))
+    m = build_model(ext_backbone(c=4, h=3, w=3), None, 4, rng=Rng(0))
     with pytest.raises(ShapeError):
         m.forward(Tensor(np.zeros((1, 3, 3, 3), dtype=np.float32)))
 
@@ -194,7 +187,7 @@ def test_external_mode_rejects_wrong_channels():
 def test_gap_head_bytes_match_full_map_avgpool(c, h, w, dtype):
     """The GAP head's output and feature-map gradient equal avgpool2d over the
     whole map, bit for bit."""
-    m = build_model(ext_backbone(c, h, w), "gap", None, 2, rng=None, dtype=dtype)
+    m = build_model(ext_backbone(c, h, w), None, 2, rng=None, dtype=dtype)
     rng = Rng(c * h * w)
     x = rng.uniform_array((3, c, h, w), -1, 1, dtype=dtype)
     probe = Tensor(rng.uniform_array((3, c), -1, 1, dtype=dtype))
@@ -209,7 +202,7 @@ def test_gap_head_bytes_match_full_map_avgpool(c, h, w, dtype):
 
 def test_gap_head_output_length_is_spatial_free():
     for h, w in [(8, 8), (16, 16), (16, 24)]:
-        m = build_model(tiny_backbone(h, w), "gap", None, 4, rng=Rng(0))
+        m = build_model(tiny_backbone(h, w), None, 4, rng=Rng(0))
         x = Tensor(np.zeros((2, 3, h, w), dtype=np.float32))
         fm = m.feature_map(x)
         assert m.head_output(fm).shape == (2, 32)
@@ -222,7 +215,7 @@ def test_gap_head_output_length_is_spatial_free():
 
 def small_model(rng_seed=0):
     return build_model(
-        BackboneConfig("tiny_cnn", (4, 6), (8, 8)), "lca", LcaConfig(6, 5), 3,
+        BackboneConfig("tiny_cnn", (4, 6), (8, 8)), LcaConfig(5), 3,
         rng=Rng(rng_seed),
     )
 
@@ -244,6 +237,19 @@ def test_checkpoint_roundtrip_restores_everything(tmp_path):
     assert loaded.model.head == m.head
     assert loaded.model.lca_cfg == m.lca_cfg
     assert loaded.model.num_classes == m.num_classes
+
+
+@pytest.mark.parametrize("head,lca_cfg", [
+    ("lca", LcaConfig(5, include_one_by_k=False)),
+    ("gap", None),
+], ids=["lca_without_one_by_k", "gap"])
+def test_checkpoint_roundtrip_restores_head(tmp_path, head, lca_cfg):
+    m = build_model(BackboneConfig("tiny_cnn", (4, 6), (8, 8)), lca_cfg, 3, rng=Rng(0))
+    path = tmp_path / "m.lcac"
+    save_checkpoint(m, path, velocities={}, epoch=0, rng_state=RNG_STATE)
+    loaded = load_checkpoint(path).model
+    assert loaded.lca_cfg == lca_cfg
+    assert loaded.head == head
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -337,6 +343,18 @@ class TestCorruptFiles:
         at = 14 + name_len + 1
         path.write_bytes(raw[:at] + bytes([65]) + bytes(4 * 65) + raw[at + 1:])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("offset", [0, 1], ids=["backbone_tag", "head_tag"])
+    def test_unknown_architecture_tag(self, blob, offset):
+        path, raw = blob
+        # The architecture block opens with four bytes (backbone tag, head
+        # tag, 1xk flag, pad); after them come input size (8), channel count
+        # and two channels (12), embed_dim and classes (8), an empty velocity
+        # table (4), the epoch (8) and the rng state (32).
+        at = len(raw) - (4 + 8 + 12 + 8 + 4 + 8 + 32) + offset
+        path.write_bytes(raw[:at] + bytes([2]) + raw[at + 1:])
+        with pytest.raises(CheckpointError, match="tags"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field,value", [
