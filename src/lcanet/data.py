@@ -174,7 +174,13 @@ def load_image_dir(root, size=(16, 16)) -> Dataset:
             raise DataError(f"class directory {cdir} contains no .ppm files")
         for fname in files:
             img = read_ppm(os.path.join(cdir, fname))
-            images.append(_resize_bilinear(img, size[0], size[1]).transpose(2, 0, 1))
+            try:
+                img = _resize_bilinear(img, size[0], size[1])
+            except MemoryError:
+                raise DataError(
+                    f"cannot allocate images resized to {size[0]}x{size[1]} (input_size)"
+                ) from None
+            images.append(img.transpose(2, 0, 1))
             labels.append(idx)
     return Dataset(
         inputs=np.ascontiguousarray(np.stack(images), dtype=np.float32),

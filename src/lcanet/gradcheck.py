@@ -110,7 +110,7 @@ def _check_matmul(rng):
 
 
 def _check_conv2d(rng):
-    x, w, b = _t(rng, (2, 3, 5, 5)), _t(rng, (4, 3, 3, 3)), _t(rng, (4,))
+    x, w, b = _t(rng, (3, 3, 5, 7)), _t(rng, (4, 3, 3, 3)), _t(rng, (4,))
     rel1 = grad_check(lambda x, w, b: _sq(T.conv2d(x, w, b, stride=1, pad=1)), [x, w, b])
     rel2 = grad_check(lambda x, w, b: _sq(T.conv2d(x, w, b, stride=2, pad=0)), [x, w, b])
     w23 = _t(rng, (4, 3, 2, 3))  # non-square kernel, strided and padded

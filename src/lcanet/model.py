@@ -113,11 +113,9 @@ class Model:
 
     def feature_map(self, x: Tensor) -> Tensor:
         if self.backbone.kind == "external_features":
-            if x.ndim != 4 or x.shape[1] != self.backbone.channels[0]:
-                raise ShapeError(
-                    f"feature batch {x.shape} does not carry "
-                    f"{self.backbone.channels[0]} channels"
-                )
+            c, h, w = self.backbone.feature_shape()
+            if x.ndim != 4 or x.shape[1:] != (c, h, w):
+                raise ShapeError(f"feature batch {x.shape} != (B, {c}, {h}, {w})")
             return x
         h, w = self.backbone.input_size
         if x.ndim != 4 or x.shape[1:] != (3, h, w):

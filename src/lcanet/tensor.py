@@ -369,7 +369,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
             f"({h + 2 * pad}x{wdt + 2 * pad})"
         )
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    xp = x.data
+    if pad:
+        xp = np.zeros((bsz, cin, h + 2 * pad, wdt + 2 * pad), dtype=x.data.dtype)
+        xp[:, :, pad : pad + h, pad : pad + wdt] = x.data
     win = _pool_windows(xp, kh, kw, stride)  # B,Cin,H',W',kh,kw view, kept for backward
     hout, wout = win.shape[2:4]
     wmat = w.data.reshape(cout, cin * kh * kw)
@@ -382,11 +385,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         gw = np.einsum("bohw,bchwij->ocij", g, win, optimize=True) if w.requires_grad else None
         gx = None
         if x.requires_grad:
-            gcols = (wmat.T @ g.reshape(bsz, cout, -1)).reshape(bsz, cin, kh, kw, hout, wout)
-            gxp = np.zeros_like(xp)
-            for i, j in itertools.product(range(kh), range(kw)):  # col2im
-                gxp[_scatter_slices(hout, wout, i, j, stride)] += gcols[:, :, i, j]
-            gx = gxp[:, :, pad : pad + h, pad : pad + wdt] if pad else gxp
+            # col2im with the batch innermost: each slice-add covers W'*B
+            # contiguous values, and every cell sums the same terms in the
+            # same (i, j) order as an NCHW col2im would.
+            gt = g.transpose(1, 2, 3, 0).reshape(cout, -1)
+            gcols = (wmat.T @ gt).reshape(cin, kh, kw, hout, wout, bsz)
+            gxp = np.zeros((cin, *xp.shape[2:], bsz), dtype=xp.dtype)
+            for i, j in itertools.product(range(kh), range(kw)):
+                gxp[_scatter_slices(hout, wout, i, j, stride) + (slice(None),)] += gcols[:, i, j]
+            gx = np.ascontiguousarray(gxp[:, pad : pad + h, pad : pad + wdt].transpose(3, 0, 1, 2))
         return gx, gw, gb
 
     return _record("conv2d", out, (x, w, b), grad_fn)
@@ -436,7 +443,8 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     out = x.data[slices[0]].copy()
     arg = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
     for idx, sl in enumerate(slices[1:], 1):
-        arg[x.data[sl] > out] = idx
+        # Offsets rise, so the max keeps the last offset that beat the running max.
+        np.maximum(arg, (x.data[sl] > out) * arg.dtype.type(idx), out=arg)
         np.maximum(out, x.data[sl], out=out)
 
     def grad_fn(g):

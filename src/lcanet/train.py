@@ -120,6 +120,11 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
     test_ds = _load_split(cfg, cfg.data_test, "test")
     _check_mode(cfg, train_ds)
     _check_mode(cfg, test_ds)
+    if test_ds.inputs.shape[1:] != train_ds.inputs.shape[1:]:
+        raise DataError(
+            f"test split maps are {test_ds.inputs.shape[1:]} (C, H, W), "
+            f"but training split maps are {train_ds.inputs.shape[1:]}"
+        )
     if len(train_ds) < 1:
         raise DataError("training split is empty")
 

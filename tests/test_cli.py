@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lcanet import Rng, build_model, save_checkpoint, write_feature_file
+from lcanet import Rng, build_model, save_checkpoint, write_feature_file, write_ppm
 from lcanet.cli import main
 from lcanet.model import BackboneConfig
 from lcanet.lca import LcaConfig
@@ -311,6 +311,79 @@ def test_eval_feature_checkpoint_on_image_tree_exits_3(workdir, capsys):
     assert main(["eval", "--ckpt", "feat.lcac", "--data", "data/test"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "Traceback" not in err
+
+
+def test_eval_feature_maps_of_another_extent_exit_3(workdir, capsys):
+    """A checkpoint built for 5x5 maps refuses 9x9 maps of the same channel count."""
+    model = build_model(
+        BackboneConfig("external_features", (4,), (5, 5)), LcaConfig(8), 2, rng=Rng(0)
+    )
+    save_checkpoint(model, "feat.lcac", velocities={}, epoch=0,
+                    rng_state=Rng(0).state_bytes())
+    write_feature_file("big.lcaf", np.zeros((2, 4, 9, 9), dtype=np.float32), [0, 1])
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", "feat.lcac", "--data", "big.lcaf"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+
+
+def test_train_test_split_of_another_extent_exits_3(workdir, capsys):
+    write_feature_file("train.lcaf", np.zeros((4, 4, 5, 5), dtype=np.float32), [0, 1, 0, 1])
+    write_feature_file("test.lcaf", np.zeros((2, 4, 9, 9), dtype=np.float32), [0, 1])
+    cfg = write_cfg(workdir, backbone="external_features", channels="4",
+                    **{"data.format": "lcaf", "data.train": "train.lcaf",
+                       "data.test": "test.lcaf"})
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
+
+
+def _huge_allocations_refused() -> bool:
+    """True where the kernel refuses a request far beyond RAM and swap at
+    once (overcommit modes 0 and 2) instead of granting it lazily."""
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as fh:
+            return fh.read().strip() in ("0", "2")
+    except OSError:
+        return False
+
+
+def _two_image_tree(root):
+    for cls in ("a", "b"):
+        os.makedirs(root / cls)
+        write_ppm(root / cls / "img.ppm", np.full((2, 2, 3), 0.5, dtype=np.float32))
+
+
+# Resizing to 300000x300000 asks numpy for about 2 TiB in one request.
+huge_size = pytest.mark.skipif(not _huge_allocations_refused(),
+                               reason="the kernel would grant a 2 TiB request lazily")
+
+
+@huge_size
+def test_train_huge_input_size_exits_3(workdir, capsys):
+    _two_image_tree(workdir / "tree")
+    cfg = write_cfg(workdir, input_size="300000",
+                    **{"data.train": "tree", "data.test": "tree"})
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "300000x300000" in err
+    assert "Traceback" not in err and "MemoryError" not in err
+
+
+@huge_size
+def test_eval_checkpoint_with_huge_input_size_exits_3(workdir, capsys):
+    """No parameter shape depends on the input size, so a checkpoint can carry any."""
+    _two_image_tree(workdir / "tree")
+    model = build_model(
+        BackboneConfig("tiny_cnn", (4, 8), (300000, 300000)), None, 2, rng=Rng(0)
+    )
+    save_checkpoint(model, "huge.lcac", velocities={}, epoch=0,
+                    rng_state=Rng(0).state_bytes())
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", "huge.lcac", "--data", "tree"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "300000x300000" in err
 
 
 def test_eval_labels_beyond_model_classes_exit_3(workdir):

@@ -143,6 +143,59 @@ def test_conv2d_adjoints_match_direct_loop(xshape, wshape, stride, pad, x_grad):
     np.testing.assert_allclose(b.grad, gb, rtol=0, atol=1e-12)
 
 
+def _conv2d_nchw_col2im(x, w, b, g, stride, pad):
+    """conv2d as it was written before the batch-innermost col2im: np.pad,
+    im2col GEMM, einsum weight gradient, and a col2im over NCHW rows."""
+    bsz, cin, h, wdt = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    hout, wout = win.shape[2:4]
+    wmat = w.reshape(cout, cin * kh * kw)
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(bsz, cin * kh * kw, -1)
+    out = (wmat @ cols).reshape(bsz, cout, hout, wout)
+    out += b[None, :, None, None]
+    gb = g.sum(axis=(0, 2, 3))
+    gw = np.einsum("bohw,bchwij->ocij", g, win, optimize=True)
+    gcols = (wmat.T @ g.reshape(bsz, cout, -1)).reshape(bsz, cin, kh, kw, hout, wout)
+    gxp = np.zeros_like(xp)
+    span_h, span_w = stride * (hout - 1) + 1, stride * (wout - 1) + 1
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i : i + span_h : stride, j : j + span_w : stride] += gcols[:, :, i, j]
+    gx = gxp[:, :, pad : pad + h, pad : pad + wdt] if pad else gxp
+    return out, gx, gw, gb
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "xshape, wshape, stride, pad",
+    [
+        ((32, 3, 16, 16), (16, 3, 3, 3), 1, 1),  # tiny_cnn conv1 at batch 32
+        ((32, 16, 8, 8), (32, 16, 3, 3), 1, 1),  # tiny_cnn conv2
+        ((1, 4, 7, 9), (5, 4, 2, 3), 2, 1),
+        ((5, 3, 6, 5), (4, 3, 3, 3), 2, 0),
+        ((3, 8, 5, 7), (6, 8, 3, 3), 1, 1),
+        ((7, 2, 9, 4), (3, 2, 1, 2), 1, 2),
+    ],
+)
+def test_conv2d_bytes_match_nchw_col2im_reference(xshape, wshape, stride, pad, dtype):
+    rng = np.random.default_rng(sum(xshape) + sum(wshape) + stride + pad)
+    x = rng.uniform(-1, 1, size=xshape).astype(dtype)
+    w = rng.uniform(-1, 1, size=wshape).astype(dtype)
+    b = rng.uniform(-1, 1, size=wshape[0]).astype(dtype)
+    out = T.conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                   Tensor(b, requires_grad=True), stride=stride, pad=pad)
+    g = rng.uniform(-1, 1, size=out.shape).astype(dtype)
+    gx, gw, gb = out.node.grad_fn(g)
+
+    ref = _conv2d_nchw_col2im(x, w, b, g, stride, pad)
+    for got, want in zip((out.data, gx, gw, gb), ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # pooling
 # ---------------------------------------------------------------------------
@@ -232,6 +285,50 @@ def test_maxpool_matches_first_argmax_reference(k, stride, dtype):
     assert out.dtype == dtype and x.grad.dtype == dtype
     np.testing.assert_array_equal(out.data, ref_out)
     np.testing.assert_array_equal(x.grad, ref_gx)
+
+
+def _maxpool_masked_argmax(x, g, k, stride):
+    """maxpool2d as it was written before the branch-free argmax: a running
+    max whose argmax is updated through a boolean mask."""
+    h, w = x.shape[2:]
+    hout, wout = (h - k) // stride + 1, (w - k) // stride + 1
+    span_h, span_w = stride * (hout - 1) + 1, stride * (wout - 1) + 1
+    slices = [(..., slice(i, i + span_h, stride), slice(j, j + span_w, stride))
+              for i in range(k) for j in range(k)]
+    out = x[slices[0]].copy()
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
+    for idx, sl in enumerate(slices[1:], 1):
+        arg[x[sl] > out] = idx
+        np.maximum(out, x[sl], out=out)
+    gx = np.zeros_like(x)
+    for idx, sl in enumerate(slices):
+        gx[sl] += g * (arg == idx)
+    return out, gx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "shape, k, stride",
+    [
+        ((32, 16, 16, 16), 2, 2),  # the two tiny_cnn maps at batch 32
+        ((32, 32, 8, 8), 2, 2),
+        ((2, 3, 7, 5), 3, 1),
+        ((2, 2, 17, 18), 17, 1),  # k*k - 1 = 288: a uint16 argmax
+    ],
+)
+def test_maxpool_bytes_match_masked_argmax_reference(shape, k, stride, dtype):
+    rng = np.random.default_rng(sum(shape) + k)
+    # Relu'd half-steps: zeros and repeated values tie often.
+    raw = rng.integers(-4, 5, size=shape) / 2
+    x = np.where(raw > 0, raw, 0).astype(dtype)
+    out = T.maxpool2d(Tensor(x, requires_grad=True), k, stride=stride)
+    g = rng.uniform(-1, 1, size=out.shape).astype(dtype)
+    (gx,) = out.node.grad_fn(g)
+
+    ref_out, ref_gx = _maxpool_masked_argmax(x, g, k, stride)
+    assert out.data.dtype == dtype and gx.dtype == dtype
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert gx.tobytes() == ref_gx.tobytes()
 
 
 # ---------------------------------------------------------------------------
