@@ -19,7 +19,7 @@ from .data import DataError
 from .gradcheck import run_suite
 from .model import CheckpointError
 from .tensor import NumericsError, ShapeError
-from .train import evaluate, run_training
+from .train import evaluate, load_split, run_training
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -45,10 +45,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     loaded = model_mod.load_checkpoint(args.ckpt)
     model = loaded.model
-    if model.backbone.kind == "tiny_cnn":
-        ds = data_mod.load_image_dir(args.data, model.backbone.input_size)
-    else:
-        ds = data_mod.load_feature_file(args.data)
+    ds = load_split(model.backbone.kind, args.data, model.backbone.input_size)
     if len(ds) == 0:
         raise DataError(f"{args.data}: no samples")
     if int(ds.labels.max()) >= model.num_classes:

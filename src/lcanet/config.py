@@ -183,8 +183,9 @@ def _validate(cfg: RunConfig) -> None:
          f"dimensions must be >= 1, got {cfg.input_size}")
     need(len(cfg.channels) >= 1 and all(c >= 1 for c in cfg.channels), "channels",
          f"must be positive counts, got {cfg.channels}")
-    need(cfg.data_format in ("ppm", "lcaf"), "data.format",
-         f"must be ppm or lcaf, got {cfg.data_format!r}")
+    fmt = "ppm" if cfg.backbone == "tiny_cnn" else "lcaf"
+    need(cfg.data_format == fmt, "data.format",
+         f"backbone {cfg.backbone} needs data.format={fmt}, got {cfg.data_format!r}")
     need(cfg.aug_translate_px >= 0, "aug.translate_px",
          f"must be >= 0, got {cfg.aug_translate_px}")
     need(0 <= cfg.aug_brightness < 1, "aug.brightness",

@@ -176,7 +176,7 @@ def load_image_dir(root, size=(16, 16)) -> Dataset:
             img = read_ppm(os.path.join(cdir, fname))
             try:
                 img = _resize_bilinear(img, size[0], size[1])
-            except MemoryError:
+            except (MemoryError, ValueError):  # numpy refuses the array size
                 raise DataError(
                     f"cannot allocate images resized to {size[0]}x{size[1]} (input_size)"
                 ) from None
@@ -224,6 +224,8 @@ def load_feature_file(path) -> Dataset:
         version, n, c, h, w = struct.unpack("<5I", head[4:24])
         if version != _LCAF_VERSION:
             raise DataError(f"{path}: unsupported LCAF version {version}")
+        if 0 in (c, h, w):
+            raise DataError(f"{path}: LCAF maps are {c}x{h}x{w} (C, H, W); each must be >= 1")
         count = n * c * h * w
         need = 24 + 4 * count + 4 * n
         if size != need:

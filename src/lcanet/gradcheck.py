@@ -89,7 +89,7 @@ def _spread(rng: Rng, shape) -> Tensor:
 
 
 def _sq(t: Tensor) -> Tensor:
-    return T.mul(t, t).sum()
+    return T.tensor_sum(T.mul(t, t))
 
 
 def _probe(rng: Rng, shape) -> Tensor:
@@ -138,13 +138,13 @@ def _check_relu(rng):
     raw = rng.uniform_array((3, 7), -1.0, 1.0, dtype=np.float64)
     x = Tensor(np.sign(raw) * (0.01 + np.abs(raw)), requires_grad=True)  # off the kink
     r = _probe(rng, x.shape)
-    return grad_check(lambda x: T.mul(T.relu(x), r).sum(), x)
+    return grad_check(lambda x: T.tensor_sum(T.mul(T.relu(x), r)), x)
 
 
 def _check_log_softmax(rng):
     x = _t(rng, (3, 5), -2.0, 2.0)
     r = _probe(rng, x.shape)
-    return grad_check(lambda x: T.mul(T.log_softmax(x), r).sum(), x)
+    return grad_check(lambda x: T.tensor_sum(T.mul(T.log_softmax(x), r)), x)
 
 
 def _check_elementwise(rng):
@@ -152,7 +152,7 @@ def _check_elementwise(rng):
 
     def f(a, b):
         s = T.add(T.mul(a, b), T.scale(T.sub(a, b), 0.7))
-        return T.sub(_sq(s), T.mul(a, a).mean())
+        return T.sub(_sq(s), T.tensor_mean(T.mul(a, a)))
 
     return grad_check(f, [a, b])
 
@@ -168,7 +168,7 @@ def _check_shape_ops(rng):
 
     def f(x):
         moved = T.transpose(x, (2, 0, 1))  # [4,2,3]
-        return T.mul(T.reshape(moved, (4, 6)), r).sum()
+        return T.tensor_sum(T.mul(T.reshape(moved, (4, 6)), r))
 
     return grad_check(f, x)
 
@@ -177,7 +177,8 @@ def _check_reductions(rng):
     x = _t(rng, (3, 4))
 
     def f(x):
-        return T.add(T.mul(x, x).sum(axis=1).mean(), T.scale(x.mean(), 0.3))
+        return T.add(T.tensor_mean(T.tensor_sum(T.mul(x, x), axis=1)),
+                     T.scale(T.tensor_mean(x), 0.3))
 
     return grad_check(f, x)
 
@@ -189,7 +190,7 @@ def _check_lca(rng):
 
     def f(fm, fw, fb):
         out = lca_forward(fm, fw, fb)
-        return T.mul(out, r).sum()
+        return T.tensor_sum(T.mul(out, r))
 
     return grad_check(f, [fm, fw, fb])
 
@@ -349,4 +350,4 @@ def _mutated_relu_check(rng) -> float:
 
     raw = rng.uniform_array((3, 7), -1.0, 1.0, dtype=np.float64)
     x = Tensor(np.sign(raw) * (0.01 + np.abs(raw)), requires_grad=True)
-    return grad_check(lambda x: bad_relu(x).sum(), x)
+    return grad_check(lambda x: T.tensor_sum(bad_relu(x)), x)

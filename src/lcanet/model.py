@@ -185,13 +185,16 @@ def build_model(backbone: BackboneConfig, lca_cfg: LcaConfig | None,
     shapes = param_shapes(backbone, lca_cfg, num_classes)
     m = Model(backbone, lca_cfg, num_classes, dtype)
     for name, shape in shapes.items():
-        if rng is None or name.endswith("_bias"):
-            data = np.zeros(shape, dtype=dtype)
-        elif name.startswith("conv"):
-            data = _he_uniform(rng, shape, math.prod(shape[1:]), dtype)
-        else:
-            data = _glorot(rng, shape, shape[1], shape[0], dtype)
-        m._add(name, data)
+        try:
+            if rng is None or name.endswith("_bias"):
+                data = np.zeros(shape, dtype=dtype)
+            elif name.startswith("conv"):
+                data = _he_uniform(rng, shape, math.prod(shape[1:]), dtype)
+            else:
+                data = _glorot(rng, shape, shape[1], shape[0], dtype)
+            m._add(name, data)
+        except (MemoryError, ValueError):  # numpy refuses the array size
+            raise ConfigError(f"cannot allocate parameter {name} of shape {shape}") from None
     return m
 
 

@@ -128,49 +128,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported")
-        return scale(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None):
-        return tensor_sum(self, axis)
-
-    def mean(self, axis=None):
-        return tensor_mean(self, axis)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
-
-    def backward(self) -> None:
-        backward(self)
-
 
 class Parameter(Tensor):
     """Named trainable leaf; ``grad`` accumulates until explicitly zeroed."""
@@ -283,10 +240,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes("sub", a, b)
     if a.shape == b.shape:
         return _record("sub", a.data - b.data, (a, b), lambda g: (g, -g))
-    if b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]:
-        axes = tuple(range(a.ndim - 1))
-        return _record("sub", a.data - b.data, (a, b), lambda g: (g, -g.sum(axis=axes)))
-    raise ShapeError(f"sub: shapes {a.shape} and {b.shape} are not compatible")
+    raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -36,7 +36,6 @@ CSV_HEADER = "epoch,train_loss,train_nll,train_entropy,train_acc,test_acc,lr,wal
 class EvalResult:
     accuracy: float  # fraction in [0,1]
     per_class: list  # (class index, correct, total)
-    n: int
 
 
 @dataclass
@@ -49,19 +48,18 @@ class TrainSummary:
     ckpt_path: str
 
 
-def _load_split(cfg: RunConfig, path: str, which: str) -> data_mod.Dataset:
-    if not path:
-        raise DataError(f"config key data.{which} is not set")
-    if cfg.data_format == "ppm":
-        return data_mod.load_image_dir(path, cfg.input_size)
+def load_split(kind: str, path: str, input_size) -> data_mod.Dataset:
+    """The dataset a ``kind`` backbone reads: a PPM class tree resized to
+    ``input_size`` for tiny_cnn, an LCAF feature file for external_features."""
+    if kind == "tiny_cnn":
+        return data_mod.load_image_dir(path, input_size)
     return data_mod.load_feature_file(path)
 
 
-def _check_mode(cfg: RunConfig, ds: data_mod.Dataset) -> None:
-    if cfg.backbone == "tiny_cnn" and ds.mode != "image":
-        raise ConfigError("backbone tiny_cnn needs image data (data.format=ppm)")
-    if cfg.backbone == "external_features" and ds.mode != "feature":
-        raise ConfigError("backbone external_features needs data.format=lcaf")
+def _load_split(cfg: RunConfig, path: str, which: str) -> data_mod.Dataset:
+    if not path:
+        raise DataError(f"config key data.{which} is not set")
+    return load_split(cfg.backbone, path, cfg.input_size)
 
 
 def build_from_config(cfg: RunConfig, num_classes: int, feat_hw=None, rng=None):
@@ -78,18 +76,14 @@ def build_from_config(cfg: RunConfig, num_classes: int, feat_hw=None, rng=None):
 def evaluate(model: model_mod.Model, ds: data_mod.Dataset, batch_size: int = 256) -> EvalResult:
     k = model.num_classes
     correct = np.zeros(k, dtype=np.int64)
-    total = np.zeros(k, dtype=np.int64)
     with no_grad():
         for b in batches(ds, batch_size):
             preds = model.forward(Tensor(b.inputs)).data.argmax(axis=1)
-            for cls in range(k):
-                sel = b.labels == cls
-                total[cls] += sel.sum()
-                correct[cls] += (preds[sel] == cls).sum()
-    n = int(total.sum())
-    acc = float(correct.sum()) / n if n else 0.0
+            correct += np.bincount(b.labels[preds == b.labels], minlength=k)
+    total = np.bincount(ds.labels, minlength=k)
+    acc = float(correct.sum()) / len(ds) if len(ds) else 0.0
     per_class = [(c, int(correct[c]), int(total[c])) for c in range(k)]
-    return EvalResult(acc, per_class, n)
+    return EvalResult(acc, per_class)
 
 
 def _rows_before(path: str, epoch: int) -> list:
@@ -118,8 +112,6 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
 
     train_ds = _load_split(cfg, cfg.data_train, "train")
     test_ds = _load_split(cfg, cfg.data_test, "test")
-    _check_mode(cfg, train_ds)
-    _check_mode(cfg, test_ds)
     if test_ds.inputs.shape[1:] != train_ds.inputs.shape[1:]:
         raise DataError(
             f"test split maps are {test_ds.inputs.shape[1:]} (C, H, W), "
@@ -139,6 +131,11 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
 
     feat_hw = tuple(train_ds.inputs.shape[2:]) if cfg.backbone == "external_features" else None
     model = build_from_config(cfg, num_classes, feat_hw=feat_hw, rng=init_rng)
+    if feat_hw is not None and model.backbone.feature_shape() != train_ds.inputs.shape[1:]:
+        raise DataError(
+            f"config key channels is {cfg.channels[0]}, but the training maps "
+            f"have {train_ds.inputs.shape[1]} channels"
+        )
 
     start_epoch = 0
     resume_state = None

@@ -161,6 +161,36 @@ def test_train_external_features_on_image_tree_exits_2(workdir, capsys):
     assert "data.format" in capsys.readouterr().err
 
 
+def test_train_format_check_runs_before_any_read_exits_2(workdir, capsys):
+    """The data paths do not exist: a data error (3) would mean a read came first."""
+    cfg = write_cfg(workdir, **{"data.format": "lcaf", "data.train": "missing.lcaf",
+                                "data.test": "missing.lcaf"})
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "data.format" in capsys.readouterr().err
+
+
+def test_train_feature_channels_mismatch_exits_3_and_writes_nothing(workdir, capsys):
+    write_feature_file("feats.lcaf", np.zeros((4, 8, 4, 4), dtype=np.float32), [0, 1, 0, 1])
+    cfg = write_cfg(workdir, backbone="external_features", channels="4",
+                    **{"data.format": "lcaf", "data.train": "feats.lcaf",
+                       "data.test": "feats.lcaf"})
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "channels" in err and "Traceback" not in err
+    assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
+
+
+def test_train_feature_maps_of_zero_height_exit_3(workdir, capsys):
+    write_feature_file("flat.lcaf", np.zeros((4, 8, 0, 4), dtype=np.float32), [0, 1, 0, 1])
+    cfg = write_cfg(workdir, backbone="external_features", channels="8", head="gap",
+                    **{"data.format": "lcaf", "data.train": "flat.lcaf",
+                       "data.test": "flat.lcaf"})
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
+
+
 def test_train_divergence_exits_4(workdir, capsys):
     make_data(workdir)
     cfg = write_cfg(workdir, lr="1e30", epochs="2")
@@ -384,6 +414,35 @@ def test_eval_checkpoint_with_huge_input_size_exits_3(workdir, capsys):
     assert main(["eval", "--ckpt", "huge.lcac", "--data", "tree"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "300000x300000" in err
+
+
+@pytest.mark.parametrize("overrides,param", [
+    pytest.param({"channels": "100000,100000"}, "conv2_weight",  # 720 GB of init draws
+                 marks=huge_size),
+    pytest.param({"channels": "16,32", "lca.embed_dim": "10000000000"}, "fc_weight",  # 2.5 TB
+                 marks=huge_size),
+    ({"channels": "4,100000000000000000000"}, "conv2_weight"),  # beyond numpy's size limit
+])
+def test_train_refused_parameter_allocation_exits_2(workdir, capsys, overrides, param):
+    make_data(workdir)
+    cfg = write_cfg(workdir, **overrides)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and param in err
+    assert "Traceback" not in err and "MemoryError" not in err
+    assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
+
+
+def test_train_input_size_beyond_numpy_size_limit_exits_3(workdir, capsys):
+    _two_image_tree(workdir / "tree")
+    cfg = write_cfg(workdir, input_size="100000000000000000000",
+                    **{"data.train": "tree", "data.test": "tree"})
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "input_size" in err
+    assert "Traceback" not in err
+    assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
 
 
 def test_eval_labels_beyond_model_classes_exit_3(workdir):

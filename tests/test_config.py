@@ -1,8 +1,11 @@
 """Flat key=value config parsing: defaults, coercions, and hard errors."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from lcanet.config import ConfigError, RunConfig, load_config, parse_config
+from lcanet.config import _KEYS, ConfigError, RunConfig, load_config, parse_config
 
 
 def test_empty_config_is_all_defaults():
@@ -148,6 +151,8 @@ def test_bad_values(line):
         ("input_size = 0x4", "input_size"),
         ("channels = 0", "channels"),
         ("data.format = png", "data.format"),
+        ("data.format = lcaf", "data.format"),
+        ("backbone = external_features", "data.format"),
         ("aug.brightness = 1.5", "aug.brightness"),
         ("aug.noise_sigma = -0.1", "aug.noise_sigma"),
     ],
@@ -175,3 +180,13 @@ def test_load_config_roundtrip(tmp_path):
     path.write_text("seed = 11\nepochs = 2\n", encoding="utf-8")
     cfg = load_config(path)
     assert cfg.seed == 11 and cfg.epochs == 2
+
+
+def test_readme_config_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    documented = []
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            documented += re.findall(r"`([^`]+)`", row.split("|")[1])
+    assert sorted(documented) == sorted(_KEYS)

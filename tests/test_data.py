@@ -191,6 +191,21 @@ def test_lcaf_fixture_matches_head_worked_example(tmp_path):
     np.testing.assert_allclose(out.data, [[2.5]], atol=1e-6)
 
 
+@pytest.mark.parametrize("shape", [(2, 0, 3, 3), (2, 4, 0, 3), (2, 4, 3, 0)])
+def test_lcaf_empty_map_dimension_rejected(tmp_path, shape):
+    path = tmp_path / "e.lcaf"
+    write_feature_file(path, np.zeros(shape, dtype=np.float32), [0, 1])
+    with pytest.raises(DataError, match="each must be >= 1"):
+        load_feature_file(path)
+
+
+def test_lcaf_without_samples_loads(tmp_path):
+    path = tmp_path / "n0.lcaf"
+    write_feature_file(path, np.zeros((0, 4, 3, 3), dtype=np.float32), [])
+    ds = load_feature_file(path)
+    assert ds.inputs.shape == (0, 4, 3, 3) and len(ds) == 0
+
+
 def test_lcaf_zero_length_payload(tmp_path):
     path = tmp_path / "z.lcaf"
     path.write_bytes(b"LCAF")

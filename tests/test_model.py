@@ -194,8 +194,8 @@ def test_gap_head_bytes_match_full_map_avgpool(c, h, w, dtype):
     fm, ref_fm = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
     out = m.head_output(fm)
     ref = T.reshape(T.avgpool2d(ref_fm, h, w, 1), (3, c))
-    T.backward(T.mul(out, probe).sum())
-    T.backward(T.mul(ref, probe).sum())
+    T.backward(T.tensor_sum(T.mul(out, probe)))
+    T.backward(T.tensor_sum(T.mul(ref, probe)))
     assert out.data.tobytes() == ref.data.tobytes()
     assert fm.grad.tobytes() == ref_fm.grad.tobytes()
 

@@ -497,15 +497,21 @@ def test_mixed_dtype_rejected():
         T.add(a, b)
 
 
-def test_operator_sugar():
+def test_elementwise_and_matmul_forward_values():
     a = t64([2.0, 4.0])
     b = t64([1.0, 2.0])
-    np.testing.assert_array_equal((a + b).data, [3.0, 6.0])
-    np.testing.assert_array_equal((a - b).data, [1.0, 2.0])
-    np.testing.assert_array_equal((a * b).data, [2.0, 8.0])
-    np.testing.assert_array_equal((a / 2.0).data, [1.0, 2.0])
-    np.testing.assert_array_equal((-a).data, [-2.0, -4.0])
-    np.testing.assert_array_equal((t64([[1.0, 2.0]]) @ t64([[3.0], [4.0]])).data, [[11.0]])
+    np.testing.assert_array_equal(T.add(a, b).data, [3.0, 6.0])
+    np.testing.assert_array_equal(T.sub(a, b).data, [1.0, 2.0])
+    np.testing.assert_array_equal(T.mul(a, b).data, [2.0, 8.0])
+    np.testing.assert_array_equal(T.scale(a, 1.0 / 2.0).data, [1.0, 2.0])
+    np.testing.assert_array_equal(T.scale(a, -1.0).data, [-2.0, -4.0])
+    np.testing.assert_array_equal(T.matmul(t64([[1.0, 2.0]]), t64([[3.0], [4.0]])).data, [[11.0]])
+
+
+def test_sub_rejects_a_bias_shaped_operand():
+    """Only ``add`` broadcasts a trailing-axis bias; ``sub`` takes equal shapes."""
+    with pytest.raises(ShapeError):
+        T.sub(t64(np.zeros((2, 3))), t64(np.zeros(3)))
 
 
 def test_reshape_transpose_roundtrip():
