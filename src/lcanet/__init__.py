@@ -8,7 +8,6 @@ from .data import (
     AugmentConfig,
     DataError,
     Dataset,
-    SampleBatch,
     augment,
     batches,
     load_feature_file,

@@ -192,3 +192,7 @@ def _validate(cfg: RunConfig) -> None:
          f"must be in [0,1), got {cfg.aug_brightness}")
     need(cfg.aug_noise_sigma >= 0, "aug.noise_sigma",
          f"must be >= 0, got {cfg.aug_noise_sigma}")
+    for key, (attr, _) in _KEYS.items():
+        if key.startswith("aug.") and cfg.backbone == "external_features":
+            need(getattr(cfg, attr) == getattr(RunConfig, attr), key,
+                 "augments images, so it must stay at its default for external_features")

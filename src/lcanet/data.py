@@ -33,7 +33,6 @@ class DataError(ValueError):
 class Dataset:
     inputs: np.ndarray  # [N, C, H, W] float32
     labels: np.ndarray  # [N] int64
-    mode: str  # "image" (C=3, augmentable) or "feature"
     class_names: list | None = None
 
     def __post_init__(self):
@@ -41,18 +40,9 @@ class Dataset:
             raise DataError(f"inputs must be [N,C,H,W] float32, got {self.inputs.shape}")
         if self.labels.shape != (len(self.inputs),):
             raise DataError("labels length does not match inputs")
-        if self.mode not in ("image", "feature"):
-            raise DataError(f"unknown dataset mode {self.mode!r}")
 
     def __len__(self):
         return len(self.inputs)
-
-
-@dataclass
-class SampleBatch:
-    inputs: np.ndarray
-    labels: np.ndarray
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -67,11 +57,6 @@ class AugmentConfig:
             raise ValueError("augmentation magnitudes must be >= 0")
         if not 0 <= self.brightness_delta < 1:
             raise ValueError(f"brightness_delta must be in [0,1), got {self.brightness_delta}")
-
-    @property
-    def is_identity(self) -> bool:
-        return (self.translate_px == 0 and self.brightness_delta == 0
-                and self.gauss_noise_sigma == 0 and not self.hflip)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +170,6 @@ def load_image_dir(root, size=(16, 16)) -> Dataset:
     return Dataset(
         inputs=np.ascontiguousarray(np.stack(images), dtype=np.float32),
         labels=np.array(labels, dtype=np.int64),
-        mode="image",
         class_names=class_names,
     )
 
@@ -237,7 +221,6 @@ def load_feature_file(path) -> Dataset:
     return Dataset(
         inputs=feats.reshape(n, c, h, w).astype(np.float32, copy=False),
         labels=labels.astype(np.int64),
-        mode="feature",
     )
 
 
@@ -345,7 +328,6 @@ def synth_glyphs(k: int, n_train: int, n_test: int, seed: int):
         return Dataset(
             inputs=np.stack(xs) if xs else np.zeros((0, 3, _IMG, _IMG), np.float32),
             labels=np.array(ys, dtype=np.int64),
-            mode="image",
             class_names=[f"class_{i:02d}" for i in range(k)],
         )
 
@@ -369,17 +351,17 @@ def _shift(img: np.ndarray, dr: int, dc: int) -> np.ndarray:
     return out
 
 
-def augment(batch: SampleBatch, cfg: AugmentConfig, rng: Rng) -> SampleBatch:
+def augment(batch: Dataset, cfg: AugmentConfig, rng: Rng) -> Dataset:
     """Per-sample translate / brightness / noise / flip, clamped to [0,1].
 
     Draw order is fixed (translate dr,dc; brightness; noise; flip) and a
     knob at zero draws nothing, so identical configs consume identical rng
-    streams. An all-zero config returns the batch untouched.
+    streams. An all-zero config returns the batch untouched, whatever it holds.
     """
-    if batch.mode != "image":
-        raise ContractError("augment applies to image batches only")
-    if cfg.is_identity:
+    if cfg == AugmentConfig():
         return batch
+    if batch.inputs.shape[1] != 3:
+        raise ContractError(f"augment applies to RGB images only, got {batch.inputs.shape}")
     out = batch.inputs.copy()
     t = cfg.translate_px
     for i in range(len(out)):
@@ -396,15 +378,15 @@ def augment(batch: SampleBatch, cfg: AugmentConfig, rng: Rng) -> SampleBatch:
         if cfg.hflip and rng.random() < 0.5:
             img = img[:, :, ::-1]
         out[i] = np.clip(img, 0.0, 1.0)
-    return SampleBatch(out, batch.labels, batch.mode)
+    return Dataset(out, batch.labels)
 
 
 def batches(dataset: Dataset, batch_size: int, rng: Rng | None = None):
-    """One epoch of SampleBatches; seeded shuffle when an rng is given."""
+    """One epoch of batches, each a Dataset; seeded shuffle when an rng is given."""
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     n = len(dataset)
     order = np.array(rng.permutation(n), dtype=np.int64) if rng else np.arange(n)
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
-        yield SampleBatch(dataset.inputs[idx], dataset.labels[idx], dataset.mode)
+        yield Dataset(dataset.inputs[idx], dataset.labels[idx])

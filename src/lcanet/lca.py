@@ -41,23 +41,31 @@ class LcaConfig:
             raise ValueError(f"embed_dim ({self.embed_dim}) must be >= 1")
 
 
-def enumerate_kernels(h: int, w: int, include_one_by_k: bool = True) -> list[tuple[int, int]]:
-    """All pooling kernel sizes for an HxW map, kh-major, excluding 1x1."""
+def check_extent(h: int, w: int, include_one_by_k: bool = True) -> None:
+    """Raise unless an HxW map admits a pooling kernel other than 1x1.
+
+    Costs O(1) at any extent, so an architecture can be checked before
+    anything of its size exists.
+    """
     if h < 1 or w < 1:
         raise ShapeError(f"feature map extent {h}x{w} is empty")
-    if h * w < 2:
-        raise EmptyKernelError("1x1 feature map has no kernels larger than 1x1")
+    if h * w < 2 or (not include_one_by_k and min(h, w) < 2):
+        raise EmptyKernelError(
+            f"no pooling kernel other than 1x1 fits a {h}x{w} map "
+            f"(include_one_by_k={include_one_by_k})"
+        )
+
+
+def enumerate_kernels(h: int, w: int, include_one_by_k: bool = True) -> list[tuple[int, int]]:
+    """All pooling kernel sizes for an HxW map, kh-major, excluding 1x1."""
+    check_extent(h, w, include_one_by_k)
     lo = 1 if include_one_by_k else 2
-    kernels = [
+    return [
         (kh, kw)
         for kh in range(lo, h + 1)
         for kw in range(lo, w + 1)
         if (kh, kw) != (1, 1)
     ]
-    if not kernels:
-        # Reachable when include_one_by_k=false on a single-row/column map.
-        raise EmptyKernelError(f"no admissible kernels for a {h}x{w} map")
-    return kernels
 
 
 def concept_count(h: int, w: int, include_one_by_k: bool = True) -> int:

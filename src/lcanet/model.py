@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ConfigError
-from .lca import LcaConfig, lca_forward
+from .lca import EmptyKernelError, LcaConfig, check_extent, lca_forward
 from .tensor import Parameter, ShapeError, Tensor
 
 
@@ -148,25 +148,21 @@ def param_shapes(backbone: BackboneConfig, lca_cfg: LcaConfig | None,
     if num_classes < 2:
         raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
 
+    shapes = {}
     if backbone.kind == "tiny_cnn":
         h, w = backbone.input_size
         if h < 4 or w < 4:
             raise ConfigError(f"tiny_cnn needs input >= 4x4, got {h}x{w}")
-
-    feat_c, fh, fw_ = backbone.feature_shape()
-    if lca_cfg is not None and fh * fw_ < 2:
-        raise ConfigError(
-            f"lca head needs a feature map larger than 1x1, got {fh}x{fw_} "
-            f"(input {backbone.input_size})"
-        )
-
-    shapes = {}
-    if backbone.kind == "tiny_cnn":
         c1, c2 = backbone.channels
         shapes.update(conv1_weight=(c1, 3, 3, 3), conv1_bias=(c1,),
                       conv2_weight=(c2, c1, 3, 3), conv2_bias=(c2,))
+    feat_c, fh, fw = backbone.feature_shape()
     cls_in = feat_c
     if lca_cfg is not None:
+        try:
+            check_extent(fh, fw, lca_cfg.include_one_by_k)
+        except (EmptyKernelError, ShapeError) as exc:
+            raise ConfigError(f"lca head: {exc} (input {backbone.input_size})") from None
         cls_in = lca_cfg.embed_dim
         shapes.update(fc_weight=(cls_in, feat_c), fc_bias=(cls_in,))
     shapes.update(cls_weight=(num_classes, cls_in), cls_bias=(num_classes,))

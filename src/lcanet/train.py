@@ -62,17 +62,6 @@ def _load_split(cfg: RunConfig, path: str, which: str) -> data_mod.Dataset:
     return load_split(cfg.backbone, path, cfg.input_size)
 
 
-def build_from_config(cfg: RunConfig, num_classes: int, feat_hw=None, rng=None):
-    """Construct the model a RunConfig describes; ``feat_hw`` is the feature
-    map extent an ``external_features`` backbone reads from its data."""
-    backbone = model_mod.BackboneConfig(cfg.backbone, tuple(cfg.channels),
-                                        feat_hw or cfg.input_size)
-    lca_cfg = None
-    if cfg.head == "lca":
-        lca_cfg = LcaConfig(cfg.lca_embed_dim, cfg.lca_include_one_by_k)
-    return model_mod.build_model(backbone, lca_cfg, num_classes, rng=rng)
-
-
 def evaluate(model: model_mod.Model, ds: data_mod.Dataset, batch_size: int = 256) -> EvalResult:
     k = model.num_classes
     correct = np.zeros(k, dtype=np.int64)
@@ -129,32 +118,31 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
             f"but the training split defines {num_classes} classes"
         )
 
-    feat_hw = tuple(train_ds.inputs.shape[2:]) if cfg.backbone == "external_features" else None
-    model = build_from_config(cfg, num_classes, feat_hw=feat_hw, rng=init_rng)
-    if feat_hw is not None and model.backbone.feature_shape() != train_ds.inputs.shape[1:]:
+    # external_features reads its H x W from the maps; input_size sizes images.
+    hw = train_ds.inputs.shape[2:] if cfg.backbone == "external_features" else cfg.input_size
+    backbone = model_mod.BackboneConfig(cfg.backbone, tuple(cfg.channels), hw)
+    lca_cfg = LcaConfig(cfg.lca_embed_dim, cfg.lca_include_one_by_k) if cfg.head == "lca" else None
+    if backbone.kind == "external_features" and backbone.channels[0] != train_ds.inputs.shape[1]:
         raise DataError(
             f"config key channels is {cfg.channels[0]}, but the training maps "
             f"have {train_ds.inputs.shape[1]} channels"
         )
 
-    start_epoch = 0
-    resume_state = None
-    if resume is not None:
+    loaded = None
+    if resume is None:
+        model = model_mod.build_model(backbone, lca_cfg, num_classes, rng=init_rng)
+    else:
+        model_mod.param_shapes(backbone, lca_cfg, num_classes)  # a bad config is a ConfigError
         loaded = model_mod.load_checkpoint(resume)
-        same = (
-            loaded.model.backbone == model.backbone
-            and loaded.model.lca_cfg == model.lca_cfg
-            and loaded.model.num_classes == model.num_classes
-        )
-        if not same:
-            raise model_mod.CheckpointError(
-                f"checkpoint architecture does not match config "
-                f"({loaded.model.backbone}/{loaded.model.head} vs {model.backbone}/{model.head})"
-            )
         model = loaded.model
-        start_epoch = loaded.epoch
-        resume_state = loaded
+        found = (model.backbone, model.lca_cfg, model.num_classes)
+        if found != (backbone, lca_cfg, num_classes):
+            raise model_mod.CheckpointError(
+                f"checkpoint architecture {found} does not match config "
+                f"{(backbone, lca_cfg, num_classes)}"
+            )
         train_rng = Rng.from_state_bytes(loaded.rng_state)
+    start_epoch = loaded.epoch if loaded else 0
     if start_epoch >= cfg.epochs:
         raise ConfigError(
             f"checkpoint already covers {start_epoch} epochs; config asks for {cfg.epochs}"
@@ -172,8 +160,8 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
         weight_decay=cfg.weight_decay,
         schedule=cfg.schedule,
     )
-    if resume_state is not None:
-        for name, vel in resume_state.velocities.items():
+    if loaded:
+        for name, vel in loaded.velocities.items():
             if name in optim.velocity:
                 optim.velocity[name][...] = vel
 
@@ -185,7 +173,7 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
     )
     loss_cfg = losses.LossConfig(lambda_entropy=cfg.lambda_entropy)
 
-    kept = _rows_before(cfg.log_csv, start_epoch) if resume is not None else []
+    kept = _rows_before(cfg.log_csv, start_epoch) if loaded else []
     tmp = f"{cfg.log_csv}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n" + "".join(kept))
@@ -200,7 +188,7 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
             loss_sum = nll_sum = ent_sum = 0.0
             hits = seen = 0
             for step, raw in enumerate(batches(train_ds, cfg.batch_size, rng=train_rng)):
-                b = augment(raw, aug_cfg, train_rng) if raw.mode == "image" else raw
+                b = augment(raw, aug_cfg, train_rng)
                 x = Tensor(b.inputs)
                 # Divergence is detected by the isfinite check below and
                 # reported as NumericsError; numpy's overflow/NaN warnings on

@@ -191,6 +191,35 @@ def test_train_feature_maps_of_zero_height_exit_3(workdir, capsys):
     assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
 
 
+def test_train_augmentation_on_feature_maps_exits_2_before_any_read(workdir, capsys):
+    """The data paths do not exist: a data error (3) would mean a read came first."""
+    cfg = write_cfg(workdir, backbone="external_features", channels="8",
+                    **{"data.format": "lcaf", "data.train": "missing.lcaf",
+                       "data.test": "missing.lcaf", "aug.hflip": "true"})
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "aug.hflip" in err
+
+
+@pytest.mark.parametrize("case", ["lcaf_1x4", "tiny_cnn_4x8"])
+def test_train_square_kernels_on_a_single_row_map_exits_2(workdir, capsys, case):
+    """With include_one_by_k = false a 1-row map admits no kernel: a config
+    error before the CSV or a checkpoint exists, not a crash in the forward."""
+    if case == "lcaf_1x4":
+        write_feature_file("row.lcaf", np.ones((4, 3, 1, 4), dtype=np.float32), [0, 1, 0, 1])
+        cfg = write_cfg(workdir, backbone="external_features", channels="3",
+                        **{"lca.include_one_by_k": "false", "data.format": "lcaf",
+                           "data.train": "row.lcaf", "data.test": "row.lcaf"})
+    else:  # two 2x2 maxpools turn a 4x8 image into a 1x2 map
+        make_data(workdir)
+        cfg = write_cfg(workdir, input_size="4x8", **{"lca.include_one_by_k": "false"})
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
+
+
 def test_train_divergence_exits_4(workdir, capsys):
     make_data(workdir)
     cfg = write_cfg(workdir, lr="1e30", epochs="2")
@@ -259,6 +288,35 @@ def test_train_resume_into_foreign_csv_exits_3(workdir):
     assert main(["train", "--config", str(write_cfg(workdir, name="one.cfg"))]) == 0
     (workdir / "metrics.csv").write_text("not,a,metrics,header\n")
     assert main(["train", "--config", str(cfg), "--resume", "model.lcac"]) == 3
+
+
+@pytest.mark.parametrize("overrides", [
+    {"lca.embed_dim": "6"}, {"head": "gap"}, {"channels": "4,6"},
+], ids=["embed_dim", "head", "channels"])
+def test_train_resume_against_another_architecture_exits_3(workdir, capsys, overrides):
+    """The checkpoint is refused and neither it nor the metrics CSV changes."""
+    make_data(workdir)
+    assert main(["train", "--config", str(write_cfg(workdir))]) == 0
+    csv, ckpt = (workdir / "metrics.csv").read_bytes(), (workdir / "model.lcac").read_bytes()
+    cfg = write_cfg(workdir, name="other.cfg", epochs="2", **overrides)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--resume", "model.lcac"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "does not match config" in err
+    assert (workdir / "metrics.csv").read_bytes() == csv
+    assert (workdir / "model.lcac").read_bytes() == ckpt
+
+
+def test_train_resume_with_invalid_config_architecture_exits_2(workdir, capsys):
+    make_data(workdir)
+    assert main(["train", "--config", str(write_cfg(workdir))]) == 0
+    csv, ckpt = (workdir / "metrics.csv").read_bytes(), (workdir / "model.lcac").read_bytes()
+    cfg = write_cfg(workdir, name="small.cfg", epochs="2", input_size="3")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--resume", "model.lcac"]) == 2
+    assert "4x4" in capsys.readouterr().err
+    assert (workdir / "metrics.csv").read_bytes() == csv
+    assert (workdir / "model.lcac").read_bytes() == ckpt
 
 
 def test_train_resume_beyond_epochs_exits_2(workdir):
@@ -512,6 +570,29 @@ def test_inspect_invalid_architecture_exits_3(workdir, capsys):
                     rng_state=Rng(0).state_bytes())
     assert main(["inspect", "--ckpt", "bad.lcac"]) == 3
     assert "embed_dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+def test_checkpoint_with_square_kernels_on_a_1x4_map_exits_3(workdir, capsys, command):
+    """include_one_by_k flipped to 0 on a 1x4 LCA model leaves no kernel: the
+    loader refuses the architecture instead of the forward crashing later."""
+    model = build_model(
+        BackboneConfig("external_features", (3,), (1, 4)), LcaConfig(4), 2, rng=Rng(0)
+    )
+    save_checkpoint(model, "row.lcac", velocities={}, epoch=0,
+                    rng_state=Rng(0).state_bytes())
+    raw = (workdir / "row.lcac").read_bytes()
+    # The architecture block (backbone tag, head tag, 1xk flag, pad, input
+    # size, one channel, embed_dim, classes) precedes an empty velocity
+    # table, the epoch and the rng state.
+    at = len(raw) - (4 + 8 + 8 + 8 + 4 + 8 + 32) + 2
+    assert raw[at] == 1
+    (workdir / "row.lcac").write_bytes(raw[:at] + b"\x00" + raw[at + 1:])
+    write_feature_file("row.lcaf", np.ones((2, 3, 1, 4), dtype=np.float32), [0, 1])
+    args = ["--ckpt", "row.lcac"] + (["--data", "row.lcaf"] if command == "eval" else [])
+    assert main([command, *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "1x4" in err
 
 
 def test_inspect_huge_embed_dim_exits_3(workdir, capsys):

@@ -54,10 +54,6 @@ def test_every_documented_key_parses():
     data.train = data/train
     data.test = data/test
     data.format = lcaf
-    aug.translate_px = 2
-    aug.brightness = 0.1
-    aug.noise_sigma = 0.02
-    aug.hflip = true
     ckpt.out = out/model.lcac
     log.csv = out/metrics.csv
     """
@@ -72,9 +68,17 @@ def test_every_documented_key_parses():
     assert cfg.freeze_backbone is True
     assert cfg.data_train == "data/train" and cfg.data_test == "data/test"
     assert cfg.data_format == "lcaf"
+    assert cfg.ckpt_out == "out/model.lcac" and cfg.log_csv == "out/metrics.csv"
+    # augmentation applies to images, so its keys go with tiny_cnn
+    cfg = parse_config("""
+    backbone = tiny_cnn
+    aug.translate_px = 2
+    aug.brightness = 0.1
+    aug.noise_sigma = 0.02
+    aug.hflip = true
+    """)
     assert cfg.aug_translate_px == 2 and cfg.aug_brightness == 0.1
     assert cfg.aug_noise_sigma == 0.02 and cfg.aug_hflip is True
-    assert cfg.ckpt_out == "out/model.lcac" and cfg.log_csv == "out/metrics.csv"
 
 
 def test_comments_and_blank_lines():
@@ -135,6 +139,9 @@ def test_bad_values(line):
         parse_config(line + "\n")
 
 
+_FEATURES = "backbone = external_features\ndata.format = lcaf\n"
+
+
 @pytest.mark.parametrize(
     "line,key",
     [
@@ -155,6 +162,10 @@ def test_bad_values(line):
         ("backbone = external_features", "data.format"),
         ("aug.brightness = 1.5", "aug.brightness"),
         ("aug.noise_sigma = -0.1", "aug.noise_sigma"),
+        (f"{_FEATURES}aug.translate_px = 1", "aug.translate_px"),
+        (f"{_FEATURES}aug.brightness = 0.1", "aug.brightness"),
+        (f"{_FEATURES}aug.noise_sigma = 0.05", "aug.noise_sigma"),
+        (f"{_FEATURES}aug.hflip = true", "aug.hflip"),
     ],
 )
 def test_semantic_validation_names_the_key(line, key):

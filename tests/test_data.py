@@ -13,7 +13,6 @@ from lcanet import (
     DataError,
     Dataset,
     Rng,
-    SampleBatch,
     augment,
     batches,
     lca_forward,
@@ -173,7 +172,6 @@ def test_lcaf_roundtrip(tmp_path):
     path = tmp_path / "f.lcaf"
     write_feature_file(path, feats, labels)
     ds = load_feature_file(path)
-    assert ds.mode == "feature"
     np.testing.assert_array_equal(ds.inputs, feats)
     assert ds.labels.tolist() == labels
 
@@ -318,10 +316,9 @@ class TestSynthGlyphs:
 
 def image_batch(n=4, seed=0):
     rng = Rng(seed)
-    return SampleBatch(
+    return Dataset(
         rng.uniform_array((n, 3, 16, 16), 0.2, 0.8, dtype=np.float32),
         np.arange(n, dtype=np.int64) % 2,
-        "image",
     )
 
 
@@ -332,8 +329,7 @@ def test_augment_identity_returns_same_object():
 
 
 def test_augment_rejects_feature_batches():
-    b = SampleBatch(np.zeros((1, 4, 2, 2), np.float32), np.zeros(1, np.int64),
-                    "feature")
+    b = Dataset(np.zeros((1, 4, 2, 2), np.float32), np.zeros(1, np.int64))
     with pytest.raises(ContractError):
         augment(b, AugmentConfig(1, 0.0, 0.0, False), Rng(0))
 
@@ -362,7 +358,7 @@ def test_augment_is_deterministic_given_rng_state():
 def test_translate_moves_content():
     img = np.zeros((1, 3, 16, 16), dtype=np.float32)
     img[0, :, 8, 8] = 1.0
-    b = SampleBatch(img, np.zeros(1, np.int64), "image")
+    b = Dataset(img, np.zeros(1, np.int64))
     out = augment(b, AugmentConfig(3, 0.0, 0.0, False), Rng(3))
     assert out.inputs.sum() == 3.0  # zero padding never duplicates content
     r, c = np.argwhere(out.inputs[0, 0])[0]
@@ -372,7 +368,7 @@ def test_translate_moves_content():
 def test_translate_keeps_centered_glyph_in_frame():
     """The generator's margin guarantees ±2px shifts cannot clip the glyph."""
     tr, _ = synth_glyphs(2, 4, 0, seed=7)
-    b = SampleBatch(tr.inputs.copy(), tr.labels, "image")
+    b = Dataset(tr.inputs.copy(), tr.labels)
     out = augment(b, AugmentConfig(2, 0.0, 0.0, False), Rng(8))
     # brightness of every image is preserved up to the zero-padded border,
     # which can only remove background, never glyph pixels, given the margin;
@@ -428,7 +424,6 @@ def small_dataset(n=10):
     return Dataset(
         inputs=np.arange(n * 3 * 2 * 2, dtype=np.float32).reshape(n, 3, 2, 2),
         labels=np.arange(n, dtype=np.int64) % 3,
-        mode="image",
     )
 
 
@@ -463,6 +458,4 @@ def test_batch_size_validated():
 
 def test_dataset_validation():
     with pytest.raises(DataError):
-        Dataset(np.zeros((2, 3, 4, 4), np.float32), np.zeros(3, np.int64), "image")
-    with pytest.raises(DataError):
-        Dataset(np.zeros((2, 3, 4, 4), np.float32), np.zeros(2, np.int64), "audio")
+        Dataset(np.zeros((2, 3, 4, 4), np.float32), np.zeros(3, np.int64))

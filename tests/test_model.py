@@ -23,7 +23,7 @@ from lcanet.cli import main
 from lcanet.config import parse_config
 from lcanet.optim import SGD
 from lcanet.tensor import ShapeError, Tensor
-from lcanet.train import build_from_config, run_training
+from lcanet.train import run_training
 
 
 def tiny_backbone(h=16, w=16, channels=(16, 32)):
@@ -107,7 +107,8 @@ def test_freeze_backbone_excludes_conv_params(tmp_path):
         f"log.csv = {tmp_path / 'm.csv'}\n"
     )
     run_training(cfg)
-    init = build_from_config(cfg, 2, rng=Rng(cfg.seed).spawn())  # the init stream
+    init = build_model(tiny_backbone(channels=(4, 8)), LcaConfig(6), 2,
+                       rng=Rng(cfg.seed).spawn())  # the init stream
     loaded = load_checkpoint(cfg.ckpt_out)
     for p in loaded.model.parameters():
         same = p.data.tobytes() == init.param(p.name).data.tobytes()
