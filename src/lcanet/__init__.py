@@ -3,6 +3,15 @@ local-concepts pooling head and an entropy-regularized classification loss,
 with a from-scratch reverse-mode autodiff engine underneath.
 """
 
+import os
+import sys
+
+# OpenBLAS splits a long GEMM reduction by thread count, which changes the
+# rounding: pin one BLAS thread, unless the program loaded numpy first.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules:
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .data import (
     AugmentConfig,

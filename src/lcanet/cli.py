@@ -65,7 +65,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_suite(seed=args.seed, mutate=args.mutate)
+    results = run_suite(seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name:<20} max_rel={r.max_rel:.3e}  tol={r.tol:g}  {status}")
@@ -135,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="run the finite-difference suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mutate", action="store_true",
-                   help="add a deliberately wrong adjoint (must fail)")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate the synthetic glyph dataset")

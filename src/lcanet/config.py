@@ -186,8 +186,8 @@ def _validate(cfg: RunConfig) -> None:
     fmt = "ppm" if cfg.backbone == "tiny_cnn" else "lcaf"
     need(cfg.data_format == fmt, "data.format",
          f"backbone {cfg.backbone} needs data.format={fmt}, got {cfg.data_format!r}")
-    need(cfg.aug_translate_px >= 0, "aug.translate_px",
-         f"must be >= 0, got {cfg.aug_translate_px}")
+    need(0 <= cfg.aug_translate_px < 2**63, "aug.translate_px",
+         f"must be in [0, 2**63), got {cfg.aug_translate_px}")
     need(0 <= cfg.aug_brightness < 1, "aug.brightness",
          f"must be in [0,1), got {cfg.aug_brightness}")
     need(cfg.aug_noise_sigma >= 0, "aug.noise_sigma",

@@ -53,8 +53,9 @@ class AugmentConfig:
     hflip: bool = False
 
     def __post_init__(self):
-        if self.translate_px < 0 or self.gauss_noise_sigma < 0:
-            raise ValueError("augmentation magnitudes must be >= 0")
+        # 2*translate_px + 1 is a randint bound, which must not pass 2**64.
+        if not 0 <= self.translate_px < 2**63 or self.gauss_noise_sigma < 0:
+            raise ValueError("augmentation magnitudes must be >= 0, and translate_px < 2**63")
         if not 0 <= self.brightness_delta < 1:
             raise ValueError(f"brightness_delta must be in [0,1), got {self.brightness_delta}")
 

@@ -29,6 +29,7 @@ import numpy as np
 from . import tensor as T
 from .config import ConfigError
 from .lca import EmptyKernelError, LcaConfig, check_extent, lca_forward
+from .rng import Rng
 from .tensor import Parameter, ShapeError, Tensor
 
 
@@ -317,6 +318,10 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     rng_state = r.take(32)
     if r.pos != len(r.blob):
         raise CheckpointError(f"{path}: {len(r.blob) - r.pos} trailing bytes")
+    try:
+        Rng.from_state_bytes(rng_state)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
     try:
         backbone = BackboneConfig(BACKBONE_KINDS[bk], channels, (h, w))

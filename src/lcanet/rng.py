@@ -144,17 +144,6 @@ class Rng:
 
     # -- state persistence ----------------------------------------------
 
-    @property
-    def state(self) -> tuple[int, int, int, int]:
-        return tuple(self._s)
-
-    @state.setter
-    def state(self, words) -> None:
-        words = [int(w) & _MASK64 for w in words]
-        if len(words) != 4 or not any(words):
-            raise ValueError("rng state must be four u64 words, not all zero")
-        self._s = words
-
     def state_bytes(self) -> bytes:
         return b"".join(w.to_bytes(8, "little") for w in self._s)
 
@@ -162,6 +151,8 @@ class Rng:
     def from_state_bytes(cls, raw: bytes) -> "Rng":
         if len(raw) != 32:
             raise ValueError(f"rng state must be 32 bytes, got {len(raw)}")
+        if not any(raw):
+            raise ValueError("rng state must be four u64 words, not all zero")
         rng = cls.__new__(cls)
-        rng.state = [int.from_bytes(raw[i : i + 8], "little") for i in range(0, 32, 8)]
+        rng._s = [int.from_bytes(raw[i : i + 8], "little") for i in range(0, 32, 8)]
         return rng

@@ -62,13 +62,6 @@ def no_grad():
         _grad_enabled = saved
 
 
-def _as_dtype(dtype):
-    dt = np.dtype(dtype)
-    if dt.type not in DTYPES:
-        raise TypeError(f"unsupported dtype {dt}; use float32 or float64")
-    return dt
-
-
 class Node:
     """One tape entry: operation tag, inputs and the adjoint rule.
 
@@ -87,15 +80,10 @@ class Node:
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node")
 
-    def __init__(self, data, dtype=None, requires_grad: bool = False):
-        if isinstance(data, Tensor):
-            data = data.data
-        if dtype is None:
-            arr = np.asarray(data)
-            if arr.dtype.type not in DTYPES:
-                arr = arr.astype(np.float32)
-        else:
-            arr = np.asarray(data, dtype=_as_dtype(dtype))
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
+        if arr.dtype.type not in DTYPES:
+            arr = arr.astype(np.float32)
         # note: not ascontiguousarray, which would promote 0-d scalars to 1-d
         self.data = np.asarray(arr, order="C")
         self.requires_grad = bool(requires_grad)
@@ -134,8 +122,8 @@ class Parameter(Tensor):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, data, dtype=None):
-        super().__init__(data, dtype=dtype, requires_grad=True)
+    def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
 
     def __repr__(self):
@@ -436,30 +424,20 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
 
 def tensor_sum(x: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        return _record("sum", x.data.sum(), (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
-    axis = int(axis)
-
     def grad_fn(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, x.shape).copy(),)
 
     return _record("sum", x.data.sum(axis=axis), (x,), grad_fn)
 
 
 def tensor_mean(x: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        n = x.size
-        return _record(
-            "mean",
-            x.data.mean(),
-            (x,),
-            lambda g: ((np.broadcast_to(g, x.shape) / np.asarray(n, dtype=x.dtype)).astype(x.dtype),),
-        )
-    axis = int(axis)
-    n = x.shape[axis]
+    n = x.size if axis is None else x.shape[axis]
 
     def grad_fn(g):
-        expanded = np.expand_dims(g, axis) / np.asarray(n, dtype=x.dtype)
-        return (np.broadcast_to(expanded, x.shape).astype(x.dtype),)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g / np.asarray(n, dtype=x.dtype), x.shape).astype(x.dtype),)
 
     return _record("mean", x.data.mean(axis=axis), (x,), grad_fn)

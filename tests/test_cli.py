@@ -7,12 +7,15 @@ codes and stdout formats are part of the tool's contract (0 ok,
 
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lcanet import Rng, build_model, save_checkpoint, write_feature_file, write_ppm
+from lcanet import Rng, build_model, gradcheck, save_checkpoint, write_feature_file, write_ppm
 from lcanet.cli import main
 from lcanet.model import BackboneConfig
 from lcanet.lca import LcaConfig
@@ -282,6 +285,119 @@ def test_train_translate_wider_than_the_image_exits_0(workdir, capsys):
     assert "trained 1 epoch(s)" in capsys.readouterr().out
 
 
+def test_train_translate_beyond_the_randint_bound_exits_2_and_writes_nothing(workdir, capsys):
+    """randint(2*t + 1) takes a bound of at most 2**64: t = 2**63 is a config error."""
+    make_data(workdir)
+    cfg = write_cfg(workdir, **{"aug.translate_px": str(2**63)})
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "aug.translate_px" in err
+    assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("train_labels,test_labels,message", [
+    ([], [0, 1], "training split is empty"),
+    ([0, 0, 0, 0], [0, 0], "single class"),
+    ([0, 1, 0, 1], [0, 2], "test split labels reach 2"),
+], ids=["empty", "one_class", "test_label_beyond"])
+def test_train_unusable_feature_split_exits_3(workdir, capsys, train_labels, test_labels,
+                                              message):
+    write_feature_file("train.lcaf", np.ones((len(train_labels), 4, 3, 3), np.float32),
+                       train_labels)
+    write_feature_file("test.lcaf", np.ones((len(test_labels), 4, 3, 3), np.float32),
+                       test_labels)
+    cfg = write_cfg(workdir, backbone="external_features", channels="4",
+                    **{"data.format": "lcaf", "data.train": "train.lcaf",
+                       "data.test": "test.lcaf"})
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and message in err and "Traceback" not in err
+    assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
+
+
+def test_train_data_train_unset_exits_3(workdir, capsys):
+    make_data(workdir)
+    cfg = write_cfg(workdir, **{"data.train": ""})
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "data.train is not set" in err
+    assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
+
+
+def test_train_resume_into_csv_with_a_non_epoch_row_exits_3(workdir, capsys):
+    """The bad row is refused before the CSV is rewritten: both files stay as they were."""
+    make_data(workdir)
+    assert main(["train", "--config", str(write_cfg(workdir))]) == 0
+    with open(workdir / "metrics.csv", "a") as fh:
+        fh.write("total,1,2,3,4,5,6,7\n")
+    csv, ckpt = (workdir / "metrics.csv").read_bytes(), (workdir / "model.lcac").read_bytes()
+    cfg = write_cfg(workdir, name="two.cfg", epochs="2")
+    assert main(["train", "--config", str(cfg), "--resume", "model.lcac"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "epoch number" in err
+    assert (workdir / "metrics.csv").read_bytes() == csv
+    assert (workdir / "model.lcac").read_bytes() == ckpt
+
+
+def _zero_rng_state(path):
+    """Overwrite the checkpoint's trailing 32-byte rng state with zeros."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-32] + bytes(32))
+
+
+def test_train_resume_from_an_all_zero_rng_state_exits_3_and_changes_nothing(workdir, capsys):
+    make_data(workdir)
+    assert main(["train", "--config", str(write_cfg(workdir))]) == 0
+    _zero_rng_state(workdir / "model.lcac")
+    csv, ckpt = (workdir / "metrics.csv").read_bytes(), (workdir / "model.lcac").read_bytes()
+    cfg = write_cfg(workdir, name="two.cfg", epochs="2")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--resume", "model.lcac"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "not all zero" in err
+    assert (workdir / "metrics.csv").read_bytes() == csv
+    assert (workdir / "model.lcac").read_bytes() == ckpt
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+def test_checkpoint_with_an_all_zero_rng_state_exits_3(workdir, capsys, command):
+    make_data(workdir)
+    assert main(["train", "--config", str(write_cfg(workdir))]) == 0
+    _zero_rng_state(workdir / "model.lcac")
+    argv = [command, "--ckpt", "model.lcac"] + (["--data", "data/test"] if command == "eval" else [])
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "not all zero" in err
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Two steps of a 7x7x512 head with embed_dim 512 and batch 16: the
+    fc_weight gradient reduces over H*W*B, which a multi-threaded BLAS splits
+    by thread count. The command pins one thread, so both runs match."""
+    gen = np.random.default_rng(0)
+    write_feature_file(tmp_path / "maps.lcaf",
+                       gen.standard_normal((32, 512, 7, 7), dtype=np.float32), np.arange(32) % 4)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        run = tmp_path / f"threads_{threads}"
+        run.mkdir()
+        cfg = write_cfg(run, backbone="external_features", channels="512", batch_size="16",
+                        **{"lca.embed_dim": "512", "data.format": "lcaf",
+                           "data.train": "../maps.lcaf", "data.test": "../maps.lcaf"})
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "lcanet.cli", "train", "--config", str(cfg)],
+                              cwd=run, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        rows = (run / "metrics.csv").read_text().splitlines()
+        runs.append(((run / "model.lcac").read_bytes(), [r.rsplit(",", 1)[0] for r in rows]))
+    assert runs[0][1] == runs[1][1]
+    assert runs[0][0] == runs[1][0]
+
+
 def test_train_resume_into_foreign_csv_exits_3(workdir):
     make_data(workdir)
     cfg = write_cfg(workdir, epochs="2")
@@ -503,6 +619,16 @@ def test_train_input_size_beyond_numpy_size_limit_exits_3(workdir, capsys):
     assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
 
 
+def test_eval_empty_feature_file_exits_3(workdir, capsys):
+    model = build_model(BackboneConfig("external_features", (4,), (3, 3)), None, 2, rng=Rng(0))
+    save_checkpoint(model, "feat.lcac", velocities={}, epoch=0,
+                    rng_state=Rng(0).state_bytes())
+    write_feature_file("empty.lcaf", np.zeros((0, 4, 3, 3), dtype=np.float32), [])
+    assert main(["eval", "--ckpt", "feat.lcac", "--data", "empty.lcaf"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "no samples" in err
+
+
 def test_eval_labels_beyond_model_classes_exit_3(workdir):
     make_data(workdir, classes=2)
     cfg = write_cfg(workdir)
@@ -525,10 +651,19 @@ def test_gradcheck_passes_and_reports(workdir, capsys):
     assert "e2e_tiny_lca" in out
 
 
-def test_gradcheck_mutation_fixture_exits_1(workdir, capsys):
-    assert main(["gradcheck", "--mutate"]) == 1
+def test_gradcheck_mutation_fixture_exits_1(workdir, capsys, monkeypatch):
+    """A red check in the suite makes the command exit 1 and name it."""
+    monkeypatch.setattr(gradcheck, "_CHECKS", [("always_red", lambda rng: 1.0, 1e-6)])
+    assert main(["gradcheck"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out and "FAILED:" in out
+    assert "FAIL" in out and "FAILED: always_red" in out
+
+
+def test_gradcheck_takes_no_option_but_seed(workdir, capsys):
+    with pytest.raises(SystemExit):
+        main(["gradcheck", "--help"])
+    out = capsys.readouterr().out
+    assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out)) == {"-h", "--help", "--seed"}
 
 
 # ---------------------------------------------------------------------------

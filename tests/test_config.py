@@ -162,6 +162,7 @@ _FEATURES = "backbone = external_features\ndata.format = lcaf\n"
         ("backbone = external_features", "data.format"),
         ("aug.brightness = 1.5", "aug.brightness"),
         ("aug.noise_sigma = -0.1", "aug.noise_sigma"),
+        (f"aug.translate_px = {2**63}", "aug.translate_px"),
         (f"{_FEATURES}aug.translate_px = 1", "aug.translate_px"),
         (f"{_FEATURES}aug.brightness = 0.1", "aug.brightness"),
         (f"{_FEATURES}aug.noise_sigma = 0.05", "aug.noise_sigma"),

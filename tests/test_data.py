@@ -70,6 +70,7 @@ def test_ppm_header_comments_are_skipped(tmp_path):
         b"P6\n1\n255\n" + bytes(3),                 # header missing a field
         b"P6\nx 1\n255\n" + bytes(3),               # non-numeric dimension
         b"P6\n0 1\n255\n",                          # zero extent
+        b"P6\n1 1",                                 # header cut short
     ],
 )
 def test_ppm_malformed_inputs(tmp_path, blob):
@@ -215,6 +216,15 @@ def test_lcaf_bad_magic(tmp_path):
     path = tmp_path / "m.lcaf"
     path.write_bytes(b"WHAT" + bytes(20))
     with pytest.raises(DataError):
+        load_feature_file(path)
+
+
+def test_lcaf_unsupported_version(tmp_path):
+    path = tmp_path / "v.lcaf"
+    write_feature_file(path, np.zeros((2, 1, 2, 2), dtype=np.float32), [0, 1])
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:])
+    with pytest.raises(DataError, match="unsupported LCAF version 2"):
         load_feature_file(path)
 
 
@@ -409,6 +419,9 @@ def test_shift_beyond_the_image_is_all_zero(dr, dc):
 def test_augment_config_validation():
     with pytest.raises(ValueError):
         AugmentConfig(-1, 0.0, 0.0, False)
+    AugmentConfig(2**63 - 1, 0.0, 0.0, False)  # 2*t + 1 is a randint bound: <= 2**64
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        AugmentConfig(2**63, 0.0, 0.0, False)
     with pytest.raises(ValueError):
         AugmentConfig(0, 1.0, 0.0, False)
     with pytest.raises(ValueError):

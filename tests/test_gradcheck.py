@@ -2,13 +2,15 @@
 
 run_suite is the package's own verification tool; here we verify the
 verifier: it must report tiny errors for correct adjoints, and it must
-*fail loudly* when an adjoint is deliberately wrong (the mutation fixture).
+*fail loudly* when an adjoint is deliberately wrong (a test fake swapped into
+the suite).
 """
 
 import numpy as np
 import pytest
 
 import lcanet.tensor as T
+from lcanet import gradcheck
 from lcanet.gradcheck import (
     COMPOSITE_TOL,
     N_SEEDS,
@@ -111,12 +113,27 @@ class TestSuite:
         assert by_name["lca_layer"].tol == COMPOSITE_TOL
         assert by_name["e2e_tiny_lca"].tol == COMPOSITE_TOL
 
-    def test_mutation_fixture_fails_the_suite(self):
-        results = run_suite(seed=0, n_seeds=1, mutate=True)
-        mutated = [r for r in results if "mutated" in r.name]
-        assert len(mutated) == 1
-        assert not mutated[0].passed
-        assert mutated[0].max_rel > 1e-2
+    def test_mutation_fixture_fails_the_suite(self, monkeypatch):
+        """A check over a wrong adjoint, swapped into the suite, comes out red."""
+
+        def leaky_relu(v):
+            # wrong on purpose: half the gradient leaks through the dead side
+            return T._record("relu_mutated", np.fmax(v.data, 0), (v,),
+                             lambda g: (np.where(v.data > 0, g, 0.5 * g),))
+
+        def check_leaky_relu(rng):
+            raw = rng.uniform_array((3, 7), -1.0, 1.0, dtype=np.float64)
+            x = Tensor(np.sign(raw) * (0.01 + np.abs(raw)), requires_grad=True)
+            return grad_check(lambda v: T.tensor_sum(leaky_relu(v)), x)
+
+        monkeypatch.setattr(gradcheck, "_CHECKS",
+                            [("relu", gradcheck._check_relu, OP_TOL),
+                             ("relu_mutated", check_leaky_relu, OP_TOL)])
+        results = run_suite(seed=0, n_seeds=1)
+        assert [r.name for r in results] == ["relu", "relu_mutated"]
+        assert results[0].passed
+        assert not results[1].passed
+        assert results[1].max_rel > 1e-2
 
     def test_default_seed_count_is_ten(self):
         assert N_SEEDS == 10

@@ -77,7 +77,7 @@ def test_init_takes_one_stream_draw_per_weight(backbone, head, lca_cfg):
     assert len(weights) < len(m.parameters())
     for _ in weights:
         b.next_u64()
-    assert a.state == b.state
+    assert a.state_bytes() == b.state_bytes()
 
 
 def test_parameter_names_are_stable():
@@ -344,6 +344,44 @@ class TestCorruptFiles:
         at = 14 + name_len + 1
         path.write_bytes(raw[:at] + bytes([65]) + bytes(4 * 65) + raw[at + 1:])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_param_renamed(self, blob):
+        path, raw = blob
+        path.write_bytes(raw.replace(b"cls_bias", b"cls_bixs"))
+        with pytest.raises(CheckpointError, match="not in the architecture"):
+            load_checkpoint(path)
+
+    def test_unknown_dtype_tag(self, blob):
+        path, raw = blob
+        at = 14 + int.from_bytes(raw[12:14], "little")  # the first entry's dtype tag
+        path.write_bytes(raw[:at] + bytes([2]) + raw[at + 1:])
+        with pytest.raises(CheckpointError, match="unknown dtype tag 2"):
+            load_checkpoint(path)
+
+    def test_param_missing(self, tmp_path):
+        m = small_model()
+        del m._params["cls_bias"]
+        path = tmp_path / "m.lcac"
+        save_checkpoint(m, path, velocities={}, epoch=3, rng_state=RNG_STATE)
+        with pytest.raises(CheckpointError, match="!= expected"):
+            load_checkpoint(path)
+
+    def test_velocity_name_patched_to_an_unknown_param(self, tmp_path):
+        path = tmp_path / "m.lcac"
+        save_checkpoint(small_model(), path, velocities={"cls_bias": np.zeros(3, np.float32)},
+                        epoch=3, rng_state=RNG_STATE)
+        raw = path.read_bytes()
+        at = raw.rindex(b"cls_bias")  # the velocity table follows the parameter table
+        path.write_bytes(raw[:at] + b"cls_bixs" + raw[at + 8:])
+        with pytest.raises(CheckpointError, match="velocity for unknown param"):
+            load_checkpoint(path)
+
+    def test_velocity_of_the_wrong_shape(self, tmp_path):
+        path = tmp_path / "m.lcac"
+        save_checkpoint(small_model(), path, velocities={"cls_bias": np.zeros(4, np.float32)},
+                        epoch=3, rng_state=RNG_STATE)
+        with pytest.raises(CheckpointError, match="velocity cls_bias: shape"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("offset", [0, 1], ids=["backbone_tag", "head_tag"])

@@ -43,10 +43,17 @@ def test_state_roundtrip_resumes_stream():
     r = Rng(9)
     for _ in range(17):
         r.next_u64()
-    snap = r.state
+    snap = r.state_bytes()
     ahead = [r.next_u64() for _ in range(10)]
-    r.state = snap
+    r = Rng.from_state_bytes(snap)
     assert [r.next_u64() for _ in range(10)] == ahead
+
+
+@pytest.mark.parametrize("raw", [bytes(31), bytes(33), bytes(32)],
+                         ids=["short", "long", "all_zero"])
+def test_from_state_bytes_rejects_a_bad_state(raw):
+    with pytest.raises(ValueError):
+        Rng.from_state_bytes(raw)
 
 
 def test_state_bytes_roundtrip():
@@ -106,7 +113,7 @@ def test_uniform_array_advances_the_stream_by_one_draw(shape):
     a, b = Rng(33), Rng(33)
     a.uniform_array(shape, 0.0, 1.0)
     b.next_u64()
-    assert a.state == b.state
+    assert a.state_bytes() == b.state_bytes()
 
 
 def test_uniform_array_values_in_half_open_range():
@@ -133,16 +140,16 @@ def test_randint_hits_every_bucket():
 def test_randint_full_u64_range_is_one_draw():
     a, b = Rng(13), Rng(13)
     assert a.randint(2**64) == b.next_u64()
-    assert a.state == b.state
+    assert a.state_bytes() == b.state_bytes()
 
 
 @pytest.mark.parametrize("n", [0, -1, 2**64 + 1, 2**65, 2**200])
 def test_randint_bound_outside_one_to_2_64_raises(n):
     r = Rng(14)
-    before = r.state
+    before = r.state_bytes()
     with pytest.raises(ValueError, match="2\\*\\*64"):
         r.randint(n)
-    assert r.state == before
+    assert r.state_bytes() == before
 
 
 def test_normal_moments():
@@ -184,7 +191,7 @@ def test_normal_array_advances_the_stream_by_one_draw(shape):
     a, b = Rng(31), Rng(31)
     a.normal_array(shape, sigma=1.0)
     b.next_u64()
-    assert a.state == b.state
+    assert a.state_bytes() == b.state_bytes()
 
 
 def test_successive_normal_arrays_differ():
