@@ -10,7 +10,6 @@ to the gradient.
 import numpy as np
 
 from lcanet import losses, tensor as T
-from lcanet.losses import LossConfig
 from lcanet.rng import Rng
 from lcanet.tensor import Tensor, backward
 
@@ -29,7 +28,7 @@ print("entropy:", round(losses.entropy(logp).item(), 6),
 
 print("\nlambda   combined loss")
 for lam in (0.0, 0.05, 0.1, 0.5, 1.0):
-    val = losses.max_entropy_loss(logits, target, LossConfig(lambda_entropy=lam))
+    val = losses.max_entropy_loss(logits, target, lam)
     print(f" {lam:<7} {val.item():.6f}")
 
 # The entropy term's gradient pushes logits toward uniform. At uniform

@@ -35,7 +35,7 @@ from .lca import (
     enumerate_kernels,
     lca_forward,
 )
-from .losses import LossConfig, entropy, loss_terms, max_entropy_loss, nll_loss
+from .losses import entropy, loss_terms, max_entropy_loss, nll_loss
 from .model import (
     BackboneConfig,
     CheckpointError,

@@ -2,7 +2,7 @@
 
 Subcommands: ``train``, ``eval``, ``gradcheck``, ``synth``, ``inspect``.
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 I/O or data error, 4 numerical divergence.
+3 I/O or data error (out of memory included), 4 numerical divergence.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .data import DataError
 from .gradcheck import run_suite
 from .model import CheckpointError
 from .tensor import NumericsError, ShapeError
-from .train import evaluate, load_split, run_training
+from .train import check_split, evaluate, load_split, run_training
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -48,11 +48,7 @@ def cmd_eval(args) -> int:
     ds = load_split(model.backbone.kind, args.data, model.backbone.input_size)
     if len(ds) == 0:
         raise DataError(f"{args.data}: no samples")
-    if int(ds.labels.max()) >= model.num_classes:
-        raise DataError(
-            f"data labels reach {int(ds.labels.max())}, "
-            f"model has {model.num_classes} classes"
-        )
+    check_split(ds, model.backbone, model.num_classes, args.data)
 
     result = evaluate(model, ds)
     print(f"accuracy={100.0 * result.accuracy:.4f}%")
@@ -165,6 +161,9 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -86,10 +86,6 @@ class RunConfig:
     ckpt_out: str = "ckpt.lcac"
     log_csv: str = "log.csv"
 
-    @property
-    def schedule(self):
-        return ((self.lr_step_epoch, self.lr_step_factor),) if self.lr_step_epoch > 0 else ()
-
 
 # config-file key -> (attribute, value parser)
 _KEYS = {

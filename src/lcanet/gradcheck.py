@@ -210,8 +210,7 @@ def _check_entropy(rng):
 def _check_max_entropy(rng):
     logits = _t(rng, (4, 5), -2.0, 2.0)
     targets = np.array([rng.randint(5) for _ in range(4)])
-    cfg = losses.LossConfig(lambda_entropy=0.1)
-    return grad_check(lambda z: losses.max_entropy_loss(z, targets, cfg), logits)
+    return grad_check(lambda z: losses.max_entropy_loss(z, targets, 0.1), logits)
 
 
 def _kink_margin(loss: Tensor) -> float:
@@ -258,7 +257,6 @@ _E2E_MARGIN = 100 * DEFAULT_EPS
 
 
 def _e2e(rng, lca_cfg, input_hw: int):
-    cfg = losses.LossConfig(lambda_entropy=0.1)
     for _ in range(64):
         m = model_mod.build_model(
             model_mod.BackboneConfig("tiny_cnn", (2, 3), (input_hw, input_hw)),
@@ -285,7 +283,7 @@ def _e2e(rng, lca_cfg, input_hw: int):
         targets = np.array([rng.randint(3), rng.randint(3)])
 
         def f(*_params):
-            return losses.max_entropy_loss(m.forward(x), targets, cfg)
+            return losses.max_entropy_loss(m.forward(x), targets, 0.1)
 
         if _kink_margin(f()) > _E2E_MARGIN:
             return grad_check(f, m.parameters())

@@ -10,23 +10,11 @@ legal inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor
 from .tensor import _record  # intra-package: registering two bespoke adjoints
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    lambda_entropy: float = 0.1
-
-    def __post_init__(self):
-        lam = self.lambda_entropy
-        if not np.isfinite(lam) or lam < 0:
-            raise ValueError(f"lambda_entropy must be finite and >= 0, got {lam}")
 
 
 def nll_loss(logp: Tensor, targets) -> Tensor:
@@ -72,20 +60,22 @@ def entropy(logp: Tensor) -> Tensor:
     return _record("entropy", np.asarray(out, dtype=logp.dtype), (logp,), grad_fn)
 
 
-def loss_terms(logits: Tensor, targets, cfg: LossConfig) -> tuple[Tensor, Tensor, Tensor]:
+def loss_terms(logits: Tensor, targets, lambda_entropy: float) -> tuple[Tensor, Tensor, Tensor]:
     """(NLL − λ·entropy, NLL, entropy), all over log_softmax(logits).
 
-    With λ = 0 the loss is the NLL tensor itself; the entropy is still
-    computed, for reporting, but does not feed the loss.
+    λ must be finite and >= 0. With λ = 0 the loss is the NLL tensor itself;
+    the entropy is still computed, for reporting, but does not feed the loss.
     """
+    if not np.isfinite(lambda_entropy) or lambda_entropy < 0:
+        raise ValueError(f"lambda_entropy must be finite and >= 0, got {lambda_entropy}")
     logp = T.log_softmax(logits)
     nll = nll_loss(logp, targets)
     ent = entropy(logp)
-    if cfg.lambda_entropy == 0.0:
+    if lambda_entropy == 0.0:
         return nll, nll, ent
-    return T.sub(nll, T.scale(ent, cfg.lambda_entropy)), nll, ent
+    return T.sub(nll, T.scale(ent, lambda_entropy)), nll, ent
 
 
-def max_entropy_loss(logits: Tensor, targets, cfg: LossConfig) -> Tensor:
+def max_entropy_loss(logits: Tensor, targets, lambda_entropy: float) -> Tensor:
     """NLL − λ·entropy, both taken over log_softmax(logits)."""
-    return loss_terms(logits, targets, cfg)[0]
+    return loss_terms(logits, targets, lambda_entropy)[0]

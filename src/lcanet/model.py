@@ -59,6 +59,12 @@ class BackboneConfig:
         if any(c < 1 for c in self.channels):
             raise ConfigError(f"channel counts must be >= 1, got {self.channels}")
 
+    def input_shape(self) -> tuple:
+        """(C, H, W) of one sample this backbone reads."""
+        if self.kind == "tiny_cnn":
+            return (3, *self.input_size)
+        return self.feature_shape()
+
     def feature_shape(self) -> tuple:
         """(C, H', W') of the map this backbone hands the head."""
         h, w = self.input_size
@@ -113,14 +119,11 @@ class Model:
     # -- forward -------------------------------------------------------------
 
     def feature_map(self, x: Tensor) -> Tensor:
+        c, h, w = self.backbone.input_shape()
+        if x.ndim != 4 or x.shape[1:] != (c, h, w):
+            raise ShapeError(f"input batch {x.shape} != (B, {c}, {h}, {w})")
         if self.backbone.kind == "external_features":
-            c, h, w = self.backbone.feature_shape()
-            if x.ndim != 4 or x.shape[1:] != (c, h, w):
-                raise ShapeError(f"feature batch {x.shape} != (B, {c}, {h}, {w})")
             return x
-        h, w = self.backbone.input_size
-        if x.ndim != 4 or x.shape[1:] != (3, h, w):
-            raise ShapeError(f"image batch {x.shape} != (B, 3, {h}, {w})")
         y = T.conv2d(x, self.param("conv1_weight"), self.param("conv1_bias"), 1, 1)
         y = T.maxpool2d(T.relu(y), 2, 2)
         y = T.conv2d(y, self.param("conv2_weight"), self.param("conv2_bias"), 1, 1)
@@ -242,7 +245,7 @@ class _Reader:
         if rank > 4:  # no parameter has more axes than a conv kernel
             raise CheckpointError(f"param {name}: rank {rank} exceeds 4")
         shape = tuple(self.u("<I") for _ in range(rank))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        count = math.prod(shape)  # a Python int: declared dims cannot wrap around
         data = np.frombuffer(self.take(4 * count), dtype="<f4").reshape(shape)
         return name, data.astype(np.float32)
 

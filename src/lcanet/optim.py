@@ -1,4 +1,4 @@
-"""SGD with classical (heavy-ball) momentum and a step learning-rate schedule.
+"""SGD with classical (heavy-ball) momentum.
 
 Update rule, per parameter: v <- mu*v + g, then theta <- theta - lr*v.
 No dampening, no Nesterov lookahead. Weight decay, when nonzero, is applied
@@ -15,24 +15,19 @@ from .tensor import ContractError, Parameter
 
 class SGD:
     def __init__(self, params, lr: float, momentum: float = 0.0,
-                 weight_decay: float = 0.0, schedule=()):
+                 weight_decay: float = 0.0):
         params = list(params)
         if lr <= 0:
             raise ValueError(f"lr must be > 0, got {lr}")
         if not 0 <= momentum < 1:
             raise ValueError(f"momentum must be in [0,1), got {momentum}")
-        for epoch, factor in schedule:
-            if factor <= 0:
-                raise ValueError(f"schedule factor at epoch {epoch} must be > 0")
         names = [p.name for p in params if isinstance(p, Parameter)]
         if len(names) != len(params) or len(set(names)) != len(names):
             raise ContractError("params must be uniquely named Parameters")
         self.params = params
-        self.base_lr = float(lr)
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.schedule = tuple((int(e), float(f)) for e, f in schedule)
         self.velocity = {p.name: np.zeros_like(p.data) for p in params}
 
     def step(self) -> None:
@@ -50,11 +45,3 @@ class SGD:
             if wd:
                 p.data -= np.asarray(lr * wd, dtype=p.dtype) * p.data
             p.grad[...] = 0
-
-    def apply_schedule(self, epoch: int) -> None:
-        """lr = base_lr times every multiplier whose epoch has been reached."""
-        lr = self.base_lr
-        for at_epoch, factor in self.schedule:
-            if epoch >= at_epoch:
-                lr *= factor
-        self.lr = lr

@@ -187,7 +187,6 @@ def backward(loss: Tensor) -> None:
     nodes.sort(key=lambda n: n.seq, reverse=True)
 
     adjoint = {id(loss.node): np.ones((), dtype=loss.dtype)}
-    leaves = {}
     for node in nodes:
         g = adjoint.pop(id(node), None)
         if g is None:
@@ -196,16 +195,12 @@ def backward(loss: Tensor) -> None:
             if gp is None or not p.requires_grad:
                 continue
             if p.node is None:
-                prev = leaves.get(id(p))
-                leaves[id(p)] = (p, gp if prev is None else prev[1] + gp)
+                if p.grad is None:
+                    p.grad = np.zeros_like(p.data)
+                p.grad += gp.astype(p.dtype, copy=False)
             else:
                 acc = adjoint.get(id(p.node))
                 adjoint[id(p.node)] = gp if acc is None else acc + gp
-
-    for p, g in leaves.values():
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-        p.grad += g.astype(p.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,20 @@ def _load_split(cfg: RunConfig, path: str, which: str) -> data_mod.Dataset:
     return load_split(cfg.backbone, path, cfg.input_size)
 
 
+def check_split(ds: data_mod.Dataset, backbone: model_mod.BackboneConfig,
+                num_classes: int, what: str) -> None:
+    """Refuse a split whose samples are not the (C, H, W) ``backbone`` reads,
+    or whose labels reach ``num_classes``."""
+    got, want = tuple(ds.inputs.shape[1:]), backbone.input_shape()
+    if got != want:
+        raise DataError(f"{what} split maps are {got} (channels, H, W); the model reads {want}")
+    if len(ds) and int(ds.labels.max()) >= num_classes:
+        raise DataError(
+            f"{what} split labels reach {int(ds.labels.max())}, "
+            f"but the model has {num_classes} classes"
+        )
+
+
 def evaluate(model: model_mod.Model, ds: data_mod.Dataset, batch_size: int = 256) -> EvalResult:
     k = model.num_classes
     correct = np.zeros(k, dtype=np.int64)
@@ -101,32 +115,23 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
 
     train_ds = _load_split(cfg, cfg.data_train, "train")
     test_ds = _load_split(cfg, cfg.data_test, "test")
-    if test_ds.inputs.shape[1:] != train_ds.inputs.shape[1:]:
-        raise DataError(
-            f"test split maps are {test_ds.inputs.shape[1:]} (C, H, W), "
-            f"but training split maps are {train_ds.inputs.shape[1:]}"
-        )
     if len(train_ds) < 1:
         raise DataError("training split is empty")
+    # Image trees number their classes by sorted directory name.
+    if test_ds.class_names != train_ds.class_names:
+        raise DataError(f"test split classes {test_ds.class_names} are not the training "
+                        f"split's {train_ds.class_names}")
 
     num_classes = int(train_ds.labels.max()) + 1
     if num_classes < 2:
         raise DataError("training split holds a single class; need at least 2")
-    if len(test_ds) and int(test_ds.labels.max()) >= num_classes:
-        raise DataError(
-            f"test split labels reach {int(test_ds.labels.max())}, "
-            f"but the training split defines {num_classes} classes"
-        )
 
     # external_features reads its H x W from the maps; input_size sizes images.
     hw = train_ds.inputs.shape[2:] if cfg.backbone == "external_features" else cfg.input_size
     backbone = model_mod.BackboneConfig(cfg.backbone, tuple(cfg.channels), hw)
     lca_cfg = LcaConfig(cfg.lca_embed_dim, cfg.lca_include_one_by_k) if cfg.head == "lca" else None
-    if backbone.kind == "external_features" and backbone.channels[0] != train_ds.inputs.shape[1]:
-        raise DataError(
-            f"config key channels is {cfg.channels[0]}, but the training maps "
-            f"have {train_ds.inputs.shape[1]} channels"
-        )
+    check_split(train_ds, backbone, num_classes, "training")
+    check_split(test_ds, backbone, num_classes, "test")
 
     loaded = None
     if resume is None:
@@ -158,7 +163,6 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
         lr=cfg.lr,
         momentum=cfg.momentum,
         weight_decay=cfg.weight_decay,
-        schedule=cfg.schedule,
     )
     if loaded:
         for name, vel in loaded.velocities.items():
@@ -171,7 +175,6 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
         gauss_noise_sigma=cfg.aug_noise_sigma,
         hflip=cfg.aug_hflip,
     )
-    loss_cfg = losses.LossConfig(lambda_entropy=cfg.lambda_entropy)
 
     kept = _rows_before(cfg.log_csv, start_epoch) if loaded else []
     tmp = f"{cfg.log_csv}.tmp"
@@ -183,7 +186,7 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
         last_row = None
         for epoch in range(start_epoch, cfg.epochs):
             t0 = time.perf_counter()
-            optim.apply_schedule(epoch)
+            optim.lr = cfg.lr * cfg.lr_step_factor if 0 < cfg.lr_step_epoch <= epoch else cfg.lr
 
             loss_sum = nll_sum = ent_sum = 0.0
             hits = seen = 0
@@ -195,7 +198,7 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
                 # the way there are redundant noise.
                 with np.errstate(over="ignore", invalid="ignore"):
                     logits = model.forward(x)
-                    loss, nll, ent = losses.loss_terms(logits, b.labels, loss_cfg)
+                    loss, nll, ent = losses.loss_terms(logits, b.labels, cfg.lambda_entropy)
 
                 lv, nv, ev = loss.item(), nll.item(), ent.item()
                 if not math.isfinite(lv):

@@ -7,6 +7,7 @@ codes and stdout formats are part of the tool's contract (0 ok,
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -315,6 +316,19 @@ def test_train_unusable_feature_split_exits_3(workdir, capsys, train_labels, tes
     assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
 
 
+def test_train_test_tree_with_other_classes_exits_3_and_writes_nothing(workdir, capsys):
+    """Each tree numbers its classes by sorted directory name, so a test tree
+    without class_00 would call class_02 label 1."""
+    make_data(workdir, classes=3)
+    shutil.rmtree(workdir / "data" / "test" / "class_00")
+    capsys.readouterr()
+    assert main(["train", "--config", str(write_cfg(workdir))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert "['class_01', 'class_02']" in err and "['class_00', 'class_01', 'class_02']" in err
+    assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
+
+
 def test_train_data_train_unset_exits_3(workdir, capsys):
     make_data(workdir)
     cfg = write_cfg(workdir, **{"data.train": ""})
@@ -529,6 +543,7 @@ def test_eval_feature_maps_of_another_extent_exit_3(workdir, capsys):
     assert main(["eval", "--ckpt", "feat.lcac", "--data", "big.lcaf"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "Traceback" not in err
+    assert "big.lcaf split maps are (4, 9, 9)" in err  # refused before any batch runs
 
 
 def test_train_test_split_of_another_extent_exits_3(workdir, capsys):
@@ -636,6 +651,30 @@ def test_eval_labels_beyond_model_classes_exit_3(workdir):
     main(["synth", "--out", "more", "--classes", "4", "--per-class", "1",
           "--test-per-class", "1", "--seed", "1"])
     assert main(["eval", "--ckpt", "model.lcac", "--data", "more/test"]) == 3
+
+
+def test_eval_out_of_memory_exits_3(workdir):
+    """At D=512 the LCA head's [P, B*D] product for 256 maps of 14x14 is
+    5.29 GiB; under a 3 GB address-space limit numpy refuses it in evaluate."""
+    resource = pytest.importorskip("resource")
+    model = build_model(BackboneConfig("external_features", (2,), (14, 14)), LcaConfig(512), 2,
+                        rng=Rng(0))
+    save_checkpoint(model, "head.lcac", velocities={}, epoch=1, rng_state=Rng(0).state_bytes())
+    write_feature_file("maps.lcaf", np.ones((256, 2, 14, 14), np.float32), np.arange(256) % 2)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    limit = 3 * 2**30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "lcanet.cli", "eval", "--ckpt", "head.lcac", "--data", "maps.lcaf"],
+        env=env, capture_output=True, text=True, timeout=300, preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("data error: out of memory:") and "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,7 @@ _FEATURES = "backbone = external_features\ndata.format = lcaf\n"
         ("momentum = 1.0", "momentum"),
         ("weight_decay = -1", "weight_decay"),
         ("lr_step_epoch = -3", "lr_step_epoch"),
+        ("lr_step_factor = 0", "lr_step_factor"),
         ("lambda_entropy = -0.5", "lambda_entropy"),
         ("head = attention", "head"),
         ("lca.embed_dim = 0", "lca.embed_dim"),
@@ -173,13 +174,6 @@ def test_semantic_validation_names_the_key(line, key):
     with pytest.raises(ConfigError) as exc:
         parse_config(line + "\n")
     assert key in str(exc.value)
-
-
-def test_schedule_property():
-    assert parse_config("lr_step_epoch = 20\nlr_step_factor = 0.1\n").schedule == (
-        (20, 0.1),
-    )
-    assert parse_config("lr_step_epoch = 0\n").schedule == ()
 
 
 def test_load_config_missing_file(tmp_path):

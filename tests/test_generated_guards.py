@@ -1,0 +1,211 @@
+"""Seeded generated guards: random-shape gradient checks of the windowed
+ops, and malformed-input probes of every file and config parser.
+
+Cases come from ``np.random.default_rng`` with fixed seeds, so every run
+draws the same shapes and bytes. A gradient case passes below 1e-6 relative
+error; a parser probe may succeed or raise its documented error class, and
+nothing else.
+"""
+
+import numpy as np
+import pytest
+
+import lcanet.tensor as T
+from lcanet import (
+    BackboneConfig,
+    CheckpointError,
+    ConfigError,
+    DataError,
+    EmptyKernelError,
+    LcaConfig,
+    Rng,
+    build_model,
+    grad_check,
+    lca_forward,
+    load_checkpoint,
+    load_config,
+    load_feature_file,
+    read_ppm,
+    save_checkpoint,
+    write_feature_file,
+)
+from lcanet.config import _KEYS
+from lcanet.tensor import Tensor
+
+TOL = 1e-6
+
+
+def leaf(gen, shape):
+    return Tensor(gen.uniform(-1.0, 1.0, shape), requires_grad=True)
+
+
+def tie_free(gen, shape):
+    """Distinct values with gaps far above the finite-difference step."""
+    n = int(np.prod(shape))
+    return Tensor((gen.permutation(n) / n).reshape(shape), requires_grad=True)
+
+
+def probe_loss(f, gen):
+    """A fixed random linear functional of ``f()``: every output coordinate counts."""
+    r = Tensor(gen.uniform(-1.0, 1.0, f().shape))
+    return lambda *_: T.tensor_sum(T.mul(f(), r))
+
+
+# ---------------------------------------------------------------------------
+# adjoints
+# ---------------------------------------------------------------------------
+
+
+def test_conv2d_random_shapes():
+    gen = np.random.default_rng(101)
+    for case in range(100):
+        stride, pad = int(gen.integers(1, 4)), int(gen.integers(0, 3))
+        kh, kw = int(gen.integers(1, 4)), int(gen.integers(1, 4))
+        b, cin, cout = int(gen.integers(1, 4)), int(gen.integers(1, 4)), int(gen.integers(1, 4))
+        h = int(gen.integers(max(1, kh - 2 * pad), 7))
+        w = int(gen.integers(max(1, kw - 2 * pad), 7))
+        x, k, bias = leaf(gen, (b, cin, h, w)), leaf(gen, (cout, cin, kh, kw)), leaf(gen, (cout,))
+        loss = probe_loss(lambda: T.conv2d(x, k, bias, stride, pad), gen)
+        err = grad_check(loss, [x, k, bias])
+        assert err < TOL, (case, x.shape, k.shape, stride, pad, err)
+
+
+def test_maxpool2d_random_shapes():
+    gen = np.random.default_rng(102)
+    for case in range(100):
+        k = int(gen.integers(1, 4))
+        stride = max(1, k + int(gen.integers(-1, 2)))  # below, equal to or above k
+        h, w = int(gen.integers(k, 8)), int(gen.integers(k, 8))  # ragged edges included
+        x = tie_free(gen, (int(gen.integers(1, 3)), int(gen.integers(1, 3)), h, w))
+        loss = probe_loss(lambda: T.maxpool2d(x, k, stride), gen)
+        err = grad_check(loss, x)
+        assert err < TOL, (case, x.shape, k, stride, err)
+
+
+def test_lca_forward_random_shapes():
+    gen = np.random.default_rng(103)
+    checked = 0
+    for case in range(100):
+        h, w = int(gen.integers(1, 6)), int(gen.integers(1, 6))
+        b, c, d = int(gen.integers(1, 3)), int(gen.integers(1, 4)), int(gen.integers(1, 4))
+        inc = bool(gen.integers(0, 2))
+        fm, fw, fb = leaf(gen, (b, c, h, w)), leaf(gen, (d, c)), leaf(gen, (d,))
+        try:
+            loss = probe_loss(lambda: lca_forward(fm, fw, fb, inc), gen)
+        except EmptyKernelError:
+            continue
+        err = grad_check(loss, [fm, fw, fb])
+        assert err < TOL, (case, fm.shape, d, inc, err)
+        checked += 1
+    assert checked >= 80
+
+
+# ---------------------------------------------------------------------------
+# parsers
+# ---------------------------------------------------------------------------
+
+
+def parses_or_refuses(load, path, error):
+    """``load(path)`` either succeeds or raises ``error``; anything else fails."""
+    try:
+        load(path)
+    except error:
+        pass
+
+
+def mutations(gen, blob, n):
+    """``n`` copies of ``blob``, each with one to three random bytes replaced."""
+    for _ in range(n):
+        out = bytearray(blob)
+        for pos in gen.integers(0, len(out), int(gen.integers(1, 4))):
+            out[pos] = int(gen.integers(0, 256))
+        yield bytes(out)
+
+
+LOADERS = {
+    "checkpoint": (load_checkpoint, CheckpointError),
+    "lcaf": (load_feature_file, DataError),
+    "ppm": (read_ppm, DataError),
+}
+
+
+def valid_blob(kind, tmp_path):
+    """The bytes of a small valid checkpoint or LCAF file."""
+    path = tmp_path / f"ok.{kind}"
+    if kind == "checkpoint":
+        model = build_model(BackboneConfig("external_features", (2,), (3, 3)), LcaConfig(2), 2,
+                            rng=Rng(0))
+        vel = {p.name: np.full(p.shape, 0.5, np.float32) for p in model.parameters()}
+        save_checkpoint(model, path, velocities=vel, epoch=3, rng_state=Rng(1).state_bytes())
+    else:
+        write_feature_file(path, np.ones((3, 2, 2, 2), np.float32), [0, 1, 1])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "lcaf"])
+def test_every_truncation_is_refused(tmp_path, kind):
+    blob, (load, error) = valid_blob(kind, tmp_path), LOADERS[kind]
+    path = tmp_path / "cut"
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(error):
+            load(path)
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "lcaf"])
+def test_byte_mutations_raise_only_the_documented_error(tmp_path, kind):
+    blob, (load, error) = valid_blob(kind, tmp_path), LOADERS[kind]
+    gen = np.random.default_rng(201)
+    path = tmp_path / "mutant"
+    for mutant in mutations(gen, blob, 500):
+        path.write_bytes(mutant)
+        parses_or_refuses(load, path, error)
+
+
+@pytest.mark.parametrize("kind,head", [
+    ("checkpoint", b"LCAC\x01\x00\x00\x00"),
+    ("lcaf", b"LCAF\x01\x00\x00\x00"),
+    ("ppm", b"P6\n"),
+])
+def test_random_bytes_raise_only_the_documented_error(tmp_path, kind, head):
+    load, error = LOADERS[kind]
+    gen = np.random.default_rng(202)
+    path = tmp_path / "noise"
+    for case in range(300):
+        body = gen.integers(0, 256, int(gen.integers(0, 64)), dtype=np.uint8).tobytes()
+        path.write_bytes((head if case % 2 else b"") + body)
+        parses_or_refuses(load, path, error)
+
+
+def test_ppm_header_values_raise_only_data_error(tmp_path):
+    gen = np.random.default_rng(203)
+    tokens = ["0", "1", "2", "3", "255", "256", "-1", "65536", "4294967296", "x", "1e3", ""]
+    path = tmp_path / "img.ppm"
+    for _ in range(300):
+        w, h, maxval = (tokens[int(i)] for i in gen.integers(0, len(tokens), 3))
+        payload = bytes(int(gen.integers(0, 40)))
+        path.write_bytes(f"P6\n{w} {h}\n{maxval}\n".encode() + payload)
+        parses_or_refuses(read_ppm, path, DataError)
+
+
+def test_config_key_values_raise_only_config_error(tmp_path):
+    gen = np.random.default_rng(204)
+    keys = sorted(_KEYS) + ["lr_step", "aug", "", "=", "data.train.x"]
+    values = ["0", "1", "-1", "2", "0.5", "-0.5", "1e400", "nan", "inf", "-inf", "true", "no",
+              "maybe", "3x4", "0x4", "4x", "x", "1,2", "1,", ",", "16,32,64", "lcaf", "ppm",
+              "tiny_cnn", "external_features", "gap", "lca", str(2**63), str(2**64), "", "é"]
+    path = tmp_path / "run.cfg"
+    for _ in range(300):
+        lines = [f"{keys[int(gen.integers(0, len(keys)))]} = "
+                 f"{values[int(gen.integers(0, len(values)))]}"
+                 for _ in range(int(gen.integers(1, 4)))]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        parses_or_refuses(load_config, path, ConfigError)
+
+
+def test_config_random_bytes_raise_only_config_error(tmp_path):
+    gen = np.random.default_rng(205)
+    path = tmp_path / "noise.cfg"
+    for _ in range(300):
+        path.write_bytes(gen.integers(0, 256, int(gen.integers(0, 64)), dtype=np.uint8).tobytes())
+        parses_or_refuses(load_config, path, ConfigError)

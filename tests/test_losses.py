@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lcanet import LossConfig, Rng, entropy, loss_terms, max_entropy_loss, nll_loss
+from lcanet import Rng, entropy, loss_terms, max_entropy_loss, nll_loss
 from lcanet.gradcheck import grad_check
 from lcanet.tensor import Tensor, backward, log_softmax
 
@@ -114,7 +114,7 @@ def test_lambda_zero_is_exactly_nll():
     rng = Rng(3)
     logits = rng.uniform_array((5, 7), -3, 3, dtype=np.float64)
     ts = targets(*(Rng(4).randint(7) for _ in range(5)))
-    combined = max_entropy_loss(Tensor(logits), ts, LossConfig(0.0)).item()
+    combined = max_entropy_loss(Tensor(logits), ts, 0.0).item()
     plain = nll_loss(log_softmax(Tensor(logits)), ts).item()
     assert abs(combined - plain) <= 1e-12
 
@@ -124,11 +124,11 @@ def test_loss_terms_match_the_separate_losses_bit_for_bit(lam):
     rng = Rng(6)
     logits = Tensor(rng.uniform_array((5, 7), -3, 3, dtype=np.float32))
     ts = targets(*(rng.randint(7) for _ in range(5)))
-    loss, nll, ent = loss_terms(logits, ts, LossConfig(lam))
+    loss, nll, ent = loss_terms(logits, ts, lam)
     logp = log_softmax(logits)
     assert nll.data.tobytes() == nll_loss(logp, ts).data.tobytes()
     assert ent.data.tobytes() == entropy(logp).data.tobytes()
-    assert loss.data.tobytes() == max_entropy_loss(logits, ts, LossConfig(lam)).data.tobytes()
+    assert loss.data.tobytes() == max_entropy_loss(logits, ts, lam).data.tobytes()
     if lam == 0.0:
         assert loss is nll
 
@@ -136,7 +136,7 @@ def test_loss_terms_match_the_separate_losses_bit_for_bit(lam):
 def test_uniform_logits_closed_form():
     # ln 4 - 0.1 * ln 4 = 1.247665...
     logits = Tensor(np.zeros((1, 4)))
-    got = max_entropy_loss(logits, targets(2), LossConfig(0.1)).item()
+    got = max_entropy_loss(logits, targets(2), 0.1).item()
     assert abs(got - 0.9 * math.log(4)) < 1e-12
     assert abs(got - 1.247665) < 5e-7
 
@@ -146,7 +146,7 @@ def test_monotone_in_lambda_when_entropy_positive():
     logits = Tensor(rng.uniform_array((4, 6), -1, 1, dtype=np.float64))
     ts = targets(0, 1, 2, 3)
     values = [
-        max_entropy_loss(logits, ts, LossConfig(lam)).item()
+        max_entropy_loss(logits, ts, lam).item()
         for lam in (0.0, 0.05, 0.1, 0.5, 1.0)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -164,21 +164,24 @@ def test_combined_gradient_many_seeds():
         rng = Rng(seed)
         x = Tensor(rng.uniform_array((3, 5), -2, 2, dtype=np.float64))
         ts = targets(*(rng.randint(5) for _ in range(3)))
-        err = grad_check(lambda v: max_entropy_loss(v, ts, LossConfig(0.1)), x)
+        err = grad_check(lambda v: max_entropy_loss(v, ts, 0.1), x)
         assert err < 1e-6, (seed, err)
 
 
 def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(-0.1)
-    with pytest.raises(ValueError):
-        LossConfig(float("nan"))
+    """λ, the loss's one setting, must be finite and >= 0."""
+    logits = Tensor(np.zeros((1, 3)))
+    for lam in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            loss_terms(logits, targets(0), lam)
+        with pytest.raises(ValueError):
+            max_entropy_loss(logits, targets(0), lam)
 
 
 def test_lambda_zero_records_no_entropy_op():
     """The identity at λ=0 is structural: the entropy term is never built."""
     logits = Tensor(np.zeros((1, 3)), requires_grad=True)
-    loss = max_entropy_loss(logits, targets(0), LossConfig(0.0))
+    loss = max_entropy_loss(logits, targets(0), 0.0)
     seen = set()
     stack = [loss.node]
     while stack:

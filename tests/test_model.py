@@ -11,7 +11,6 @@ from lcanet import (
     CheckpointError,
     ConfigError,
     LcaConfig,
-    LossConfig,
     Rng,
     build_model,
     concept_count,
@@ -158,7 +157,7 @@ def test_zero_classifier_gives_uniform_predictions():
     logits = m.forward(x)
     np.testing.assert_array_equal(logits.data, np.zeros((3, 5)))
     # uniform softmax -> NLL is ln K
-    loss = max_entropy_loss(logits, np.zeros(3, dtype=np.int64), LossConfig(0.0))
+    loss = max_entropy_loss(logits, np.zeros(3, dtype=np.int64), 0.0)
     assert abs(loss.item() - np.log(5)) < 1e-6
 
 
@@ -346,6 +345,17 @@ class TestCorruptFiles:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_dims_whose_product_overflows_int64(self, blob):
+        """Four dims of 2**16 hold 2**64 elements, which wraps to 0 in int64."""
+        path, raw = blob
+        name_len = int.from_bytes(raw[12:14], "little")
+        at = 14 + name_len + 1
+        rank = raw[at]
+        dims = (1 << 16).to_bytes(4, "little") * 4
+        path.write_bytes(raw[:at] + bytes([4]) + dims + raw[at + 1 + 4 * rank:])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
     def test_param_renamed(self, blob):
         path, raw = blob
         path.write_bytes(raw.replace(b"cls_bias", b"cls_bixs"))
@@ -447,7 +457,7 @@ def test_atomic_write_leaves_no_temp_file(tmp_path):
 
 
 def _loss_on(m, x, labels):
-    return max_entropy_loss(m.forward(x), labels, LossConfig(0.1))
+    return max_entropy_loss(m.forward(x), labels, 0.1)
 
 
 def test_save_load_midway_reproduces_straight_run_bit_exactly(tmp_path):

@@ -1,10 +1,14 @@
-"""SGD with classical momentum: hand recurrences and the schedule."""
+"""SGD with classical momentum: hand recurrences, and the lr step that
+``run_training`` applies per epoch, read back from the metrics CSV."""
 
 import numpy as np
 import pytest
 
+from lcanet import write_feature_file
+from lcanet.config import parse_config
 from lcanet.optim import SGD
 from lcanet.tensor import ContractError, Parameter
+from lcanet.train import run_training
 
 
 def param(value, name="theta", dtype=np.float64):
@@ -89,36 +93,41 @@ def test_multiple_params_keep_separate_velocities():
     assert not opt.velocity["b"].any()
 
 
+def lr_column(tmp_path, epochs, lr="0.01", step_epoch=20, factor="0.1", resume=False):
+    """The CSV ``lr`` column of a small feature-map run in ``tmp_path``."""
+    feats = tmp_path / "feats.lcaf"
+    if not feats.exists():
+        write_feature_file(feats, np.ones((4, 2, 2, 2), np.float32), [0, 1, 0, 1])
+    ckpt, csv = tmp_path / "model.lcac", tmp_path / "log.csv"
+    cfg = parse_config(
+        f"epochs = {epochs}\nbatch_size = 4\nlr = {lr}\nlr_step_epoch = {step_epoch}\n"
+        f"lr_step_factor = {factor}\nbackbone = external_features\nchannels = 2\n"
+        f"head = gap\ndata.format = lcaf\ndata.train = {feats}\ndata.test = {feats}\n"
+        f"ckpt.out = {ckpt}\nlog.csv = {csv}\n"
+    )
+    run_training(cfg, resume=str(ckpt) if resume else None)
+    return [row.split(",")[6] for row in csv.read_text().splitlines()[1:]]
+
+
 class TestSchedule:
-    def test_before_boundary_lr_is_base(self):
-        opt = SGD([param([0.0])], lr=0.01, schedule=[(20, 0.1)])
-        opt.apply_schedule(19)
-        assert opt.lr == 0.01
+    def test_before_boundary_lr_is_base(self, tmp_path):
+        assert lr_column(tmp_path, epochs=2, step_epoch=2) == ["0.01", "0.01"]
 
-    def test_at_boundary_factor_applies(self):
-        opt = SGD([param([0.0])], lr=0.01, schedule=[(20, 0.1)])
-        opt.apply_schedule(20)
-        assert abs(opt.lr - 0.001) < 1e-15
+    def test_at_boundary_factor_applies(self, tmp_path):
+        assert lr_column(tmp_path, epochs=3, step_epoch=2)[2] == "0.001"
 
-    def test_empty_schedule_constant(self):
-        opt = SGD([param([0.0])], lr=0.01)
-        for e in (0, 5, 100):
-            opt.apply_schedule(e)
-            assert opt.lr == 0.01
+    def test_empty_schedule_constant(self, tmp_path):
+        assert lr_column(tmp_path, epochs=3, step_epoch=0) == ["0.01"] * 3
 
-    def test_factors_compound(self):
-        opt = SGD([param([0.0])], lr=1.0, schedule=[(2, 0.5), (4, 0.5)])
-        expect = {0: 1.0, 1: 1.0, 2: 0.5, 3: 0.5, 4: 0.25, 10: 0.25}
-        for epoch, lr in expect.items():
-            opt.apply_schedule(epoch)
-            assert opt.lr == lr, epoch
+    def test_factor_does_not_compound(self, tmp_path):
+        got = lr_column(tmp_path, epochs=5, lr="1.0", step_epoch=2, factor="0.5")
+        assert got == ["1", "1", "0.5", "0.5", "0.5"]
 
-    def test_schedule_is_stateless_in_epoch(self):
-        # jumping backwards recomputes from base, not from current lr
-        opt = SGD([param([0.0])], lr=0.01, schedule=[(20, 0.1)])
-        opt.apply_schedule(25)
-        opt.apply_schedule(3)
-        assert opt.lr == 0.01
+    def test_schedule_is_stateless_in_epoch(self, tmp_path):
+        """A run resumed past the step starts at lr * factor, not at lr."""
+        lr_column(tmp_path, epochs=3, step_epoch=2)
+        got = lr_column(tmp_path, epochs=5, step_epoch=2, resume=True)
+        assert got == ["0.01", "0.01", "0.001", "0.001", "0.001"]
 
 
 class TestValidation:
@@ -131,10 +140,6 @@ class TestValidation:
             SGD([param([0.0])], lr=0.1, momentum=1.0)
         with pytest.raises(ValueError):
             SGD([param([0.0])], lr=0.1, momentum=-0.1)
-
-    def test_schedule_factor_positive(self):
-        with pytest.raises(ValueError):
-            SGD([param([0.0])], lr=0.1, schedule=[(5, 0.0)])
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ContractError):
