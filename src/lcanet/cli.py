@@ -3,6 +3,8 @@
 Subcommands: ``train``, ``eval``, ``gradcheck``, ``synth``, ``inspect``.
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 I/O or data error (out of memory included), 4 numerical divergence.
+A reader that closes stdout early (``lcanet train ... | head -1``) is not a
+data error: the command's files are written by then, so it exits 0 quietly.
 """
 
 from __future__ import annotations
@@ -151,10 +153,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
+        return rc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # The reader is gone and the work is done. Send what is left of stdout
+        # to the null device, so that the flush at interpreter exit is silent.
+        devnull = open(os.devnull, "w")
+        try:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        except (AttributeError, OSError):
+            pass  # stdout is not backed by a file descriptor
+        sys.stdout = devnull
+        return EXIT_OK
     except (DataError, CheckpointError, ShapeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

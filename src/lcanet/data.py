@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError
-from .rng import Rng
+from .rng import Rng, _gaussian
 from .tensor import ContractError
 
 
@@ -340,46 +340,52 @@ def synth_glyphs(k: int, n_train: int, n_test: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def _shift(img: np.ndarray, dr: int, dc: int) -> np.ndarray:
-    """Integer translation with zero padding, [C,H,W]."""
-    out = np.zeros_like(img)
-    _, h, w = img.shape
-    # A shift of the full extent or more leaves nothing in frame.
-    dr, dc = min(max(dr, -h), h), min(max(dc, -w), w)
-    rs, re = max(dr, 0), min(h + dr, h)
-    cs, ce = max(dc, 0), min(w + dc, w)
-    out[:, rs:re, cs:ce] = img[:, rs - dr : re - dr, cs - dc : ce - dc]
-    return out
-
-
 def augment(batch: Dataset, cfg: AugmentConfig, rng: Rng) -> Dataset:
     """Per-sample translate / brightness / noise / flip, clamped to [0,1].
 
-    Draw order is fixed (translate dr,dc; brightness; noise; flip) and a
-    knob at zero draws nothing, so identical configs consume identical rng
-    streams. An all-zero config returns the batch untouched, whatever it holds.
+    A loop over the samples makes the scalar draws in a fixed order (for
+    each image: translate dr, dc; brightness; one noise key; the flip bit),
+    and a knob at zero draws nothing, so identical configs consume identical
+    rng streams. The arithmetic then runs once over the whole batch, with the
+    bytes of transforming each image on its own. An all-zero config returns
+    the batch untouched, whatever it holds.
     """
     if cfg == AugmentConfig():
         return batch
     if batch.inputs.shape[1] != 3:
         raise ContractError(f"augment applies to RGB images only, got {batch.inputs.shape}")
-    out = batch.inputs.copy()
+    x = batch.inputs
+    n, c, h, w = x.shape
     t = cfg.translate_px
-    for i in range(len(out)):
-        img = out[i]
+    drs, dcs, bright, keys, flips = [], [], [], [], []
+    for _ in range(n):
         if t:
-            dr = rng.randint(2 * t + 1) - t
-            dc = rng.randint(2 * t + 1) - t
-            img = _shift(img, dr, dc)
+            # A shift of the full extent or more leaves nothing in frame.
+            drs.append(min(max(rng.randint(2 * t + 1) - t, -h), h))
+            dcs.append(min(max(rng.randint(2 * t + 1) - t, -w), w))
         if cfg.brightness_delta:
-            img = img + np.float32(rng.uniform(-cfg.brightness_delta, cfg.brightness_delta))
+            bright.append(rng.uniform(-cfg.brightness_delta, cfg.brightness_delta))
         if cfg.gauss_noise_sigma:
-            noise = rng.normal_array(img.shape, sigma=cfg.gauss_noise_sigma)
-            img = img + noise
-        if cfg.hflip and rng.random() < 0.5:
-            img = img[:, :, ::-1]
-        out[i] = np.clip(img, 0.0, 1.0)
-    return Dataset(out, batch.labels)
+            keys.append(rng.next_u64())
+        if cfg.hflip:
+            flips.append(rng.random() < 0.5)
+    if t:
+        # Gather from a zero-padded copy; the pad is clamped like the shifts,
+        # so a huge translate_px costs no more than one image extent.
+        ph, pw = min(t, h), min(t, w)
+        padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        rows = np.arange(h) + ph - np.array(drs, np.int64)[:, None]
+        cols = np.arange(w) + pw - np.array(dcs, np.int64)[:, None]
+        x = padded[np.arange(n)[:, None, None, None], np.arange(c)[None, :, None, None],
+                   rows[:, None, :, None], cols[:, None, None, :]]
+    if cfg.brightness_delta:
+        x = x + np.array(bright, np.float32)[:, None, None, None]
+    if cfg.gauss_noise_sigma:
+        noise = cfg.gauss_noise_sigma * _gaussian(np.array(keys, np.uint64), c * h * w)
+        x = x + noise.reshape(x.shape).astype(np.float32)
+    if cfg.hflip:
+        x = np.where(np.array(flips, bool)[:, None, None, None], x[..., ::-1], x)
+    return Dataset(np.clip(x, 0.0, 1.0), batch.labels)
 
 
 def batches(dataset: Dataset, batch_size: int, rng: Rng | None = None):

@@ -11,13 +11,15 @@ checkpoints persist to resume a run mid-stream.
 
 Scalar draws (``random``, ``uniform``, ``randint``) read the stream one u64
 at a time. Arrays are counter-based: each ``uniform_array`` (parameter init,
-gradient suite inputs) or ``normal_array`` (the noise augmentation, the only
-Gaussian draw) call takes one u64 from the stream as a key, whatever the
-shape, and evaluates the outputs of ``splitmix64(key)`` it needs at once over
-numpy uint64, in the manner of counter-mode SplitMix64 (Steele et al. 2014)
-and Philox (Salmon et al. 2011). The u64 values are exact integer arithmetic
-and so platform-independent, and so are the uniform floats; the Gaussian
-floats follow numpy's ``log`` and ``cos``.
+gradient suite inputs) or ``normal_array`` call takes one u64 from the stream
+as a key, whatever the shape, and evaluates the outputs of ``splitmix64(key)``
+it needs at once over numpy uint64, in the manner of counter-mode SplitMix64
+(Steele et al. 2014) and Philox (Salmon et al. 2011). A vector of keys gives
+one counter row per key, so the noise augmentation draws one key per image
+from the stream and then evaluates every image's Gaussian noise in one call;
+row k equals what ``normal_array`` computes from key k. The u64 values are
+exact integer arithmetic and so platform-independent, and so are the uniform
+floats; the Gaussian floats follow numpy's ``log`` and ``cos``.
 """
 
 from __future__ import annotations
@@ -44,16 +46,35 @@ def splitmix64(seed: int):
         yield z ^ (z >> 31)
 
 
-def _splitmix64_array(seed: int, n: int) -> np.ndarray:
+def _splitmix64_array(seed, n: int) -> np.ndarray:
     """The first ``n`` outputs of ``splitmix64(seed)`` as a uint64 array.
 
     Output i mixes the counter ``seed + (i+1)*gamma``; uint64 array
-    arithmetic wraps modulo 2**64 like the masked scalar version.
+    arithmetic wraps modulo 2**64 like the masked scalar version. A scalar
+    seed gives shape [n]; a vector of k u64 seeds gives [k, n], row j being
+    the outputs of ``splitmix64(seed[j])``.
     """
-    x = (seed & _MASK64) + np.arange(1, n + 1, dtype=np.uint64) * _SPLITMIX_GAMMA
+    if np.ndim(seed):
+        keys = np.asarray(seed, dtype=np.uint64)[:, None]
+    else:
+        keys = seed & _MASK64
+    x = keys + np.arange(1, n + 1, dtype=np.uint64) * _SPLITMIX_GAMMA
     x = (x ^ (x >> 30)) * _SPLITMIX_MUL1
     x = (x ^ (x >> 27)) * _SPLITMIX_MUL2
     return x ^ (x >> 31)
+
+
+def _gaussian(keys, n: int) -> np.ndarray:
+    """``n`` standard normal float64 values per key, by Box-Muller.
+
+    Value i is ``sqrt(-2 ln u1) * cos(2 pi u2)`` of outputs z[2i] and z[2i+1]
+    of ``splitmix64(key)``, with u1 = ((z[2i] >> 11) + 1) * 2**-53 in (0, 1]
+    and u2 = (z[2i+1] >> 11) * 2**-53. The shape follows ``_splitmix64_array``.
+    """
+    z = _splitmix64_array(keys, 2 * n)
+    u1 = ((z[..., 0::2] >> 11) + 1) * 2.0**-53  # in (0, 1]
+    u2 = (z[..., 1::2] >> 11) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
 
 def _rotl(x: int, k: int) -> int:
@@ -117,14 +138,9 @@ class Rng:
     def normal_array(self, shape, sigma: float, dtype=np.float32) -> np.ndarray:
         """Gaussian array keyed by one ``next_u64`` draw, whatever the shape.
 
-        Element i is the Box-Muller transform ``sigma*sqrt(-2 ln u1)*cos(2 pi u2)``
-        of outputs z[2i] and z[2i+1] of ``splitmix64(key)``, with
-        u1 = ((z[2i] >> 11) + 1) * 2**-53 in (0, 1] and u2 = (z[2i+1] >> 11) * 2**-53.
+        Element i is ``sigma`` times value i of ``_gaussian(key, size)``.
         """
-        z = _splitmix64_array(self.next_u64(), 2 * int(np.prod(shape)))
-        u1 = ((z[0::2] >> 11) + 1) * 2.0**-53  # in (0, 1]
-        u2 = (z[1::2] >> 11) * 2.0**-53
-        out = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        out = _gaussian(self.next_u64(), int(np.prod(shape)))
         return (sigma * out).reshape(shape).astype(dtype)
 
     def shuffle(self, items) -> None:

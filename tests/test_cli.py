@@ -87,6 +87,47 @@ def test_synth_class_count_bound_is_config_error(workdir):
                  "--per-class", "1", "--test-per-class", "0"]) == 2
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone away, as under `lcanet ... | head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_after_the_work_exits_0_quietly(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    rc = main(["synth", "--out", "data", "--classes", "2", "--per-class", "3",
+               "--test-per-class", "1"])
+    sys.stdout.close()  # the null device main put in the pipe's place
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert len(os.listdir(workdir / "data" / "train" / "class_01")) == 3
+    assert len(os.listdir(workdir / "data" / "test" / "class_00")) == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_pipe_exits_0_in_a_child(workdir, unbuffered):
+    """With a real pipe closed before the first write, neither the print nor
+    the flush at interpreter exit reaches stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lcanet.cli", "synth", "--out", "data", "--classes", "2",
+             "--per-class", "1", "--test-per-class", "1"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(os.listdir(workdir / "data" / "train" / "class_01")) == 1
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Data ingestion: PPM files, LCAF feature files, the synthetic glyph
 dataset, augmentation, and epoch batching."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -398,22 +403,114 @@ def _shift_reference(img, dr, dc):
     return out
 
 
+class _ScriptedRng:
+    """Stands in for the rng of a translate-only augment: its randint calls
+    return a script of values, so a test picks each image's (dr, dc)."""
+
+    def __init__(self, t, shifts):
+        self._draws = iter([d + t for shift in shifts for d in shift])
+
+    def randint(self, n):
+        value = next(self._draws)
+        assert 0 <= value < n
+        return value
+
+
+def _translate(imgs, t, shifts):
+    return augment(Dataset(imgs, np.zeros(len(imgs), np.int64)),
+                   AugmentConfig(t, 0.0, 0.0, False), _ScriptedRng(t, shifts)).inputs
+
+
 def test_shift_matches_pixelwise_reference_within_the_image():
     img = Rng(4).uniform_array((3, 5, 4), 0, 1, dtype=np.float32)
-    for dr in range(-5, 6):
-        for dc in range(-4, 5):
-            got = D._shift(img, dr, dc)
-            assert got.tobytes() == _shift_reference(img, dr, dc).tobytes(), (dr, dc)
+    shifts = [(dr, dc) for dr in range(-5, 6) for dc in range(-4, 5)]
+    out = _translate(np.stack([img] * len(shifts)), 5, shifts)
+    for got, (dr, dc) in zip(out, shifts):
+        assert got.tobytes() == _shift_reference(img, dr, dc).tobytes(), (dr, dc)
 
 
 @pytest.mark.parametrize("dr,dc", [(17, 0), (-17, 0), (0, 17), (0, -17),
                                    (20, 3), (-20, -3), (2, 20), (-2, -20), (20, -20)])
 def test_shift_beyond_the_image_is_all_zero(dr, dc):
     """A shift wider than the image moves every pixel out of frame."""
-    img = Rng(5).uniform_array((3, 16, 16), 0.1, 1, dtype=np.float32)
-    out = D._shift(img, dr, dc)
+    img = Rng(5).uniform_array((1, 3, 16, 16), 0.1, 1, dtype=np.float32)
+    out = _translate(img, 20, [(dr, dc)])
     assert out.shape == img.shape and out.dtype == img.dtype
     assert not out.any()
+
+
+def test_largest_translate_px_pads_by_the_image_only(tmp_path):
+    """translate_px = 2**63 - 1 runs in a child capped at 1 GB of address
+    space, so the zero pad must be clamped to the image extent."""
+    pytest.importorskip("resource")
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "import numpy as np\n"
+        "from lcanet import AugmentConfig, Dataset, Rng, augment\n"
+        "t = 2**63 - 1\n"
+        "draws = iter([t + 3, t - 2, 2 * t, 0])\n"
+        "class Scripted:\n"
+        "    def randint(self, n):\n"
+        "        return next(draws)\n"
+        "imgs = np.stack([Rng(6).uniform_array((3, 16, 16), 0, 1, dtype=np.float32)] * 2)\n"
+        "out = augment(Dataset(imgs, np.zeros(2, np.int64)), AugmentConfig(t), Scripted())\n"
+        "np.save(sys.argv[1], out.inputs)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = tmp_path / "out.npy"
+    proc = subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = np.load(path)
+    img = Rng(6).uniform_array((3, 16, 16), 0, 1, dtype=np.float32)
+    assert out[0].tobytes() == _shift_reference(img, 3, -2).tobytes()
+    assert not out[1].any()
+
+
+def _augment_reference(inputs, cfg, rng):
+    """The per-sample loop that augment batches, kept as its byte oracle."""
+    if cfg == AugmentConfig():
+        return inputs
+    out = inputs.copy()
+    t = cfg.translate_px
+    for i in range(len(out)):
+        img = out[i]
+        if t:
+            dr = rng.randint(2 * t + 1) - t
+            dc = rng.randint(2 * t + 1) - t
+            img = _shift_reference(img, dr, dc)
+        if cfg.brightness_delta:
+            img = img + np.float32(rng.uniform(-cfg.brightness_delta, cfg.brightness_delta))
+        if cfg.gauss_noise_sigma:
+            img = img + rng.normal_array(img.shape, sigma=cfg.gauss_noise_sigma)
+        if cfg.hflip and rng.random() < 0.5:
+            img = img[:, :, ::-1]
+        out[i] = np.clip(img, 0.0, 1.0)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 32])
+@pytest.mark.parametrize("hw", [(16, 16), (5, 4)], ids=["16x16", "5x4"])
+@pytest.mark.parametrize("t_of_h", [lambda h: 0, lambda h: 1, lambda h: h - 1, lambda h: h,
+                                    lambda h: h + 1, lambda h: 2**63 - 1],
+                         ids=["0", "1", "H-1", "H", "H+1", "2**63-1"])
+def test_augment_matches_the_per_sample_loop_byte_for_byte(n, hw, t_of_h):
+    """Every knob combination gives the loop's bytes and leaves the rng in
+    the loop's state; inputs outside [0,1] exercise the clip."""
+    h, w = hw
+    t = t_of_h(h)
+    imgs = Rng(n + h).uniform_array((n, 3, h, w), -0.2, 1.2, dtype=np.float32)
+    for brightness, sigma, flip in itertools.product((0.0, 0.3), (0.0, 0.07), (False, True)):
+        cfg = AugmentConfig(t, brightness, sigma, flip)
+        ref_rng, rng = Rng(t % 1000 + n), Rng(t % 1000 + n)
+        want = _augment_reference(imgs, cfg, ref_rng)
+        got = augment(Dataset(imgs, np.zeros(n, np.int64)), cfg, rng).inputs
+        assert got.dtype == want.dtype and got.shape == want.shape, cfg
+        assert got.tobytes() == want.tobytes(), cfg
+        assert rng.state_bytes() == ref_rng.state_bytes(), cfg
 
 
 def test_augment_config_validation():

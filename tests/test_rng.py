@@ -186,6 +186,17 @@ def test_splitmix_array_wraps_at_the_top_of_the_u64_range():
         assert _splitmix64_array(key, 64).tolist() == list(itertools.islice(splitmix64(key), 64))
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 1536])
+def test_splitmix_array_gives_one_row_per_key(n):
+    """A key vector gives one counter row per key, wrap keys included."""
+    keys = [0, 2**63, 2**64 - 1, 42, 0x9E3779B97F4A7C15]
+    got = _splitmix64_array(np.array(keys, np.uint64), n)
+    assert got.shape == (len(keys), n) and got.dtype == np.uint64
+    for k, key in enumerate(keys):
+        assert got[k].tolist() == list(itertools.islice(splitmix64(key), n))
+        assert _splitmix64_array(key, n).tolist() == got[k].tolist()  # a scalar key: one row
+
+
 @pytest.mark.parametrize("shape", [(), (0,), (5,), (3, 16, 16), (2, 3, 32, 32)])
 def test_normal_array_advances_the_stream_by_one_draw(shape):
     a, b = Rng(31), Rng(31)
