@@ -15,6 +15,7 @@ back is bit-identical to the in-memory one.
 from __future__ import annotations
 
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -65,46 +66,56 @@ class AugmentConfig:
 # ---------------------------------------------------------------------------
 
 
-def read_ppm(path) -> np.ndarray:
-    """Binary PPM -> [H, W, 3] float32 in [0,1]."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+# The four header tokens (magic, width, height, maxval), each after any
+# whitespace and ``#`` comments (to CR or LF) and ending at whitespace. The
+# match always succeeds; an empty token means the header ran out.
+_PPM_HEADER = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)" * 4)
 
-    pos = 0
 
-    def token():
-        nonlocal pos
-        while pos < len(blob):
-            ch = blob[pos : pos + 1]
-            if ch == b"#":  # comment runs to end of line
-                while pos < len(blob) and blob[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DataError(f"{path}: truncated PPM header")
-        return blob[start:pos]
+def _read_bytes(path) -> bytes:
+    with open(path, "rb", buffering=0) as fh:
+        return fh.readall()
 
-    if token() != b"P6":
+
+def _decode_ppm(blob: bytes, path) -> tuple:
+    """Binary PPM bytes -> ([H, W, 3] uint8 view of ``blob``, maxval).
+
+    Refuses, in this order: a header without a first token, a first token
+    that is not ``P6``, a width, height or maxval that is missing or not an
+    integer, an extent below 1, a maxval outside 1..255, a short payload and
+    a sample above maxval. ``path`` only names the file in the messages.
+    """
+    header = _PPM_HEADER.match(blob)
+    magic, *fields = header.groups()
+    if not magic:
+        raise DataError(f"{path}: truncated PPM header")
+    if magic != b"P6":
         raise DataError(f"{path}: not a binary (P6) PPM file")
     try:
-        w, h, maxval = int(token()), int(token()), int(token())
+        w, h, maxval = map(int, fields)  # an empty field is malformed too
     except ValueError:
         raise DataError(f"{path}: malformed PPM header") from None
     if w < 1 or h < 1:
         raise DataError(f"{path}: bad PPM dimensions {w}x{h}")
     if not 1 <= maxval <= 255:
         raise DataError(f"{path}: unsupported PPM maxval {maxval} (need 1..255)")
-    pos += 1  # exactly one whitespace byte separates header from pixels
-    pixels = blob[pos : pos + 3 * w * h]
-    if len(pixels) != 3 * w * h:
-        raise DataError(f"{path}: PPM payload is {len(pixels)} bytes, need {3 * w * h}")
-    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3)
+    pos = header.end() + 1  # exactly one whitespace byte separates header from pixels
+    need = 3 * w * h
+    if len(blob) - pos < need:
+        raise DataError(f"{path}: PPM payload is {max(len(blob) - pos, 0)} bytes, need {need}")
+    arr = np.ndarray((h, w, 3), np.uint8, blob, pos)
+    if maxval < 255 and arr.max() > maxval:
+        raise DataError(f"{path}: PPM sample exceeds maxval {maxval}")
+    return arr, maxval
+
+
+def read_ppm(path) -> np.ndarray:
+    """Binary PPM -> [H, W, 3] float32 in [0,1]: each sample divided by maxval.
+
+    The file is read once; ``_decode_ppm`` lists what it refuses, each as a
+    ``DataError`` naming the file.
+    """
+    arr, maxval = _decode_ppm(_read_bytes(path), path)
     return arr.astype(np.float32) / maxval
 
 
@@ -144,7 +155,15 @@ def _resize_bilinear(img: np.ndarray, th: int, tw: int) -> np.ndarray:
 
 
 def load_image_dir(root, size=(16, 16)) -> Dataset:
-    """``root/<class_name>/*.ppm`` -> image dataset; classes in sorted name order."""
+    """``root/<class_name>/*.ppm`` -> image dataset; classes in sorted name order.
+
+    Every path is listed first, then each file is read once. An image of the
+    target size is decoded into one uint8 array, and the whole array is
+    divided by the per-image maxvals at once, in float32, which gives
+    ``read_ppm``'s bytes. An image of another size goes through
+    ``read_ppm``'s conversion and ``_resize_bilinear``. A target size numpy
+    refuses to allocate is a ``DataError`` naming it.
+    """
     if not os.path.isdir(root):
         raise DataError(f"dataset root {root} is not a directory")
     class_names = sorted(
@@ -152,27 +171,41 @@ def load_image_dir(root, size=(16, 16)) -> Dataset:
     )
     if not class_names:
         raise DataError(f"dataset root {root} has no class subdirectories")
-    images, labels = [], []
+    paths, labels = [], []
     for idx, name in enumerate(class_names):
         cdir = os.path.join(root, name)
         files = sorted(f for f in os.listdir(cdir) if f.endswith(".ppm"))
         if not files:
             raise DataError(f"class directory {cdir} contains no .ppm files")
-        for fname in files:
-            img = read_ppm(os.path.join(cdir, fname))
-            try:
-                img = _resize_bilinear(img, size[0], size[1])
-            except (MemoryError, ValueError):  # numpy refuses the array size
-                raise DataError(
-                    f"cannot allocate images resized to {size[0]}x{size[1]} (input_size)"
-                ) from None
-            images.append(img.transpose(2, 0, 1))
-            labels.append(idx)
-    return Dataset(
-        inputs=np.ascontiguousarray(np.stack(images), dtype=np.float32),
-        labels=np.array(labels, dtype=np.int64),
-        class_names=class_names,
-    )
+        paths += [os.path.join(cdir, f) for f in files]
+        labels += [idx] * len(files)
+
+    th, tw = size
+    refused = DataError(f"cannot allocate images resized to {th}x{tw} (input_size)")
+    try:
+        inputs = np.empty((len(paths), 3, th, tw), np.float32)
+        raw = np.zeros((len(paths), th, tw, 3), np.uint8)
+    except (MemoryError, ValueError):  # numpy refuses the array size
+        raise refused from None
+    maxvals = np.zeros(len(paths), np.float32)  # stays 0 for a resized image
+    resized = 0
+    for i, path in enumerate(paths):
+        arr, maxval = _decode_ppm(_read_bytes(path), path)
+        if arr.shape[:2] == (th, tw):
+            raw[i] = arr
+            maxvals[i] = maxval
+            continue
+        try:
+            img = _resize_bilinear(arr.astype(np.float32) / maxval, th, tw)
+        except (MemoryError, ValueError):
+            raise refused from None
+        inputs[i] = img.transpose(2, 0, 1)
+        resized += 1
+    decoded = (maxvals > 0)[:, None, None, None] if resized else True
+    np.divide(raw.transpose(0, 3, 1, 2), maxvals[:, None, None, None], out=inputs,
+              where=decoded)
+    return Dataset(inputs=inputs, labels=np.array(labels, dtype=np.int64),
+                   class_names=class_names)
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +403,19 @@ def augment(batch: Dataset, cfg: AugmentConfig, rng: Rng) -> Dataset:
         if cfg.hflip:
             flips.append(rng.random() < 0.5)
     if t:
-        # Gather from a zero-padded copy; the pad is clamped like the shifts,
-        # so a huge translate_px costs no more than one image extent.
+        # Window (ph - dr, pw - dc) of a zero-padded copy is the shifted image.
+        # The pad is clamped like the shifts, so a huge translate_px costs no
+        # more than one image extent.
         ph, pw = min(t, h), min(t, w)
-        padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        rows = np.arange(h) + ph - np.array(drs, np.int64)[:, None]
-        cols = np.arange(w) + pw - np.array(dcs, np.int64)[:, None]
-        x = padded[np.arange(n)[:, None, None, None], np.arange(c)[None, :, None, None],
-                   rows[:, None, :, None], cols[:, None, None, :]]
+        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
+        padded[:, :, ph : ph + h, pw : pw + w] = x
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(2, 3))
+        x = windows[np.arange(n), :, ph - np.array(drs, np.int64), pw - np.array(dcs, np.int64)]
     if cfg.brightness_delta:
         x = x + np.array(bright, np.float32)[:, None, None, None]
     if cfg.gauss_noise_sigma:
-        noise = cfg.gauss_noise_sigma * _gaussian(np.array(keys, np.uint64), c * h * w)
+        noise = _gaussian(np.array(keys, np.uint64), c * h * w)
+        noise *= cfg.gauss_noise_sigma
         x = x + noise.reshape(x.shape).astype(np.float32)
     if cfg.hflip:
         x = np.where(np.array(flips, bool)[:, None, None, None], x[..., ::-1], x)

@@ -46,6 +46,28 @@ def splitmix64(seed: int):
         yield z ^ (z >> 31)
 
 
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mixer, in place over uint64 counters; returns ``x``."""
+    t = np.empty_like(x)
+    for shift, mul in ((30, _SPLITMIX_MUL1), (27, _SPLITMIX_MUL2)):
+        np.right_shift(x, shift, out=t)
+        x ^= t
+        x *= mul
+    np.right_shift(x, 31, out=t)
+    x ^= t
+    return x
+
+
+def _counters(seed, steps: np.ndarray) -> np.ndarray:
+    """SplitMix64 counters ``seed + steps*gamma``, modulo 2**64.
+
+    A scalar seed gives ``steps``' shape; a vector of k u64 seeds puts a
+    leading axis of k in front.
+    """
+    keys = np.asarray(seed & _MASK64, dtype=np.uint64)
+    return keys.reshape(keys.shape + (1,) * steps.ndim) + steps * np.uint64(_SPLITMIX_GAMMA)
+
+
 def _splitmix64_array(seed, n: int) -> np.ndarray:
     """The first ``n`` outputs of ``splitmix64(seed)`` as a uint64 array.
 
@@ -54,14 +76,7 @@ def _splitmix64_array(seed, n: int) -> np.ndarray:
     seed gives shape [n]; a vector of k u64 seeds gives [k, n], row j being
     the outputs of ``splitmix64(seed[j])``.
     """
-    if np.ndim(seed):
-        keys = np.asarray(seed, dtype=np.uint64)[:, None]
-    else:
-        keys = seed & _MASK64
-    x = keys + np.arange(1, n + 1, dtype=np.uint64) * _SPLITMIX_GAMMA
-    x = (x ^ (x >> 30)) * _SPLITMIX_MUL1
-    x = (x ^ (x >> 27)) * _SPLITMIX_MUL2
-    return x ^ (x >> 31)
+    return _mix64(_counters(seed, np.arange(1, n + 1, dtype=np.uint64)))
 
 
 def _gaussian(keys, n: int) -> np.ndarray:
@@ -70,11 +85,26 @@ def _gaussian(keys, n: int) -> np.ndarray:
     Value i is ``sqrt(-2 ln u1) * cos(2 pi u2)`` of outputs z[2i] and z[2i+1]
     of ``splitmix64(key)``, with u1 = ((z[2i] >> 11) + 1) * 2**-53 in (0, 1]
     and u2 = (z[2i+1] >> 11) * 2**-53. The shape follows ``_splitmix64_array``.
+    The mixer runs in place over two contiguous rows, the counters of the
+    even outputs and those of the odd ones, and Box-Muller runs in place on
+    them; the bytes are those of evaluating the formula on ``_splitmix64_array``.
     """
-    z = _splitmix64_array(keys, 2 * n)
-    u1 = ((z[..., 0::2] >> 11) + 1) * 2.0**-53  # in (0, 1]
-    u2 = (z[..., 1::2] >> 11) * 2.0**-53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    # Counter steps [[1, 3, 5, ..], [2, 4, 6, ..]]: the even outputs, then the odd.
+    steps = np.arange(1, 2 * n + 1, dtype=np.uint64).reshape(n, 2).T.copy()
+    z = _mix64(_counters(keys, steps))
+    z1, z2 = z[..., 0, :], z[..., 1, :]
+    z1 >>= 11
+    z1 += 1
+    out = z1 * 2.0**-53  # u1, in (0, 1]
+    np.log(out, out=out)
+    out *= -2.0
+    np.sqrt(out, out=out)
+    z2 >>= 11
+    angle = z2 * 2.0**-53  # u2
+    angle *= 2.0 * math.pi
+    np.cos(angle, out=angle)
+    out *= angle
+    return out
 
 
 def _rotl(x: int, k: int) -> int:

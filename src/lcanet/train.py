@@ -125,6 +125,14 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
     num_classes = int(train_ds.labels.max()) + 1
     if num_classes < 2:
         raise DataError("training split holds a single class; need at least 2")
+    # The LCAF twin of an empty class directory. K distinct labels leave one
+    # of the classes 0..K without a sample, so the first missing class is at
+    # most K; nothing is sized by the largest label, which may be 2**32 - 1.
+    present = set(train_ds.labels.tolist())
+    if len(present) < num_classes:
+        missing = min(set(range(len(present) + 1)) - present)
+        raise DataError(f"training split has no sample of class {missing}; "
+                        f"its labels must cover 0..{num_classes - 1}")
 
     # external_features reads its H x W from the maps; input_size sizes images.
     hw = train_ds.inputs.shape[2:] if cfg.backbone == "external_features" else cfg.input_size

@@ -341,7 +341,10 @@ def test_train_translate_beyond_the_randint_bound_exits_2_and_writes_nothing(wor
     ([], [0, 1], "training split is empty"),
     ([0, 0, 0, 0], [0, 0], "single class"),
     ([0, 1, 0, 1], [0, 2], "test split labels reach 2"),
-], ids=["empty", "one_class", "test_label_beyond"])
+    # A gap below the largest label; counting by label would ask for 32 GiB.
+    ([0, 1, 0, 4294967295], [0, 1], "no sample of class 2"),
+    ([0, 2, 0, 2], [0, 1], "no sample of class 1"),
+], ids=["empty", "one_class", "test_label_beyond", "label_gap_to_2**32-1", "label_gap"])
 def test_train_unusable_feature_split_exits_3(workdir, capsys, train_labels, test_labels,
                                               message):
     write_feature_file("train.lcaf", np.ones((len(train_labels), 4, 3, 3), np.float32),
@@ -368,6 +371,27 @@ def test_train_test_tree_with_other_classes_exits_3_and_writes_nothing(workdir, 
     assert err.startswith("data error:") and "Traceback" not in err
     assert "['class_01', 'class_02']" in err and "['class_00', 'class_01', 'class_02']" in err
     assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_ppm_sample_above_maxval_exits_3_and_writes_nothing(workdir, capsys, command):
+    """A sample of 200 under maxval 15 would load as 13.33, outside [0, 1]."""
+    make_data(workdir)
+    bad = Path("data") / "train" / "class_01" / "img_0001.ppm"
+    bad.write_bytes(b"P6\n1 1\n15\n" + bytes([200, 0, 15]))
+    if command == "train":
+        argv = ["train", "--config", str(write_cfg(workdir))]
+    else:
+        model = build_model(BackboneConfig("tiny_cnn", (4, 8), (16, 16)), None, 2, rng=Rng(0))
+        save_checkpoint(model, "model.lcac", velocities={}, epoch=1,
+                        rng_state=Rng(0).state_bytes())
+        argv = ["eval", "--ckpt", "model.lcac", "--data", "data/train"]
+    before = sorted(os.listdir(workdir))
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {bad}: PPM sample exceeds maxval 15\n"
+    assert captured.out == "" and sorted(os.listdir(workdir)) == before
 
 
 def test_train_data_train_unset_exits_3(workdir, capsys):

@@ -3,6 +3,7 @@ dataset, augmentation, and epoch batching."""
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,7 @@ def test_ppm_header_comments_are_skipped(tmp_path):
         b"P6\nx 1\n255\n" + bytes(3),               # non-numeric dimension
         b"P6\n0 1\n255\n",                          # zero extent
         b"P6\n1 1",                                 # header cut short
+        b"P6\n1 1\n15\n" + bytes([200, 0, 15]),      # a sample above maxval
     ],
 )
 def test_ppm_malformed_inputs(tmp_path, blob):
@@ -148,6 +150,55 @@ def test_load_image_dir_resizes_to_target(tmp_path):
     _write_class_dir(tmp_path, "b", [big])
     ds = load_image_dir(tmp_path, size=(16, 16))
     assert ds.inputs.shape == (2, 3, 16, 16)
+
+
+def _per_file_loader(root, size):
+    """The loader as a loop over files: read_ppm, _resize_bilinear, transpose, stack."""
+    class_names = sorted(d.name for d in Path(root).iterdir() if d.is_dir())
+    images, labels = [], []
+    for idx, name in enumerate(class_names):
+        for f in sorted((Path(root) / name).glob("*.ppm")):
+            images.append(D._resize_bilinear(read_ppm(f), *size).transpose(2, 0, 1))
+            labels.append(idx)
+    return np.ascontiguousarray(np.stack(images), dtype=np.float32), labels, class_names
+
+
+def _mixed_tree(root):
+    """Three classes of 16x16 and 5x7 images, maxvals 255 and 15, header
+    comments and CR, LF and tab between the header fields."""
+    rng = Rng(8)
+    headers = [b"P6\n%d %d\n%d\n", b"P6\r%d\t%d # w h\r\n%d\n",
+               b"P6 # magic\n#full line\n%d\r\n%d\t%d\r"]
+    k = 0
+    for cls in ("beta", "alpha", "gamma"):
+        (root / cls).mkdir()
+        for i, (h, w) in enumerate([(16, 16), (5, 7), (16, 16), (16, 16), (5, 7)]):
+            maxval = (255, 15)[k % 2]
+            pixels = rng.uniform_array((h, w, 3), 0, maxval + 1, dtype=np.float64)
+            blob = headers[k % 3] % (w, h, maxval) + pixels.astype(np.uint8).tobytes()
+            (root / cls / f"img_{i}.ppm").write_bytes(blob)
+            k += 1
+
+
+@pytest.mark.parametrize("size", [(16, 16), (5, 7), (9, 4)])
+def test_load_image_dir_bytes_equal_the_per_file_loop(tmp_path, size):
+    _mixed_tree(tmp_path)
+    inputs, labels, class_names = _per_file_loader(tmp_path, size)
+    ds = load_image_dir(tmp_path, size)
+    assert ds.inputs.dtype == np.float32 and ds.inputs.flags.c_contiguous
+    assert ds.inputs.shape == inputs.shape and ds.inputs.tobytes() == inputs.tobytes()
+    assert ds.labels.tolist() == labels
+    assert ds.class_names == class_names == ["alpha", "beta", "gamma"]
+
+
+def test_load_image_dir_names_the_malformed_file_in_the_middle(tmp_path):
+    _mixed_tree(tmp_path)
+    bad = tmp_path / "beta" / "img_2.ppm"
+    bad.write_bytes(b"P6\n1 1\n15\n" + bytes([200, 0, 15]))
+    with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: PPM sample exceeds maxval 15$"):
+        load_image_dir(tmp_path)
+    with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: PPM sample exceeds maxval 15$"):
+        read_ppm(bad)
 
 
 def test_load_image_dir_missing_root(tmp_path):

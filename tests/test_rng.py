@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from lcanet.rng import Rng, _splitmix64_array, splitmix64
+from lcanet.rng import Rng, _gaussian, _splitmix64_array, splitmix64
 
 
 # First four raw draws for seed 42, frozen at construction time.
@@ -195,6 +195,25 @@ def test_splitmix_array_gives_one_row_per_key(n):
     for k, key in enumerate(keys):
         assert got[k].tolist() == list(itertools.islice(splitmix64(key), n))
         assert _splitmix64_array(key, n).tolist() == got[k].tolist()  # a scalar key: one row
+
+
+def _frozen_gaussian(keys, n):
+    """Box-Muller over _splitmix64_array, as two lines of array arithmetic."""
+    z = _splitmix64_array(keys, 2 * n)
+    return (np.sqrt(-2.0 * np.log(((z[..., 0::2] >> 11) + 1) * 2.0**-53))
+            * np.cos(2.0 * math.pi * (z[..., 1::2] >> 11) * 2.0**-53))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 768])
+@pytest.mark.parametrize("keys", [0, 2**64 - 1, 0x9E3779B97F4A7C15,
+                                  np.array([0, 2**63, 2**64 - 1, 42], np.uint64)],
+                         ids=["key_0", "key_top", "key_gamma", "key_vector"])
+def test_gaussian_bytes_equal_the_frozen_formula(keys, n):
+    """The in-place mixer and Box-Muller give the formula's bytes exactly;
+    the augment oracle and the normal_array test cannot see a change here."""
+    got, want = _gaussian(keys, n), _frozen_gaussian(keys, n)
+    assert got.shape == want.shape == np.shape(keys) + (n,) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (5,), (3, 16, 16), (2, 3, 32, 32)])
