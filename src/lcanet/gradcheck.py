@@ -217,11 +217,12 @@ def _kink_margin(loss: Tensor) -> float:
     """Distance from a recorded forward pass to its nearest kink.
 
     Walks the tape behind ``loss``. For each relu the margin is min |pre|;
-    for each maxpool window whose max is live it is the gap down to the
-    runner-up (an all-dead window is pinned at exactly zero and is safe
-    as long as its inputs clear the relu margin). Pool geometry is read
-    back as in_hw // out_hw, which holds for the square non-overlapping
-    pools the tiny backbone uses.
+    for each maxpool window whose max is > 0 it is the gap down to the
+    runner-up. The tiny backbone pools pre-activations and applies the
+    relu after the pool, so a window whose max is <= 0 is zeroed by that
+    relu, whose |max| margin covers it. Pools are read as the tiny
+    backbone's 2x2 windows at stride 2; on an odd extent the last row or
+    column, which no window reads, is trimmed first.
     """
     margin = np.inf
     seen: set[int] = set()
@@ -235,12 +236,10 @@ def _kink_margin(loss: Tensor) -> float:
         if node.op == "relu":
             margin = min(margin, float(np.abs(node.parents[0].data).min()))
         elif node.op == "maxpool2d":
-            xin = node.parents[0].data
-            n, c, h, w = xin.shape
-            oh, ow = out.shape[2:]
-            kh, kw = h // oh, w // ow
-            win = xin.reshape(n, c, oh, kh, ow, kw).transpose(0, 1, 2, 4, 3, 5)
-            top2 = np.sort(win.reshape(n, c, oh, ow, kh * kw), axis=-1)[..., -2:]
+            n, c, oh, ow = out.shape
+            xin = node.parents[0].data[:, :, : 2 * oh, : 2 * ow]
+            win = xin.reshape(n, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5)
+            top2 = np.sort(win.reshape(n, c, oh, ow, 4), axis=-1)[..., -2:]
             live = top2[..., 1] > 0
             if live.any():
                 margin = min(margin, float((top2[..., 1] - top2[..., 0])[live].min()))

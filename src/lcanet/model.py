@@ -124,10 +124,12 @@ class Model:
             raise ShapeError(f"input batch {x.shape} != (B, {c}, {h}, {w})")
         if self.backbone.kind == "external_features":
             return x
+        # Pool, then relu: relu is monotone, so this is relu-then-pool on a
+        # quarter of the cells, with the same bytes and the same gradients.
         y = T.conv2d(x, self.param("conv1_weight"), self.param("conv1_bias"), 1, 1)
-        y = T.maxpool2d(T.relu(y), 2, 2)
+        y = T.relu(T.maxpool2d(y, 2, 2))
         y = T.conv2d(y, self.param("conv2_weight"), self.param("conv2_bias"), 1, 1)
-        return T.maxpool2d(T.relu(y), 2, 2)
+        return T.relu(T.maxpool2d(y, 2, 2))
 
     def head_output(self, fm: Tensor) -> Tensor:
         if self.lca_cfg is not None:

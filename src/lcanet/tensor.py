@@ -364,10 +364,16 @@ def avgpool2d(x: Tensor, kh: int, kw: int, stride: int = 1) -> Tensor:
 
 
 def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
-    """Windowed max; gradient routes to the first argmax in row-major order."""
+    """Windowed max; gradient routes to the first argmax in row-major order.
+
+    Disjoint windows (``stride == k``) read the k*k window offsets from one
+    contiguous copy, one plane per offset; overlapping windows read them
+    through strided views. Without a tape (``no_grad`` or an input that
+    needs no gradient) only the running max is computed, no argmax.
+    """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects a 4-D tensor, got shape {x.shape}")
-    _, _, h, w = x.shape
+    bsz, c, h, w = x.shape
     if not 1 <= k <= min(h, w):
         raise ShapeError(f"maxpool2d: kernel {k} exceeds input extent ({h}x{w})")
     if stride < 1:
@@ -376,18 +382,32 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     hout, wout = (h - k) // stride + 1, (w - k) // stride + 1
     offsets = itertools.product(range(k), repeat=2)  # row-major in the window
     slices = [_scatter_slices(hout, wout, i, j, stride) for i, j in offsets]
+    if stride == k:
+        planes = x.data[:, :, : hout * k, : wout * k].reshape(bsz, c, hout, k, wout, k)
+        planes = planes.transpose(3, 5, 0, 1, 2, 4).reshape(k * k, bsz, c, hout, wout)
+    else:
+        planes = [x.data[sl] for sl in slices]
     # Running max: the strict > keeps the first offset on ties, np.maximum keeps NaN.
-    out = x.data[slices[0]].copy()
-    arg = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
-    for idx, sl in enumerate(slices[1:], 1):
-        # Offsets rise, so the max keeps the last offset that beat the running max.
-        np.maximum(arg, (x.data[sl] > out) * arg.dtype.type(idx), out=arg)
-        np.maximum(out, x.data[sl], out=out)
+    out = planes[0].copy()
+    taped = _grad_enabled and x.requires_grad
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1)) if taped else None
+    for idx in range(1, k * k):
+        if taped:
+            # Offsets rise, so the max keeps the last offset that beat the running max.
+            np.maximum(arg, (planes[idx] > out) * arg.dtype.type(idx), out=arg)
+        np.maximum(out, planes[idx], out=out)
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
-        for idx, sl in enumerate(slices):
-            gx[sl] += g * (arg == idx)
+        if stride == k:
+            # Each cell is written at most once; adding +0 afterwards turns a
+            # -0.0 into +0.0, as accumulating into the zeros would.
+            for idx, sl in enumerate(slices):
+                np.multiply(g, arg == idx, out=gx[sl])
+            gx += 0
+        else:
+            for idx, sl in enumerate(slices):
+                gx[sl] += g * (arg == idx)
         return (gx,)
 
     return _record("maxpool2d", out, (x,), grad_fn)

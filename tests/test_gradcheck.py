@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lcanet.tensor as T
-from lcanet import gradcheck
+from lcanet import BackboneConfig, LcaConfig, build_model, gradcheck, max_entropy_loss
 from lcanet.gradcheck import (
     COMPOSITE_TOL,
     N_SEEDS,
@@ -45,6 +45,27 @@ def test_pool_relu_matmul_chain():
 
     assert f(x).shape == ()
     assert grad_check(f, x) < 1e-6
+
+
+def test_kink_margin_on_odd_pooled_extents():
+    """A 10x10 tiny_cnn pools a 5x5 map; its last row and column are read
+    by no window."""
+    m = build_model(BackboneConfig("tiny_cnn", (2, 3), (10, 10)), LcaConfig(embed_dim=2), 3,
+                    rng=Rng(0), dtype=np.float64)
+    for p in m.parameters():
+        if p.name.endswith("_bias"):
+            p.data[...] = 0.1
+    x = Tensor(Rng(1).uniform_array((2, 3, 10, 10), 0.0, 1.0, dtype=np.float64))
+    margin = gradcheck._kink_margin(max_entropy_loss(m.forward(x), np.array([0, 2]), 0.1))
+    assert np.isfinite(margin) and margin > 0
+
+
+def test_kink_margin_reads_2x2_windows_on_a_pooled_extent_of_one():
+    """A 3x3 map pools to 1x1 through the top-left 2x2 window only."""
+    x = Tensor(np.array([[[[1.0, 0.5, 9.0], [0.25, 0.125, 9.0], [9.0, 9.0, 9.0]]]]),
+               requires_grad=True)
+    loss = T.tensor_sum(T.relu(T.maxpool2d(x, 2, 2)))
+    assert gradcheck._kink_margin(loss) == 0.5  # 1.0 down to 0.5; the relu's is 1.0
 
 
 def test_multi_leaf_checking():

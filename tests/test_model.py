@@ -208,6 +208,42 @@ def test_gap_head_output_length_is_spatial_free():
         assert m.head_output(fm).shape == (2, 32)
 
 
+def _relu_first_forward(m, x):
+    """Model.forward as it was written before the pool moved ahead of the relu."""
+    y = T.conv2d(x, m.param("conv1_weight"), m.param("conv1_bias"), 1, 1)
+    y = T.maxpool2d(T.relu(y), 2, 2)
+    y = T.conv2d(y, m.param("conv2_weight"), m.param("conv2_bias"), 1, 1)
+    fm = T.maxpool2d(T.relu(y), 2, 2)
+    logits = T.matmul(m.head_output(fm), T.transpose(m.param("cls_weight")))
+    return T.add(logits, m.param("cls_bias"))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hw, lca", [((16, 16), True), ((10, 10), True), ((7, 5), False)])
+def test_pool_then_relu_model_bytes_equal_relu_then_pool(hw, lca, dtype):
+    """A tiny_cnn model's logits and every parameter gradient are the bytes
+    the relu-then-pool backbone gave, with dead channels and signed biases."""
+    models = []
+    for _ in range(2):
+        m = build_model(tiny_backbone(*hw, channels=(4, 6)), LcaConfig(5) if lca else None, 3,
+                        rng=Rng(11), dtype=dtype)
+        for p in m.parameters():
+            if p.name.endswith("_bias"):
+                p.data[...] = Rng(12).uniform_array(p.shape, -0.5, 0.5, dtype=dtype)
+        m.param("conv1_bias").data[0] = -100.0  # a channel whose every window is dead
+        models.append(m)
+    x = Tensor(Rng(13).uniform_array((4, 3, *hw), 0, 1, dtype=dtype))
+    targets = np.array([0, 1, 2, 1])
+    out = models[0].forward(x)
+    ref = _relu_first_forward(models[1], x)
+    T.backward(max_entropy_loss(out, targets, 0.1))
+    T.backward(max_entropy_loss(ref, targets, 0.1))
+    assert out.data.tobytes() == ref.data.tobytes()
+    for p, q in zip(models[0].parameters(), models[1].parameters()):
+        assert p.grad.dtype == dtype
+        assert p.grad.tobytes() == q.grad.tobytes(), p.name
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------

@@ -306,16 +306,41 @@ def _maxpool_masked_argmax(x, g, k, stride):
     return out, gx
 
 
+_MASKED_REF_CASES = [
+    ((32, 16, 16, 16), 2, 2),  # the two tiny_cnn maps at batch 32
+    ((32, 32, 8, 8), 2, 2),
+    ((2, 3, 7, 5), 3, 1),
+    ((2, 2, 17, 18), 17, 1),  # k*k - 1 = 288: a uint16 argmax
+]
+# Odd extents, where disjoint windows leave the last row or column out, and
+# overlapping windows at stride 1 and 2.
+_ODD_CASES = [
+    ((2, 3, 7, 5), 2, 2),
+    ((2, 3, 5, 5), 2, 2),
+    ((1, 2, 9, 8), 3, 3),
+    ((2, 3, 7, 5), 3, 2),
+]
+
+
+def _signed_half_steps(rng, shape, dtype):
+    """Half-steps in [-2, 2] with about 20% -0.0, so ties, signed zeros and
+    all-negative windows are common. The first channel starts with an
+    all-negative 3x3 corner, and the last with a 3x3 corner of mixed +-0.0."""
+    x = rng.integers(-4, 5, size=shape) / 2
+    x = np.where(rng.random(shape) < 0.2, -0.0, x)
+    x[:, 0, :3, :3] = -rng.integers(1, 5, size=(shape[0], 3, 3)) / 2
+    x[:, -1, :3, :3] = np.where(rng.random((shape[0], 3, 3)) < 0.5, -0.0, 0.0)
+    return x.astype(dtype)
+
+
+def _signed_upstream(rng, shape, dtype):
+    """Integer upstream gradient in [-3, 3] with about 20% -0.0."""
+    g = rng.integers(-3, 4, size=shape).astype(dtype)
+    return np.where(rng.random(shape) < 0.2, -0.0, g).astype(dtype)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize(
-    "shape, k, stride",
-    [
-        ((32, 16, 16, 16), 2, 2),  # the two tiny_cnn maps at batch 32
-        ((32, 32, 8, 8), 2, 2),
-        ((2, 3, 7, 5), 3, 1),
-        ((2, 2, 17, 18), 17, 1),  # k*k - 1 = 288: a uint16 argmax
-    ],
-)
+@pytest.mark.parametrize("shape, k, stride", _MASKED_REF_CASES)
 def test_maxpool_bytes_match_masked_argmax_reference(shape, k, stride, dtype):
     rng = np.random.default_rng(sum(shape) + k)
     # Relu'd half-steps: zeros and repeated values tie often.
@@ -329,6 +354,58 @@ def test_maxpool_bytes_match_masked_argmax_reference(shape, k, stride, dtype):
     assert out.data.dtype == dtype and gx.dtype == dtype
     assert out.data.tobytes() == ref_out.tobytes()
     assert gx.tobytes() == ref_gx.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, k, stride", _MASKED_REF_CASES + _ODD_CASES)
+def test_maxpool_bytes_match_masked_argmax_reference_on_signed_input(shape, k, stride, dtype):
+    """The pool reads pre-activations: negatives, -0.0 and all-negative
+    windows. The adjoint is compared as the op returns it, so a -0.0 that
+    accumulating into zeros would turn into +0.0 must come out +0.0."""
+    rng = np.random.default_rng(sum(shape) + k + 1)
+    x = _signed_half_steps(rng, shape, dtype)
+    out = T.maxpool2d(Tensor(x, requires_grad=True), k, stride=stride)
+    g = _signed_upstream(rng, out.shape, dtype)
+    (gx,) = out.node.grad_fn(g)
+
+    ref_out, ref_gx = _maxpool_masked_argmax(x, g, k, stride)
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert gx.tobytes() == ref_gx.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, k, stride",
+                         _MASKED_REF_CASES + _ODD_CASES + [((2, 3, 7, 5), 3, 1)])
+def test_maxpool_without_a_tape_matches_the_taped_bytes(shape, k, stride, dtype):
+    rng = np.random.default_rng(sum(shape) + k + 2)
+    x = _signed_half_steps(rng, shape, dtype)
+    taped = T.maxpool2d(Tensor(x, requires_grad=True), k, stride=stride)
+    assert taped.node is not None
+    with T.no_grad():
+        frozen = T.maxpool2d(Tensor(x, requires_grad=True), k, stride=stride)
+    constant = T.maxpool2d(Tensor(x), k, stride=stride)
+    for out in (frozen, constant):
+        assert out.node is None and not out.requires_grad
+        assert out.data.tobytes() == taped.data.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, k, stride",
+                         [((32, 16, 16, 16), 2, 2), ((2, 3, 7, 5), 3, 1)] + _ODD_CASES)
+def test_pool_then_relu_bytes_equal_relu_then_pool(shape, k, stride, dtype):
+    """relu is monotone: relu(maxpool(y)) == maxpool(relu(y)) on finite y,
+    and the leaf gradient lands on the same cells with the same bytes."""
+    rng = np.random.default_rng(sum(shape) + k + 3)
+    x = _signed_half_steps(rng, shape, dtype)
+    pool_first, relu_first = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+    out = T.relu(T.maxpool2d(pool_first, k, stride=stride))
+    ref = T.maxpool2d(T.relu(relu_first), k, stride=stride)
+    g = Tensor(_signed_upstream(rng, out.shape, dtype))
+    T.backward(T.tensor_sum(T.mul(out, g)))
+    T.backward(T.tensor_sum(T.mul(ref, g)))
+    assert out.dtype == dtype and pool_first.grad.dtype == dtype
+    assert out.data.tobytes() == ref.data.tobytes()
+    assert pool_first.grad.tobytes() == relu_first.grad.tobytes()
 
 
 # ---------------------------------------------------------------------------
