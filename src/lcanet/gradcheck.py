@@ -221,8 +221,8 @@ def _kink_margin(loss: Tensor) -> float:
     runner-up. The tiny backbone pools pre-activations and applies the
     relu after the pool, so a window whose max is <= 0 is zeroed by that
     relu, whose |max| margin covers it. Pools are read as the tiny
-    backbone's 2x2 windows at stride 2; on an odd extent the last row or
-    column, which no window reads, is trimmed first.
+    backbone's ``model.POOL``-wide windows at that stride; the rows and
+    columns no window reads are trimmed first.
     """
     margin = np.inf
     seen: set[int] = set()
@@ -237,9 +237,10 @@ def _kink_margin(loss: Tensor) -> float:
             margin = min(margin, float(np.abs(node.parents[0].data).min()))
         elif node.op == "maxpool2d":
             n, c, oh, ow = out.shape
-            xin = node.parents[0].data[:, :, : 2 * oh, : 2 * ow]
-            win = xin.reshape(n, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5)
-            top2 = np.sort(win.reshape(n, c, oh, ow, 4), axis=-1)[..., -2:]
+            k = model_mod.POOL
+            xin = node.parents[0].data[:, :, : k * oh, : k * ow]
+            win = xin.reshape(n, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5)
+            top2 = np.sort(win.reshape(n, c, oh, ow, k * k), axis=-1)[..., -2:]
             live = top2[..., 1] > 0
             if live.any():
                 margin = min(margin, float((top2[..., 1] - top2[..., 0])[live].min()))

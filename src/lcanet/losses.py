@@ -1,11 +1,9 @@
-"""Classification objectives: negative log-likelihood, prediction entropy,
-and their weighted combination.
+"""Classification objective: NLL − λ·entropy over log_softmax(logits).
 
-The combined loss is NLL − λ·H. Minimizing it trades likelihood against
-keeping the predictive distribution spread out; λ=0 recovers plain NLL.
-Entropy is computed from log-probabilities for stability, with the 0·log 0
-convention resolved to 0 so exact zeros in a hand-built distribution are
-legal inputs.
+Minimizing it trades likelihood against keeping the predictive
+distribution spread out; λ=0 recovers plain NLL. The two terms are tape
+ops of ``lcanet.tensor``, where every adjoint lives; ``nll_loss`` and
+``entropy`` are re-exported here.
 """
 
 from __future__ import annotations
@@ -13,51 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor
-from .tensor import _record  # intra-package: registering two bespoke adjoints
-
-
-def nll_loss(logp: Tensor, targets) -> Tensor:
-    """Mean over the batch of −logp[i, target_i]."""
-    if logp.ndim != 2:
-        raise ShapeError(f"nll_loss expects [B,K] log-probs, got {logp.shape}")
-    b, k = logp.shape
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != (b,):
-        raise ShapeError(f"targets shape {targets.shape} does not match batch {b}")
-    if targets.min() < 0 or targets.max() >= k:
-        raise IndexError(f"target out of range [0,{k}): {targets.min()}..{targets.max()}")
-
-    rows = np.arange(b)
-    out = -logp.data[rows, targets].mean()
-
-    def grad_fn(g):
-        gx = np.zeros_like(logp.data)
-        gx[rows, targets] = -g / b
-        return (gx,)
-
-    return _record("nll", np.asarray(out, dtype=logp.dtype), (logp,), grad_fn)
-
-
-def entropy(logp: Tensor) -> Tensor:
-    """Mean over the batch of H = −Σ_k p_k·log p_k, with 0·log 0 := 0."""
-    if logp.ndim != 2:
-        raise ShapeError(f"entropy expects [B,K] log-probs, got {logp.shape}")
-    b = logp.shape[0]
-    p = np.exp(logp.data)
-    # logp = -inf at p = 0 would make the discarded branch of np.where
-    # evaluate 0 * inf; errstate keeps that expected case silent.
-    with np.errstate(invalid="ignore"):
-        plogp = np.where(p > 0, p * logp.data, 0.0)
-    out = -plogp.sum(axis=1).mean()
-
-    def grad_fn(g):
-        # d(−p·logp)/dl = −e^l·(l + 1); the p=0 branch is constant 0.
-        with np.errstate(invalid="ignore"):
-            gx = np.where(p > 0, -p * (logp.data + 1.0), 0.0) * (g / b)
-        return (gx.astype(logp.dtype, copy=False),)
-
-    return _record("entropy", np.asarray(out, dtype=logp.dtype), (logp,), grad_fn)
+from .tensor import Tensor, entropy, nll_loss
 
 
 def loss_terms(logits: Tensor, targets, lambda_entropy: float) -> tuple[Tensor, Tensor, Tensor]:

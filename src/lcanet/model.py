@@ -41,6 +41,7 @@ BACKBONE_KINDS = ("tiny_cnn", "external_features")
 HEAD_KINDS = ("gap", "lca")
 MAGIC = b"LCAC"
 VERSION = 1
+POOL = 2  # window and stride of each of tiny_cnn's two max-pools
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class BackboneConfig:
         """(C, H', W') of the map this backbone hands the head."""
         h, w = self.input_size
         if self.kind == "tiny_cnn":
-            return (self.channels[1], h // 2 // 2, w // 2 // 2)
+            return (self.channels[1], h // POOL // POOL, w // POOL // POOL)
         return (self.channels[0], h, w)
 
 
@@ -127,9 +128,9 @@ class Model:
         # Pool, then relu: relu is monotone, so this is relu-then-pool on a
         # quarter of the cells, with the same bytes and the same gradients.
         y = T.conv2d(x, self.param("conv1_weight"), self.param("conv1_bias"), 1, 1)
-        y = T.relu(T.maxpool2d(y, 2, 2))
+        y = T.relu(T.maxpool2d(y, POOL, POOL))
         y = T.conv2d(y, self.param("conv2_weight"), self.param("conv2_bias"), 1, 1)
-        return T.relu(T.maxpool2d(y, 2, 2))
+        return T.relu(T.maxpool2d(y, POOL, POOL))
 
     def head_output(self, fm: Tensor) -> Tensor:
         if self.lca_cfg is not None:
@@ -155,14 +156,14 @@ def param_shapes(backbone: BackboneConfig, lca_cfg: LcaConfig | None,
         raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
 
     shapes = {}
+    feat_c, fh, fw = backbone.feature_shape()
     if backbone.kind == "tiny_cnn":
         h, w = backbone.input_size
-        if h < 4 or w < 4:
-            raise ConfigError(f"tiny_cnn needs input >= 4x4, got {h}x{w}")
+        if min(fh, fw) < 1:  # a pool found no full window
+            raise ConfigError(f"tiny_cnn needs input >= {POOL**2}x{POOL**2}, got {h}x{w}")
         c1, c2 = backbone.channels
         shapes.update(conv1_weight=(c1, 3, 3, 3), conv1_bias=(c1,),
                       conv2_weight=(c2, c1, 3, 3), conv2_bias=(c2,))
-    feat_c, fh, fw = backbone.feature_shape()
     cls_in = feat_c
     if lca_cfg is not None:
         try:

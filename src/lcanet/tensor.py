@@ -7,10 +7,10 @@ holding the operation tag, the input tensors and a closure that maps the
 output adjoint to input adjoints.
 
 The tape is implicit: nodes carry a global creation sequence number, and
-``backward`` replays reachable nodes in reverse creation order, which is a
-valid topological order because an operation can only consume tensors
-created before it. Each node is visited exactly once; leaf tensors marked
-``requires_grad`` accumulate into their ``.grad`` buffer.
+``backward`` replays the nodes the loss reaches newest first, a valid
+topological order because an operation can only consume tensors created
+before it. Each such node runs once; leaf tensors marked ``requires_grad``
+accumulate into their ``.grad`` buffer.
 
 Tensors are treated as immutable values once produced. Gradients are kept
 as plain numpy arrays, never on the tape.
@@ -18,6 +18,7 @@ as plain numpy arrays, never on the tape.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from contextlib import contextmanager
 
@@ -135,6 +136,11 @@ class Parameter(Tensor):
 # ---------------------------------------------------------------------------
 
 
+def _taped(parents) -> bool:
+    """Whether an op on ``parents`` records a tape node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _record(op: str, out: np.ndarray, parents, grad_fn) -> Tensor:
     if _debug_checks and not np.all(np.isfinite(out)):
         raise NumericsError(f"{op} produced non-finite values")
@@ -143,7 +149,7 @@ def _record(op: str, out: np.ndarray, parents, grad_fn) -> Tensor:
     t.grad = None
     t.node = None
     t.requires_grad = False
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _taped(parents):
         t.requires_grad = True
         t.node = Node(op, tuple(parents), grad_fn)
     return t
@@ -162,6 +168,11 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be a scalar produced by a recorded operation. Gradients
     of leaves not reachable from ``loss`` are left untouched.
+
+    A node waits in a max-heap on ``seq`` from its first adjoint
+    contribution on, and the newest runs next. Its consumers are all newer,
+    so its adjoint is complete when it runs; contributions arrive in
+    descending consumer ``seq``, in parent order within one consumer.
     """
     if not isinstance(loss, Tensor) or loss.shape != ():
         shape = getattr(loss, "shape", None)
@@ -169,38 +180,22 @@ def backward(loss: Tensor) -> None:
     if loss.node is None:
         raise ContractError("backward on a tensor that no recorded operation produced")
 
-    # Reverse sweep in descending creation order: every consumer of a tensor
-    # was created after its producer, so each output adjoint is complete by
-    # the time its node is replayed, and every node runs exactly once.
-    nodes = []
-    seen = set()
-    stack = [loss.node]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        nodes.append(node)
-        for p in node.parents:
-            if p.node is not None and id(p.node) not in seen:
-                stack.append(p.node)
-    nodes.sort(key=lambda n: n.seq, reverse=True)
-
-    adjoint = {id(loss.node): np.ones((), dtype=loss.dtype)}
-    for node in nodes:
-        g = adjoint.pop(id(node), None)
-        if g is None:
-            continue  # output never fed the loss
-        for p, gp in zip(node.parents, node.grad_fn(g)):
+    adjoint = {loss.node.seq: np.ones((), dtype=loss.dtype)}
+    pending = [(-loss.node.seq, loss.node)]
+    while pending:
+        _, node = heapq.heappop(pending)
+        for p, gp in zip(node.parents, node.grad_fn(adjoint.pop(node.seq))):
             if gp is None or not p.requires_grad:
                 continue
             if p.node is None:
                 if p.grad is None:
                     p.grad = np.zeros_like(p.data)
                 p.grad += gp.astype(p.dtype, copy=False)
+            elif p.node.seq in adjoint:
+                adjoint[p.node.seq] = adjoint[p.node.seq] + gp
             else:
-                acc = adjoint.get(id(p.node))
-                adjoint[id(p.node)] = gp if acc is None else acc + gp
+                adjoint[p.node.seq] = gp
+                heapq.heappush(pending, (-p.node.seq, p.node))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +264,49 @@ def log_softmax(x: Tensor) -> Tensor:
         return (g - np.exp(out) * g.sum(axis=1, keepdims=True),)
 
     return _record("log_softmax", out, (x,), grad_fn)
+
+
+def nll_loss(logp: Tensor, targets) -> Tensor:
+    """Mean over the batch of −logp[i, target_i]."""
+    if logp.ndim != 2:
+        raise ShapeError(f"nll_loss expects [B,K] log-probs, got {logp.shape}")
+    b, k = logp.shape
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (b,):
+        raise ShapeError(f"targets shape {targets.shape} does not match batch {b}")
+    if targets.min() < 0 or targets.max() >= k:
+        raise IndexError(f"target out of range [0,{k}): {targets.min()}..{targets.max()}")
+
+    rows = np.arange(b)
+    out = -logp.data[rows, targets].mean()
+
+    def grad_fn(g):
+        gx = np.zeros_like(logp.data)
+        gx[rows, targets] = -g / b
+        return (gx,)
+
+    return _record("nll", np.asarray(out, dtype=logp.dtype), (logp,), grad_fn)
+
+
+def entropy(logp: Tensor) -> Tensor:
+    """Mean over the batch of H = −Σ_k p_k·log p_k, with 0·log 0 := 0."""
+    if logp.ndim != 2:
+        raise ShapeError(f"entropy expects [B,K] log-probs, got {logp.shape}")
+    b = logp.shape[0]
+    p = np.exp(logp.data)
+    # logp = -inf at p = 0 would make the discarded branch of np.where
+    # evaluate 0 * inf; errstate keeps that expected case silent.
+    with np.errstate(invalid="ignore"):
+        plogp = np.where(p > 0, p * logp.data, 0.0)
+    out = -plogp.sum(axis=1).mean()
+
+    def grad_fn(g):
+        # d(−p·logp)/dl = −e^l·(l + 1); the p=0 branch is constant 0.
+        with np.errstate(invalid="ignore"):
+            gx = np.where(p > 0, -p * (logp.data + 1.0), 0.0) * (g / b)
+        return (gx.astype(logp.dtype, copy=False),)
+
+    return _record("entropy", np.asarray(out, dtype=logp.dtype), (logp,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +427,7 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
         planes = [x.data[sl] for sl in slices]
     # Running max: the strict > keeps the first offset on ties, np.maximum keeps NaN.
     out = planes[0].copy()
-    taped = _grad_enabled and x.requires_grad
+    taped = _taped((x,))
     arg = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1)) if taped else None
     for idx in range(1, k * k):
         if taped:

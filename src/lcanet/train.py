@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,6 +113,13 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
     init_rng = master.spawn()
     train_rng = master.spawn()
 
+    # Refuse an unbuildable architecture before any read. 2 is the fewest
+    # classes a run may have; external_features takes its H x W from the maps.
+    lca_cfg = LcaConfig(cfg.lca_embed_dim, cfg.lca_include_one_by_k) if cfg.head == "lca" else None
+    backbone = model_mod.BackboneConfig(cfg.backbone, tuple(cfg.channels), cfg.input_size)
+    if cfg.backbone == "tiny_cnn":
+        model_mod.param_shapes(backbone, lca_cfg, num_classes=2)
+
     train_ds = _load_split(cfg, cfg.data_train, "train")
     test_ds = _load_split(cfg, cfg.data_test, "test")
     if len(train_ds) < 1:
@@ -134,10 +141,8 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
         raise DataError(f"training split has no sample of class {missing}; "
                         f"its labels must cover 0..{num_classes - 1}")
 
-    # external_features reads its H x W from the maps; input_size sizes images.
-    hw = train_ds.inputs.shape[2:] if cfg.backbone == "external_features" else cfg.input_size
-    backbone = model_mod.BackboneConfig(cfg.backbone, tuple(cfg.channels), hw)
-    lca_cfg = LcaConfig(cfg.lca_embed_dim, cfg.lca_include_one_by_k) if cfg.head == "lca" else None
+    if cfg.backbone == "external_features":
+        backbone = replace(backbone, input_size=train_ds.inputs.shape[2:])
     check_split(train_ds, backbone, num_classes, "training")
     check_split(test_ds, backbone, num_classes, "test")
 

@@ -182,15 +182,6 @@ def test_train_missing_data_exits_3(workdir):
     assert main(["train", "--config", str(cfg)]) == 3
 
 
-def test_train_external_features_with_two_channel_counts_exits_2(workdir, capsys):
-    write_feature_file("feats.lcaf", np.zeros((4, 8, 4, 4), dtype=np.float32), [0, 1, 0, 1])
-    cfg = write_cfg(workdir, backbone="external_features", channels="4,8",
-                    **{"data.format": "lcaf", "data.train": "feats.lcaf",
-                       "data.test": "feats.lcaf"})
-    assert main(["train", "--config", str(cfg)]) == 2
-    assert "one channel count" in capsys.readouterr().err
-
-
 def test_train_tiny_cnn_on_feature_file_exits_2(workdir, capsys):
     write_feature_file("feats.lcaf", np.zeros((4, 8, 4, 4), dtype=np.float32), [0, 1, 0, 1])
     cfg = write_cfg(workdir, **{"data.format": "lcaf", "data.train": "feats.lcaf",
@@ -262,6 +253,37 @@ def test_train_square_kernels_on_a_single_row_map_exits_2(workdir, capsys, case)
     assert main(["train", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"channels": "16"}, "tiny_cnn takes exactly two channel counts"),
+    ({"input_size": "3"}, "tiny_cnn needs input >= 4x4, got 3x3"),
+    ({"input_size": "4"}, "lca head: no pooling kernel other than 1x1 fits a 1x1 map "
+                          "(include_one_by_k=True) (input (4, 4))"),
+    ({"backbone": "external_features", "channels": "4,8", "data.format": "lcaf",
+      "data.train": "feats.lcaf", "data.test": "feats.lcaf"},
+     "external_features takes exactly one channel count"),
+], ids=["tiny_cnn_one_channel_count", "tiny_cnn_3x3", "tiny_cnn_1x1_map_under_lca",
+        "external_features_two_channel_counts"])
+def test_train_unbuildable_architecture_exits_2_before_any_read(workdir, capsys, monkeypatch,
+                                                                overrides, message):
+    make_data(workdir)
+    write_feature_file("feats.lcaf", np.zeros((4, 8, 4, 4), dtype=np.float32), [0, 1, 0, 1])
+    cfg = write_cfg(workdir, **overrides)
+    capsys.readouterr()
+    reads = []
+    real_open = open
+
+    def spy(file, *args, **kwargs):
+        if str(file).endswith((".ppm", ".lcaf")):
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert reads == []
     assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
 
 

@@ -1,0 +1,48 @@
+"""Rules about the library's source that no behaviour test would notice.
+
+numpy is the only runtime dependency, and the tape's private plumbing
+(``_record``, which decides whether an op is taped and records it) is used
+only by ``lcanet.tensor``, where every adjoint is defined.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import lcanet.losses
+import lcanet.tensor
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lcanet"
+MODULES = sorted(SRC.glob("*.py"))
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "lcanet"}
+
+
+def _imported_top_levels(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_modules_are_found():
+    assert {p.name for p in MODULES} >= {"tensor.py", "losses.py", "train.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library_numpy_and_lcanet(path):
+    foreign = sorted(set(_imported_top_levels(path)) - ALLOWED)
+    assert not foreign, f"{path.name} imports {foreign}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_tensor_names_record(path):
+    named = "_record" in path.read_text(encoding="utf-8")
+    assert named == (path.name == "tensor.py")
+
+
+def test_losses_reexports_the_tensor_ops():
+    assert lcanet.losses.nll_loss is lcanet.tensor.nll_loss
+    assert lcanet.losses.entropy is lcanet.tensor.entropy

@@ -516,6 +516,58 @@ def test_backward_accumulates_across_calls():
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
+@pytest.mark.parametrize("shared_is_leaf", [True, False], ids=["leaf", "taped"])
+def test_backward_replays_each_reached_node_once_newest_first(shared_is_leaf):
+    """One tensor feeds three consumers and a branch that never reaches the
+    loss. Each reached grad_fn runs exactly once, in descending ``seq``; the
+    dead branch's never run; and the shared tensor's contributions add up
+    newest consumer first, parent slots in order, which the bytes show."""
+    rng = np.random.default_rng(16)
+
+    def f32(n):
+        return (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)).astype(np.float32)
+
+    x = Tensor(f32(64), requires_grad=True)
+    wa, wb, wc = Tensor(f32(64)), Tensor(f32(64)), Tensor(f32(64))
+    shared = x if shared_is_leaf else T.reshape(x, x.shape)
+    a = T.mul(shared, shared)
+    b = T.scale(shared, 0.3)
+    c = T.relu(shared)
+    dead = T.relu(T.scale(shared, 9.0))
+    loss = T.tensor_sum(T.add(T.add(T.mul(a, wa), T.mul(b, wb)), T.mul(c, wc)))
+
+    runs, nodes, stack = [], {}, [loss, dead]
+    while stack:
+        node = stack.pop().node
+        if node is None or node.seq in nodes:
+            continue
+        nodes[node.seq] = node
+        node.grad_fn = (lambda fn, seq: lambda g: (runs.append(seq), fn(g))[1])(
+            node.grad_fn, node.seq)
+        stack.extend(node.parents)
+    T.backward(loss)
+
+    dead_seqs = {dead.node.seq, dead.node.parents[0].node.seq}
+    assert runs == sorted(set(nodes) - dead_seqs, reverse=True)
+
+    # Consumers newest first: relu, scale, then mul's two slots.
+    parts = [wc.data * (x.data > 0), wb.data * 0.3, wa.data * x.data, wa.data * x.data]
+    want = np.zeros_like(x.data)
+    if shared_is_leaf:
+        for part in parts:
+            want += part
+    else:
+        acc = parts[0]
+        for part in parts[1:]:
+            acc = acc + part
+        want += acc
+    assert x.grad.tobytes() == want.tobytes()
+    oldest_first = np.zeros_like(x.data)
+    for part in parts[::-1]:
+        oldest_first += part
+    assert oldest_first.tobytes() != want.tobytes()  # the order shows in the bytes
+
+
 def test_tape_is_linear():
     """grad(a*L1 + b*L2) == a*grad(L1) + b*grad(L2)."""
     rng = np.random.default_rng(5)
