@@ -21,7 +21,7 @@ from .data import DataError
 from .gradcheck import run_suite
 from .model import CheckpointError
 from .tensor import NumericsError, ShapeError
-from .train import check_split, evaluate, load_split, run_training
+from .train import check_split, evaluate, load_splits, run_training
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -47,18 +47,17 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     loaded = model_mod.load_checkpoint(args.ckpt)
     model = loaded.model
-    ds = load_split(model.backbone.kind, args.data, model.backbone.input_size)
+    [ds] = load_splits(model.backbone, {args.data: args.data})
     if len(ds) == 0:
         raise DataError(f"{args.data}: no samples")
-    check_split(ds, model.backbone, model.num_classes, args.data)
+    check_split(ds, model.num_classes, args.data)
 
     result = evaluate(model, ds)
     print(f"accuracy={100.0 * result.accuracy:.4f}%")
     names = ds.class_names or [str(i) for i in range(model.num_classes)]
     for cls, correct, total in result.per_class:
         pct = 100.0 * correct / total if total else 0.0
-        label = names[cls] if cls < len(names) else str(cls)
-        print(f"class {cls} [{label}]: {pct:.4f}% ({correct}/{total})")
+        print(f"class {cls} [{names[cls]}]: {pct:.4f}% ({correct}/{total})")
     return EXIT_OK
 
 

@@ -16,6 +16,24 @@ class ConfigError(ValueError):
     """Bad key, bad value, or an inconsistent combination."""
 
 
+# A kind's index in its tuple is its tag in a checkpoint file.
+BACKBONE_KINDS = ("tiny_cnn", "external_features")
+HEAD_KINDS = ("gap", "lca")
+
+
+def check_backbone(kind: str, channels) -> None:
+    """Refuse what no input size can make buildable: an unknown kind, or
+    channel counts other than tiny_cnn's (C1, C2) and external_features' (C,)."""
+    if kind not in BACKBONE_KINDS:
+        raise ConfigError(f"unknown backbone kind {kind!r}")
+    if any(c < 1 for c in channels):
+        raise ConfigError(f"channels must be >= 1, got {channels}")
+    if kind == "tiny_cnn" and len(channels) != 2:
+        raise ConfigError("tiny_cnn takes exactly two channel counts")
+    if kind == "external_features" and len(channels) != 1:
+        raise ConfigError("external_features takes exactly one channel count")
+
+
 def _int(s):
     return int(s, 10)
 
@@ -171,14 +189,12 @@ def _validate(cfg: RunConfig) -> None:
     need(cfg.lr_step_epoch >= 0, "lr_step_epoch", f"must be >= 0, got {cfg.lr_step_epoch}")
     need(cfg.lr_step_factor > 0, "lr_step_factor", f"must be > 0, got {cfg.lr_step_factor}")
     need(cfg.lambda_entropy >= 0, "lambda_entropy", f"must be >= 0, got {cfg.lambda_entropy}")
-    need(cfg.head in ("lca", "gap"), "head", f"must be lca or gap, got {cfg.head!r}")
+    need(cfg.head in HEAD_KINDS, "head", f"must be one of {HEAD_KINDS}, got {cfg.head!r}")
     need(cfg.lca_embed_dim >= 1, "lca.embed_dim", f"must be >= 1, got {cfg.lca_embed_dim}")
-    need(cfg.backbone in ("tiny_cnn", "external_features"), "backbone",
-         f"must be tiny_cnn or external_features, got {cfg.backbone!r}")
+    need(cfg.backbone in BACKBONE_KINDS, "backbone",
+         f"must be one of {BACKBONE_KINDS}, got {cfg.backbone!r}")
     need(all(n >= 1 for n in cfg.input_size), "input_size",
          f"dimensions must be >= 1, got {cfg.input_size}")
-    need(len(cfg.channels) >= 1 and all(c >= 1 for c in cfg.channels), "channels",
-         f"must be positive counts, got {cfg.channels}")
     fmt = "ppm" if cfg.backbone == "tiny_cnn" else "lcaf"
     need(cfg.data_format == fmt, "data.format",
          f"backbone {cfg.backbone} needs data.format={fmt}, got {cfg.data_format!r}")
@@ -192,3 +208,4 @@ def _validate(cfg: RunConfig) -> None:
         if key.startswith("aug.") and cfg.backbone == "external_features":
             need(getattr(cfg, attr) == getattr(RunConfig, attr), key,
                  "augments images, so it must stay at its default for external_features")
+    check_backbone(cfg.backbone, cfg.channels)

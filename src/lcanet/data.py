@@ -231,31 +231,36 @@ def write_feature_file(path, feats: np.ndarray, labels) -> None:
         fh.write(labels.tobytes())
 
 
-def load_feature_file(path) -> Dataset:
+def read_feature_header(path) -> tuple:
+    """(N, C, H, W) from an LCAF file's header; reads no payload. A bad magic,
+    version or size, or a zero C, H or W, is a ``DataError`` naming the file."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(24)
-        if head[:4] != _LCAF_MAGIC:
-            raise DataError(f"{path}: bad magic, not an LCAF feature file")
-        if len(head) < 24:
-            raise DataError(f"{path}: truncated LCAF header")
-        version, n, c, h, w = struct.unpack("<5I", head[4:24])
-        if version != _LCAF_VERSION:
-            raise DataError(f"{path}: unsupported LCAF version {version}")
-        if 0 in (c, h, w):
-            raise DataError(f"{path}: LCAF maps are {c}x{h}x{w} (C, H, W); each must be >= 1")
-        count = n * c * h * w
-        need = 24 + 4 * count + 4 * n
-        if size != need:
-            raise DataError(f"{path}: LCAF payload is {size} bytes, need {need}")
-        feats = np.fromfile(fh, dtype="<f4", count=count)
-        labels = np.fromfile(fh, dtype="<u4", count=n)
-    if feats.size != count or labels.size != n:
-        raise DataError(f"{path}: LCAF file ended early ({size} bytes announced)")
-    return Dataset(
-        inputs=feats.reshape(n, c, h, w).astype(np.float32, copy=False),
-        labels=labels.astype(np.int64),
-    )
+    if head[:4] != _LCAF_MAGIC:
+        raise DataError(f"{path}: bad magic, not an LCAF feature file")
+    if len(head) < 24:
+        raise DataError(f"{path}: truncated LCAF header")
+    version, n, c, h, w = struct.unpack("<5I", head[4:])
+    if version != _LCAF_VERSION:
+        raise DataError(f"{path}: unsupported LCAF version {version}")
+    if 0 in (c, h, w):
+        raise DataError(f"{path}: LCAF maps are {c}x{h}x{w} (C, H, W); each must be >= 1")
+    need = 24 + 4 * (n * c * h * w + n)
+    if size != need:
+        raise DataError(f"{path}: LCAF payload is {size} bytes, need {need}")
+    return n, c, h, w
+
+
+def load_feature_file(path) -> Dataset:
+    """LCAF file -> dataset, read whole once ``read_feature_header`` passes it."""
+    n, c, h, w = read_feature_header(path)
+    count = n * c * h * w
+    words = np.fromfile(path, dtype="<u4", offset=24)  # the maps' f32 bits, then the labels
+    if words.size != count + n:
+        raise DataError(f"{path}: LCAF file changed size while it was read")
+    return Dataset(words[:count].view("<f4").reshape(n, c, h, w).astype(np.float32, copy=False),
+                   words[count:].astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,23 @@
 """Model assembly and checkpoint serialization.
 
-A model is backbone -> head -> linear classifier. The backbone is either a
-small two-stage CNN for end-to-end desk-scale training, or a pass-through
-(``external_features``) that consumes precomputed feature maps, standing in
-for a large pretrained trunk. The head is either the local-concepts
-accumulation layer (given an ``LcaConfig``) or, with ``lca_cfg=None``,
-plain global average pooling (the baseline it is compared against); the
-classifier is a single linear layer.
+A model is backbone -> head -> linear classifier: its architecture plus one
+array per parameter, in ``param_shapes`` order, which ``Model`` wraps as
+given. ``build_model`` draws them and ``load_checkpoint`` reads them. The
+backbone is either a small two-stage CNN for end-to-end desk-scale
+training, or a pass-through (``external_features``) that consumes
+precomputed feature maps, standing in for a large pretrained trunk. The
+head is either the local-concepts accumulation layer (given an
+``LcaConfig``) or, with ``lca_cfg=None``, plain global average pooling (the
+baseline it is compared against); the classifier is a single linear layer.
 
 Checkpoints are little-endian binary: magic ``LCAC`` | u32 version=1 |
 u32 param-count | per-param (u16 name-len, name UTF-8, u8 dtype=1 for f32,
 u8 rank, u32 dims..., f32 payload) | architecture+optimizer section |
 u64 epoch | 32-byte rng state. The middle section holds the architecture
 (so evaluation can rebuild the model without a config file) and the
-optimizer velocity table, encoded like the parameter table. Round-trips
-are byte-identical.
+optimizer velocity table, encoded like the parameter table; the backbone
+and head tags index ``config.BACKBONE_KINDS`` and ``config.HEAD_KINDS``.
+Round-trips are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import ConfigError
+from .config import BACKBONE_KINDS, HEAD_KINDS, ConfigError, check_backbone
 from .lca import EmptyKernelError, LcaConfig, check_extent, lca_forward
 from .rng import Rng
 from .tensor import Parameter, ShapeError, Tensor
@@ -37,8 +40,6 @@ class CheckpointError(ValueError):
     """Checkpoint file malformed, truncated, or incompatible."""
 
 
-BACKBONE_KINDS = ("tiny_cnn", "external_features")
-HEAD_KINDS = ("gap", "lca")
 MAGIC = b"LCAC"
 VERSION = 1
 POOL = 2  # window and stride of each of tiny_cnn's two max-pools
@@ -51,14 +52,7 @@ class BackboneConfig:
     input_size: tuple  # (H, W) of images / feature maps
 
     def __post_init__(self):
-        if self.kind not in BACKBONE_KINDS:
-            raise ConfigError(f"unknown backbone kind {self.kind!r}")
-        if self.kind == "tiny_cnn" and len(self.channels) != 2:
-            raise ConfigError("tiny_cnn takes exactly two channel counts")
-        if self.kind == "external_features" and len(self.channels) != 1:
-            raise ConfigError("external_features takes exactly one channel count")
-        if any(c < 1 for c in self.channels):
-            raise ConfigError(f"channel counts must be >= 1, got {self.channels}")
+        check_backbone(self.kind, self.channels)
 
     def input_shape(self) -> tuple:
         """(C, H, W) of one sample this backbone reads."""
@@ -93,19 +87,11 @@ def _he_uniform(rng, shape, fan_in, dtype):
 
 
 class Model:
-    def __init__(self, backbone: BackboneConfig, lca_cfg, num_classes, dtype):
+    def __init__(self, backbone: BackboneConfig, lca_cfg, num_classes, arrays: dict):
         self.backbone = backbone
         self.lca_cfg = lca_cfg  # None: the GAP head
         self.num_classes = num_classes
-        self.dtype = np.dtype(dtype)
-        self._params: dict[str, Parameter] = {}
-
-    # -- construction ------------------------------------------------------
-
-    def _add(self, name: str, data) -> Parameter:
-        p = Parameter(name, np.asarray(data, dtype=self.dtype))
-        self._params[name] = p
-        return p
+        self._params = {name: Parameter(name, data) for name, data in arrays.items()}
 
     def parameters(self) -> list[Parameter]:
         return list(self._params.values())
@@ -116,8 +102,6 @@ class Model:
     @property
     def head(self) -> str:
         return "gap" if self.lca_cfg is None else "lca"
-
-    # -- forward -------------------------------------------------------------
 
     def feature_map(self, x: Tensor) -> Tensor:
         c, h, w = self.backbone.input_shape()
@@ -148,10 +132,8 @@ class Model:
 def param_shapes(backbone: BackboneConfig, lca_cfg: LcaConfig | None,
                  num_classes: int) -> dict:
     """Validate an architecture and return its parameter shapes, in init order.
-
-    Allocates nothing, so the checkpoint loader can check a file's declared
-    architecture against the tensors it actually holds before building.
-    """
+    Allocates nothing: training settles a config with it before reading any
+    payload, and the checkpoint loader checks a file's tensors against it."""
     if num_classes < 2:
         raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
 
@@ -177,28 +159,22 @@ def param_shapes(backbone: BackboneConfig, lca_cfg: LcaConfig | None,
 
 
 def build_model(backbone: BackboneConfig, lca_cfg: LcaConfig | None,
-                num_classes: int, rng=None, dtype=np.float32) -> Model:
-    """Assemble and (if an rng is given) initialize the full model; an
-    ``lca_cfg`` of None gives the GAP head.
-
-    With ``rng=None`` every parameter is zero-filled — the checkpoint loader
-    uses that path and then overwrites from the file. Biases start at zero;
-    conv kernels draw He-uniform and linear weights Glorot, in shape order.
-    """
-    shapes = param_shapes(backbone, lca_cfg, num_classes)
-    m = Model(backbone, lca_cfg, num_classes, dtype)
-    for name, shape in shapes.items():
+                num_classes: int, rng: Rng, dtype=np.float32) -> Model:
+    """A fresh model whose arrays ``rng`` draws, in ``param_shapes`` order; an
+    ``lca_cfg`` of None gives the GAP head. Biases start at zero; conv kernels
+    draw He-uniform and linear weights Glorot."""
+    arrays = {}
+    for name, shape in param_shapes(backbone, lca_cfg, num_classes).items():
         try:
-            if rng is None or name.endswith("_bias"):
-                data = np.zeros(shape, dtype=dtype)
+            if name.endswith("_bias"):
+                arrays[name] = np.zeros(shape, dtype=dtype)
             elif name.startswith("conv"):
-                data = _he_uniform(rng, shape, math.prod(shape[1:]), dtype)
+                arrays[name] = _he_uniform(rng, shape, math.prod(shape[1:]), dtype)
             else:
-                data = _glorot(rng, shape, shape[1], shape[0], dtype)
-            m._add(name, data)
+                arrays[name] = _glorot(rng, shape, shape[1], shape[0], dtype)
         except (MemoryError, ValueError):  # numpy refuses the array size
             raise ConfigError(f"cannot allocate parameter {name} of shape {shape}") from None
-    return m
+    return Model(backbone, lca_cfg, num_classes, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +278,8 @@ class LoadedCheckpoint:
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
+    """Read and check a whole checkpoint. The model wraps its stored tensors in
+    ``param_shapes`` order, whatever the file's order, so a re-save is canonical."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
     if r.take(4) != MAGIC:
@@ -336,8 +314,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     except ValueError as exc:  # ConfigError, or LcaConfig's own range check
         raise CheckpointError(f"{path}: invalid architecture: {exc}") from None
 
-    # Every shape the architecture fields imply must match a tensor already
-    # read from the file before anything is allocated from those fields.
+    # The stored tensors must be exactly the ones the architecture fields
+    # imply, each once and with its shape; the model wraps them as they are.
     for name, data in entries:
         if name not in shapes:
             raise CheckpointError(f"checkpoint param {name} is not in the architecture")
@@ -354,8 +332,6 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         if vel.shape != shapes[name]:
             raise CheckpointError(f"velocity {name}: shape {vel.shape} mismatched")
 
-    model = build_model(backbone, lca_cfg, num_classes, rng=None)
-    for name, data in entries:
-        model.param(name).data[...] = data
-
+    arrays = dict(entries)
+    model = Model(backbone, lca_cfg, num_classes, {name: arrays[name] for name in shapes})
     return LoadedCheckpoint(model, velocities, epoch, rng_state)

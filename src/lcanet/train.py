@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,32 +48,36 @@ class TrainSummary:
     ckpt_path: str
 
 
-def load_split(kind: str, path: str, input_size) -> data_mod.Dataset:
-    """The dataset a ``kind`` backbone reads: a PPM class tree resized to
-    ``input_size`` for tiny_cnn, an LCAF feature file for external_features."""
-    if kind == "tiny_cnn":
-        return data_mod.load_image_dir(path, input_size)
-    return data_mod.load_feature_file(path)
+def load_splits(backbone: model_mod.BackboneConfig, splits: dict) -> list:
+    """The datasets a model with ``backbone`` reads, one per ``{what: path}``
+    entry, in order: PPM class trees resized to its input size for tiny_cnn,
+    LCAF feature files for external_features. An LCAF header whose (C, H, W)
+    is not ``backbone.input_shape()`` is refused before any payload is read."""
+    if backbone.kind == "tiny_cnn":
+        return [data_mod.load_image_dir(path, backbone.input_size) for path in splits.values()]
+    want = backbone.input_shape()
+    for what, path in splits.items():
+        got = data_mod.read_feature_header(path)[1:]
+        if got != want:
+            raise DataError(f"{what} split maps are {got} (channels, H, W); the model reads {want}")
+    return [data_mod.load_feature_file(path) for path in splits.values()]
 
 
-def _load_split(cfg: RunConfig, path: str, which: str) -> data_mod.Dataset:
+def _data_path(cfg: RunConfig, which: str) -> str:
+    path = getattr(cfg, f"data_{which}")
     if not path:
         raise DataError(f"config key data.{which} is not set")
-    return load_split(cfg.backbone, path, cfg.input_size)
+    return path
 
 
-def check_split(ds: data_mod.Dataset, backbone: model_mod.BackboneConfig,
-                num_classes: int, what: str) -> None:
-    """Refuse a split whose samples are not the (C, H, W) ``backbone`` reads,
-    or whose labels reach ``num_classes``."""
-    got, want = tuple(ds.inputs.shape[1:]), backbone.input_shape()
-    if got != want:
-        raise DataError(f"{what} split maps are {got} (channels, H, W); the model reads {want}")
+def check_split(ds: data_mod.Dataset, num_classes: int, what: str) -> None:
+    """Refuse a PPM tree whose class count is not ``num_classes``, or labels that reach it."""
+    if ds.class_names is not None and len(ds.class_names) != num_classes:
+        raise DataError(f"{what} split has {len(ds.class_names)} class directories, "
+                        f"but the model has {num_classes} classes")
     if len(ds) and int(ds.labels.max()) >= num_classes:
-        raise DataError(
-            f"{what} split labels reach {int(ds.labels.max())}, "
-            f"but the model has {num_classes} classes"
-        )
+        raise DataError(f"{what} split labels reach {int(ds.labels.max())}, "
+                        f"but the model has {num_classes} classes")
 
 
 def evaluate(model: model_mod.Model, ds: data_mod.Dataset, batch_size: int = 256) -> EvalResult:
@@ -113,15 +117,17 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
     init_rng = master.spawn()
     train_rng = master.spawn()
 
-    # Refuse an unbuildable architecture before any read. 2 is the fewest
-    # classes a run may have; external_features takes its H x W from the maps.
+    # Settle the architecture before any payload is read; external_features
+    # takes H x W from the training file's header. 2 is the fewest classes.
     lca_cfg = LcaConfig(cfg.lca_embed_dim, cfg.lca_include_one_by_k) if cfg.head == "lca" else None
-    backbone = model_mod.BackboneConfig(cfg.backbone, tuple(cfg.channels), cfg.input_size)
-    if cfg.backbone == "tiny_cnn":
-        model_mod.param_shapes(backbone, lca_cfg, num_classes=2)
+    input_size = cfg.input_size
+    if cfg.backbone == "external_features":
+        input_size = data_mod.read_feature_header(_data_path(cfg, "train"))[2:]
+    backbone = model_mod.BackboneConfig(cfg.backbone, tuple(cfg.channels), input_size)
+    model_mod.param_shapes(backbone, lca_cfg, num_classes=2)
 
-    train_ds = _load_split(cfg, cfg.data_train, "train")
-    test_ds = _load_split(cfg, cfg.data_test, "test")
+    train_ds, test_ds = load_splits(
+        backbone, {"training": _data_path(cfg, "train"), "test": _data_path(cfg, "test")})
     if len(train_ds) < 1:
         raise DataError("training split is empty")
     # Image trees number their classes by sorted directory name.
@@ -140,17 +146,12 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
         missing = min(set(range(len(present) + 1)) - present)
         raise DataError(f"training split has no sample of class {missing}; "
                         f"its labels must cover 0..{num_classes - 1}")
-
-    if cfg.backbone == "external_features":
-        backbone = replace(backbone, input_size=train_ds.inputs.shape[2:])
-    check_split(train_ds, backbone, num_classes, "training")
-    check_split(test_ds, backbone, num_classes, "test")
+    check_split(test_ds, num_classes, "test")
 
     loaded = None
     if resume is None:
         model = model_mod.build_model(backbone, lca_cfg, num_classes, rng=init_rng)
     else:
-        model_mod.param_shapes(backbone, lca_cfg, num_classes)  # a bad config is a ConfigError
         loaded = model_mod.load_checkpoint(resume)
         model = loaded.model
         found = (model.backbone, model.lca_cfg, model.num_classes)

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import lcanet.data
 from lcanet import Rng, build_model, gradcheck, save_checkpoint, write_feature_file, write_ppm
 from lcanet.cli import main
 from lcanet.model import BackboneConfig
@@ -574,8 +575,10 @@ def test_eval_zero_classifier_ties_to_class_zero(workdir, capsys):
     """All-zero logits argmax to index 0: class 0 scores 100%, the rest 0."""
     make_data(workdir, classes=2, per_class=2, test_per_class=2)
     model = build_model(
-        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), None, 2, rng=None
+        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), None, 2, rng=Rng(0)
     )
+    for p in model.parameters():
+        p.data[...] = 0.0
     save_checkpoint(model, "zero.lcac", velocities={}, epoch=0,
                     rng_state=Rng(0).state_bytes())
     capsys.readouterr()  # drop the synth command's output
@@ -643,6 +646,55 @@ def test_train_test_split_of_another_extent_exits_3(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "Traceback" not in err
     assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("train, test, channels, command, code, message", [
+    ("dots", "dots", "8", "train", 2, "lca head: no pooling kernel"),
+    ("maps", "narrow", "4", "train", 3, "training split maps are (8, 5, 5)"),
+    ("maps", "big", "8", "train", 3, "test split maps are (8, 9, 9)"),
+    ("maps", "maps", "8", "eval", 3, "big.lcaf split maps are (8, 9, 9)"),
+], ids=["lca_on_1x1_maps", "channels_not_the_maps_c", "test_split_of_another_extent",
+        "eval_on_maps_of_another_extent"])
+def test_refusal_from_lcaf_headers_reads_no_payload(workdir, capsys, monkeypatch, train, test,
+                                                    channels, command, code, message):
+    """Each of these is settled from the LCAF headers alone: ``np.fromfile``,
+    the payload read, never runs before the refusal, not even for the other
+    split's file when that one is well formed."""
+    write_feature_file("maps.lcaf", np.zeros((4, 8, 5, 5), np.float32), [0, 1, 0, 1])
+    write_feature_file("big.lcaf", np.zeros((2, 8, 9, 9), np.float32), [0, 1])
+    write_feature_file("dots.lcaf", np.zeros((4, 8, 1, 1), np.float32), [0, 1, 0, 1])
+    write_feature_file("narrow.lcaf", np.zeros((2, 4, 5, 5), np.float32), [0, 1])
+    cfg = write_cfg(workdir, backbone="external_features", channels=channels,
+                    **{"data.format": "lcaf", "data.train": f"{train}.lcaf",
+                       "data.test": f"{test}.lcaf"})
+    argv = ["train", "--config", str(cfg)]
+    if command == "eval":
+        assert main(argv) == 0
+        argv = ["eval", "--ckpt", "model.lcac", "--data", "big.lcaf"]
+    capsys.readouterr()
+    reads = []
+    fromfile = np.fromfile
+    monkeypatch.setattr(np, "fromfile", lambda *a, **k: reads.append(a) or fromfile(*a, **k))
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    assert reads == []
+    lcanet.data.load_feature_file("maps.lcaf")
+    assert reads, "the spy no longer sees the payload read"
+
+
+def test_eval_tree_missing_a_class_directory_exits_3(workdir, capsys):
+    """A 3-class model on a tree without class_00 would score class_01's
+    images as class 0; the class count is refused before any batch runs."""
+    make_data(workdir, classes=3, per_class=8, test_per_class=4, seed=1)
+    assert main(["train", "--config", str(write_cfg(workdir))]) == 0
+    shutil.rmtree(workdir / "data" / "test" / "class_00")
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", "model.lcac", "--data", "data/test"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("data error: data/test split has 2 class directories, "
+                   "but the model has 3 classes\n")
 
 
 def _huge_allocations_refused() -> bool:
@@ -824,7 +876,7 @@ def test_inspect_corrupt_magic_exits_3(workdir):
 
 def test_inspect_invalid_architecture_exits_3(workdir, capsys):
     model = build_model(
-        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), LcaConfig(4), 2, rng=None
+        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), LcaConfig(4), 2, rng=Rng(0)
     )
     model.lca_cfg = SimpleNamespace(embed_dim=0, include_one_by_k=True)
     save_checkpoint(model, "bad.lcac", velocities={}, epoch=0,
@@ -858,7 +910,7 @@ def test_checkpoint_with_square_kernels_on_a_1x4_map_exits_3(workdir, capsys, co
 
 def test_inspect_huge_embed_dim_exits_3(workdir, capsys):
     model = build_model(
-        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), LcaConfig(4), 2, rng=None
+        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), LcaConfig(4), 2, rng=Rng(0)
     )
     model.lca_cfg = SimpleNamespace(embed_dim=2**31 - 1, include_one_by_k=True)
     save_checkpoint(model, "huge.lcac", velocities={}, epoch=0,

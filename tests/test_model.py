@@ -20,6 +20,7 @@ from lcanet import (
 )
 from lcanet.cli import main
 from lcanet.config import parse_config
+from lcanet.model import param_shapes
 from lcanet.optim import SGD
 from lcanet.tensor import ShapeError, Tensor
 from lcanet.train import run_training
@@ -144,7 +145,7 @@ class TestBuildValidation:
 
 def test_external_features_reproduces_head_worked_example():
     """Hand map [[1,2],[3,4]] through identity FC gives 2.5 pre-classifier."""
-    m = build_model(ext_backbone(), LcaConfig(1), 2, rng=None)
+    m = build_model(ext_backbone(), LcaConfig(1), 2, rng=Rng(0))
     m.param("fc_weight").data[...] = 1.0
     fm = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32))
     head = m.head_output(m.feature_map(fm))
@@ -152,7 +153,9 @@ def test_external_features_reproduces_head_worked_example():
 
 
 def test_zero_classifier_gives_uniform_predictions():
-    m = build_model(tiny_backbone(), None, 5, rng=None)
+    m = build_model(tiny_backbone(), None, 5, rng=Rng(0))
+    for p in m.parameters():
+        p.data[...] = 0.0
     x = Tensor(Rng(1).uniform_array((3, 3, 16, 16), 0, 1, dtype=np.float32))
     logits = m.forward(x)
     np.testing.assert_array_equal(logits.data, np.zeros((3, 5)))
@@ -187,7 +190,7 @@ def test_external_mode_rejects_wrong_channels():
 def test_gap_head_bytes_match_full_map_avgpool(c, h, w, dtype):
     """The GAP head's output and feature-map gradient equal avgpool2d over the
     whole map, bit for bit."""
-    m = build_model(ext_backbone(c, h, w), None, 2, rng=None, dtype=dtype)
+    m = build_model(ext_backbone(c, h, w), None, 2, rng=Rng(0), dtype=dtype)
     rng = Rng(c * h * w)
     x = rng.uniform_array((3, c, h, w), -1, 1, dtype=dtype)
     probe = Tensor(rng.uniform_array((3, c), -1, 1, dtype=dtype))
@@ -297,6 +300,28 @@ def test_save_load_save_is_byte_identical(tmp_path):
     save_checkpoint(loaded.model, b, velocities=loaded.velocities, epoch=loaded.epoch,
                     rng_state=loaded.rng_state)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_checkpoint_loads_into_architecture_order(tmp_path):
+    """A file that lists its parameters in another order loads them in
+    param_shapes order, with the file's bytes, and re-saves canonically."""
+    m = small_model()
+    vel = {p.name: Rng(2).uniform_array(p.shape, -1, 1, dtype=np.float32)
+           for p in m.parameters()}
+    canonical, shuffled, resaved = (tmp_path / f"{n}.lcac" for n in ("a", "b", "c"))
+    save_checkpoint(m, canonical, velocities=vel, epoch=4, rng_state=RNG_STATE)
+    order = list(param_shapes(m.backbone, m.lca_cfg, m.num_classes))
+    m._params = {name: m.param(name) for name in reversed(order)}
+    save_checkpoint(m, shuffled, velocities=vel, epoch=4, rng_state=RNG_STATE)
+    assert shuffled.read_bytes() != canonical.read_bytes()
+
+    loaded = load_checkpoint(shuffled)
+    assert [p.name for p in loaded.model.parameters()] == order
+    for p in loaded.model.parameters():
+        assert p.data.tobytes() == m.param(p.name).data.tobytes()
+    save_checkpoint(loaded.model, resaved, velocities=loaded.velocities, epoch=loaded.epoch,
+                    rng_state=loaded.rng_state)
+    assert resaved.read_bytes() == canonical.read_bytes()
 
 
 def test_logits_identical_after_roundtrip(tmp_path):

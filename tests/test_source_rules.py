@@ -2,7 +2,9 @@
 
 numpy is the only runtime dependency, and the tape's private plumbing
 (``_record``, which decides whether an op is taped and records it) is used
-only by ``lcanet.tensor``, where every adjoint is defined.
+only by ``lcanet.tensor``, where every adjoint is defined. A ``Model`` is
+built one way, by ``build_model`` or ``load_checkpoint``, and one function
+parses an LCAF header.
 """
 
 import ast
@@ -27,6 +29,18 @@ def _imported_top_levels(path):
             yield node.module.split(".")[0]
 
 
+def _callers(*names):
+    """(module, top-level function or class) of every call to one of ``names``."""
+    found = set()
+    for path in MODULES:
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", getattr(node.func, "attr", None)) in names:
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    return found
+
+
 def test_modules_are_found():
     assert {p.name for p in MODULES} >= {"tensor.py", "losses.py", "train.py"}
 
@@ -46,3 +60,12 @@ def test_only_tensor_names_record(path):
 def test_losses_reexports_the_tensor_ops():
     assert lcanet.losses.nll_loss is lcanet.tensor.nll_loss
     assert lcanet.losses.entropy is lcanet.tensor.entropy
+
+
+def test_only_model_constructs_a_model():
+    assert _callers("Model") == {("model.py", "build_model"), ("model.py", "load_checkpoint")}
+
+
+def test_one_function_unpacks_an_lcaf_header():
+    unpackers = {fn for mod, fn in _callers("unpack", "unpack_from") if mod == "data.py"}
+    assert unpackers == {"read_feature_header"}
