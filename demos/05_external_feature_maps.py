@@ -39,9 +39,12 @@ bias = np.zeros(K, dtype=np.float32)
 
 
 def featurize(images):
+    # The spatial ops take batch-innermost [C, H, W, B] maps.
     with no_grad():
-        y = T.relu(T.conv2d(Tensor(images), Tensor(filters), Tensor(bias)))
+        y = T.transpose(Tensor(images), (1, 2, 3, 0))
+        y = T.relu(T.conv2d(y, Tensor(filters), Tensor(bias)))
         y = T.avgpool2d(y, 2, 2, stride=2)
+        y = T.transpose(y, (3, 0, 1, 2))
     return y.data
 
 

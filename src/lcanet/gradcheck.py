@@ -110,7 +110,8 @@ def _check_matmul(rng):
 
 
 def _check_conv2d(rng):
-    x, w, b = _t(rng, (3, 3, 5, 7)), _t(rng, (4, 3, 3, 3)), _t(rng, (4,))
+    # Maps are [C, H, W, B]: 3 channels of 5x7 at batch 3.
+    x, w, b = _t(rng, (3, 5, 7, 3)), _t(rng, (4, 3, 3, 3)), _t(rng, (4,))
     rel1 = grad_check(lambda x, w, b: _sq(T.conv2d(x, w, b, stride=1, pad=1)), [x, w, b])
     rel2 = grad_check(lambda x, w, b: _sq(T.conv2d(x, w, b, stride=2, pad=0)), [x, w, b])
     w23 = _t(rng, (4, 3, 2, 3))  # non-square kernel, strided and padded
@@ -119,17 +120,17 @@ def _check_conv2d(rng):
 
 
 def _check_avgpool(rng):
-    x = _t(rng, (2, 2, 4, 5))
+    x = _t(rng, (2, 4, 5, 2))
     rel1 = grad_check(lambda x: _sq(T.avgpool2d(x, 2, 3, stride=1)), x)
     rel2 = grad_check(lambda x: _sq(T.avgpool2d(x, 2, 2, stride=2)), x)
     return max(rel1, rel2)
 
 
 def _check_maxpool(rng):
-    x = _spread(rng, (2, 2, 6, 6))
+    x = _spread(rng, (2, 6, 6, 2))
     rel1 = grad_check(lambda x: _sq(T.maxpool2d(x, 2, stride=2)), x)
     rel2 = grad_check(lambda x: _sq(T.maxpool2d(x, 3, stride=1)), x)
-    x7 = _spread(rng, (2, 2, 7, 7))  # ragged: the last row and column sit in no window
+    x7 = _spread(rng, (2, 7, 7, 2))  # ragged: the last row and column sit in no window
     rel3 = grad_check(lambda x: _sq(T.maxpool2d(x, 2, stride=2)), x7)
     return max(rel1, rel2, rel3)
 
@@ -221,8 +222,9 @@ def _kink_margin(loss: Tensor) -> float:
     runner-up. The tiny backbone pools pre-activations and applies the
     relu after the pool, so a window whose max is <= 0 is zeroed by that
     relu, whose |max| margin covers it. Pools are read as the tiny
-    backbone's ``model.POOL``-wide windows at that stride; the rows and
-    columns no window reads are trimmed first.
+    backbone's ``model.POOL``-wide windows at that stride, on its
+    [C, H, W, B] maps; the rows and columns no window reads are trimmed
+    first.
     """
     margin = np.inf
     seen: set[int] = set()
@@ -236,11 +238,11 @@ def _kink_margin(loss: Tensor) -> float:
         if node.op == "relu":
             margin = min(margin, float(np.abs(node.parents[0].data).min()))
         elif node.op == "maxpool2d":
-            n, c, oh, ow = out.shape
+            c, oh, ow, n = out.shape
             k = model_mod.POOL
-            xin = node.parents[0].data[:, :, : k * oh, : k * ow]
-            win = xin.reshape(n, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5)
-            top2 = np.sort(win.reshape(n, c, oh, ow, k * k), axis=-1)[..., -2:]
+            xin = node.parents[0].data[:, : k * oh, : k * ow]
+            win = xin.reshape(c, oh, k, ow, k, n).transpose(0, 1, 3, 5, 2, 4)
+            top2 = np.sort(win.reshape(c, oh, ow, n, k * k), axis=-1)[..., -2:]
             live = top2[..., 1] > 0
             if live.any():
                 margin = min(margin, float((top2[..., 1] - top2[..., 0])[live].min()))

@@ -109,12 +109,16 @@ class Model:
             raise ShapeError(f"input batch {x.shape} != (B, {c}, {h}, {w})")
         if self.backbone.kind == "external_features":
             return x
-        # Pool, then relu: relu is monotone, so this is relu-then-pool on a
-        # quarter of the cells, with the same bytes and the same gradients.
-        y = T.conv2d(x, self.param("conv1_weight"), self.param("conv1_bias"), 1, 1)
+        # The spatial ops run on batch-innermost [C, H, W, B] maps: one
+        # transpose in, one out. Pool, then relu: relu is monotone, so this is
+        # relu-then-pool on a quarter of the cells, with the same bytes and
+        # the same gradients.
+        y = T.transpose(x, (1, 2, 3, 0))
+        y = T.conv2d(y, self.param("conv1_weight"), self.param("conv1_bias"), 1, 1)
         y = T.relu(T.maxpool2d(y, POOL, POOL))
         y = T.conv2d(y, self.param("conv2_weight"), self.param("conv2_bias"), 1, 1)
-        return T.relu(T.maxpool2d(y, POOL, POOL))
+        y = T.relu(T.maxpool2d(y, POOL, POOL))
+        return T.transpose(y, (3, 0, 1, 2))
 
     def head_output(self, fm: Tensor) -> Tensor:
         if self.lca_cfg is not None:

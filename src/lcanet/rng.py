@@ -17,9 +17,11 @@ it needs at once over numpy uint64, in the manner of counter-mode SplitMix64
 (Steele et al. 2014) and Philox (Salmon et al. 2011). A vector of keys gives
 one counter row per key, so the noise augmentation draws one key per image
 from the stream and then evaluates every image's Gaussian noise in one call;
-row k equals what ``normal_array`` computes from key k. The u64 values are
-exact integer arithmetic and so platform-independent, and so are the uniform
-floats; the Gaussian floats follow numpy's ``log`` and ``cos``.
+row k equals what ``normal_array`` computes from key k. Box-Muller uses both
+outputs of each pair of u64 values, the cosine and the sine. The u64 values
+are exact integer arithmetic and so platform-independent, and so are the
+uniform floats; the Gaussian floats follow numpy's ``log``, ``cos`` and
+``sin``.
 """
 
 from __future__ import annotations
@@ -82,29 +84,33 @@ def _splitmix64_array(seed, n: int) -> np.ndarray:
 def _gaussian(keys, n: int) -> np.ndarray:
     """``n`` standard normal float64 values per key, by Box-Muller.
 
-    Value i is ``sqrt(-2 ln u1) * cos(2 pi u2)`` of outputs z[2i] and z[2i+1]
-    of ``splitmix64(key)``, with u1 = ((z[2i] >> 11) + 1) * 2**-53 in (0, 1]
-    and u2 = (z[2i+1] >> 11) * 2**-53. The shape follows ``_splitmix64_array``.
-    The mixer runs in place over two contiguous rows, the counters of the
-    even outputs and those of the odd ones, and Box-Muller runs in place on
-    them; the bytes are those of evaluating the formula on ``_splitmix64_array``.
+    Pair i reads outputs z[2i] and z[2i+1] of ``splitmix64(key)``, with
+    u1 = ((z[2i] >> 11) + 1) * 2**-53 in (0, 1] and u2 = (z[2i+1] >> 11) *
+    2**-53, and gives two values: value 2i is ``sqrt(-2 ln u1) * cos(2 pi u2)``
+    and value 2i+1 is ``sqrt(-2 ln u1) * sin(2 pi u2)``. An odd ``n`` drops the
+    last sine. The shape follows ``_splitmix64_array``. The mixer runs in place
+    over two contiguous rows, the counters of the even outputs and those of
+    the odd ones; the bytes are those of evaluating the formula on
+    ``_splitmix64_array``.
     """
+    pairs = (n + 1) // 2
     # Counter steps [[1, 3, 5, ..], [2, 4, 6, ..]]: the even outputs, then the odd.
-    steps = np.arange(1, 2 * n + 1, dtype=np.uint64).reshape(n, 2).T.copy()
+    steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64).reshape(pairs, 2).T.copy()
     z = _mix64(_counters(keys, steps))
     z1, z2 = z[..., 0, :], z[..., 1, :]
     z1 >>= 11
     z1 += 1
-    out = z1 * 2.0**-53  # u1, in (0, 1]
-    np.log(out, out=out)
-    out *= -2.0
-    np.sqrt(out, out=out)
+    radius = z1 * 2.0**-53  # u1, in (0, 1]
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
     z2 >>= 11
     angle = z2 * 2.0**-53  # u2
     angle *= 2.0 * math.pi
-    np.cos(angle, out=angle)
-    out *= angle
-    return out
+    out = np.empty(radius.shape + (2,))
+    np.multiply(radius, np.cos(angle), out=out[..., 0])
+    np.multiply(radius, np.sin(angle, out=angle), out=out[..., 1])
+    return out.reshape(radius.shape[:-1] + (2 * pairs,))[..., :n]
 
 
 def _rotl(x: int, k: int) -> int:

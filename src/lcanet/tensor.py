@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -310,30 +311,39 @@ def entropy(logp: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# spatial operations (NCHW layout)
+# spatial operations (batch-innermost [C, H, W, B] maps)
 # ---------------------------------------------------------------------------
 
 
-def _pool_windows(x: np.ndarray, kh: int, kw: int, stride: int):
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
+def _offset_slices(hout: int, wout: int, i: int, j: int, stride: int):
+    """Index of the cells at offset (i, j) of each window of a [C, H, W, B] map.
 
-
-def _scatter_slices(hout: int, wout: int, i: int, j: int, stride: int):
-    """Index of the input cells at offset (i, j) of each window."""
+    Its rows are runs of B contiguous values, W'·B of them at stride 1.
+    """
     span_h, span_w = stride * (hout - 1) + 1, stride * (wout - 1) + 1
-    return (..., slice(i, i + span_h, stride), slice(j, j + span_w, stride))
+    return (slice(None), slice(i, i + span_h, stride), slice(j, j + span_w, stride))
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation of [B,Cin,H,W] by [Cout,Cin,kh,kw] plus bias."""
+    """2-D cross-correlation of a [Cin,H,W,B] map by [Cout,Cin,kh,kw] plus bias.
+
+    Returns [Cout,H',W',B]. The forward is one matrix product of the kernel
+    by the columns [Cin·kh·kw, H'·W'·B], built with one slice copy per
+    kernel offset. The columns are kept for the weight gradient, one matrix
+    product ``(cols @ gᵀ)ᵀ``, and only while that gradient is taped. The input
+    gradient is one matrix product and a col2im sum, one slice-add per
+    kernel offset.
+    """
     _check_dtypes("conv2d", x, w, b)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: input {x.shape} and kernel {w.shape} must be 4-D")
-    bsz, cin, h, wdt = x.shape
+    cin, h, wdt, bsz = x.shape
     cout, cin_w, kh, kw = w.shape
     if cin != cin_w:
-        raise ShapeError(f"conv2d: input channels {cin} != kernel channels {cin_w}")
+        raise ShapeError(
+            f"conv2d: input {x.shape} has {cin} channels on axis 0, kernel {w.shape} "
+            f"wants {cin_w}; the input must be a [C, H, W, B] map"
+        )
     if b.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({cout},)")
     if stride < 1 or pad < 0:
@@ -344,41 +354,45 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
             f"({h + 2 * pad}x{wdt + 2 * pad})"
         )
 
+    hout, wout = (h + 2 * pad - kh) // stride + 1, (wdt + 2 * pad - kw) // stride + 1
+    padded = (cin, h + 2 * pad, wdt + 2 * pad, bsz)
     xp = x.data
     if pad:
-        xp = np.zeros((bsz, cin, h + 2 * pad, wdt + 2 * pad), dtype=x.data.dtype)
-        xp[:, :, pad : pad + h, pad : pad + wdt] = x.data
-    win = _pool_windows(xp, kh, kw, stride)  # B,Cin,H',W',kh,kw view, kept for backward
-    hout, wout = win.shape[2:4]
-    wmat = w.data.reshape(cout, cin * kh * kw)
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(bsz, cin * kh * kw, -1)  # im2col copy
-    out = (wmat @ cols).reshape(bsz, cout, hout, wout)
-    out += b.data[None, :, None, None]
+        xp = np.zeros(padded, dtype=x.dtype)
+        xp[:, pad : pad + h, pad : pad + wdt] = x.data
+    offsets = list(itertools.product(range(kh), range(kw)))
+    cols = np.empty((cin, kh, kw, hout, wout, bsz), dtype=x.dtype)
+    for i, j in offsets:
+        cols[:, i, j] = xp[_offset_slices(hout, wout, i, j, stride)]
+    cols = cols.reshape(cin * kh * kw, -1)
+    wmat = w.data.reshape(cout, -1)
+    out = wmat @ cols
+    out += b.data[:, None]
+    cols = cols if _grad_enabled and w.requires_grad else None
 
     def grad_fn(g):
-        gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
-        gw = np.einsum("bohw,bchwij->ocij", g, win, optimize=True) if w.requires_grad else None
+        g = g.reshape(cout, -1)
+        gb = g.sum(axis=1) if b.requires_grad else None
+        gw = (cols @ g.T).T.reshape(w.shape) if cols is not None else None
         gx = None
         if x.requires_grad:
-            # col2im with the batch innermost: each slice-add covers W'*B
-            # contiguous values, and every cell sums the same terms in the
-            # same (i, j) order as an NCHW col2im would.
-            gt = g.transpose(1, 2, 3, 0).reshape(cout, -1)
-            gcols = (wmat.T @ gt).reshape(cin, kh, kw, hout, wout, bsz)
-            gxp = np.zeros((cin, *xp.shape[2:], bsz), dtype=xp.dtype)
-            for i, j in itertools.product(range(kh), range(kw)):
-                gxp[_scatter_slices(hout, wout, i, j, stride) + (slice(None),)] += gcols[:, i, j]
-            gx = np.ascontiguousarray(gxp[:, pad : pad + h, pad : pad + wdt].transpose(3, 0, 1, 2))
+            # col2im: every cell sums its terms in kernel-offset order.
+            gcols = (wmat.T @ g).reshape(cin, kh, kw, hout, wout, bsz)
+            gxp = np.zeros(padded, dtype=g.dtype)
+            for i, j in offsets:
+                gxp[_offset_slices(hout, wout, i, j, stride)] += gcols[:, i, j]
+            gx = gxp[:, pad : pad + h, pad : pad + wdt]
         return gx, gw, gb
 
-    return _record("conv2d", out, (x, w, b), grad_fn)
+    return _record("conv2d", out.reshape(cout, hout, wout, bsz), (x, w, b), grad_fn)
 
 
 def avgpool2d(x: Tensor, kh: int, kw: int, stride: int = 1) -> Tensor:
-    """Mean over each kh x kw window, no padding, count includes every cell."""
+    """Mean over each kh x kw window of a [C,H,W,B] map, no padding, count
+    includes every cell."""
     if x.ndim != 4:
-        raise ShapeError(f"avgpool2d expects a 4-D tensor, got shape {x.shape}")
-    _, _, h, w = x.shape
+        raise ShapeError(f"avgpool2d expects a 4-D [C, H, W, B] map, got shape {x.shape}")
+    _, h, w, _ = x.shape
     if not (1 <= kh <= h and 1 <= kw <= w):
         raise ShapeError(f"avgpool2d: kernel ({kh}x{kw}) exceeds input extent ({h}x{w})")
     if stride < 1:
@@ -387,31 +401,33 @@ def avgpool2d(x: Tensor, kh: int, kw: int, stride: int = 1) -> Tensor:
         # Identity map, bit-exact by construction.
         return _record("avgpool2d", x.data.copy(), (x,), lambda g: (g,))
 
-    win = _pool_windows(x.data, kh, kw, stride)
-    out = win.mean(axis=(-2, -1))
-    hout, wout = out.shape[2], out.shape[3]
+    win = sliding_window_view(x.data, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    # One contiguous row per window: the mean sums it as a mean over the
+    # whole map's H·W cells does.
+    out = np.ascontiguousarray(win).reshape(*win.shape[:4], kh * kw).mean(axis=-1)
+    hout, wout = out.shape[1], out.shape[2]
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
         share = g / np.asarray(kh * kw, dtype=g.dtype)
         for i, j in itertools.product(range(kh), range(kw)):
-            gx[_scatter_slices(hout, wout, i, j, stride)] += share
+            gx[_offset_slices(hout, wout, i, j, stride)] += share
         return (gx,)
 
     return _record("avgpool2d", out, (x,), grad_fn)
 
 
 def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
-    """Windowed max; gradient routes to the first argmax in row-major order.
+    """Windowed max over a [C,H,W,B] map; gradient routes to the first
+    argmax in row-major order.
 
-    Disjoint windows (``stride == k``) read the k*k window offsets from one
-    contiguous copy, one plane per offset; overlapping windows read them
-    through strided views. Without a tape (``no_grad`` or an input that
-    needs no gradient) only the running max is computed, no argmax.
+    Each of the k*k window offsets is read as a strided view of the input.
+    Without a tape (``no_grad`` or an input that needs no gradient) only the
+    running max is computed, no argmax.
     """
     if x.ndim != 4:
-        raise ShapeError(f"maxpool2d expects a 4-D tensor, got shape {x.shape}")
-    bsz, c, h, w = x.shape
+        raise ShapeError(f"maxpool2d expects a 4-D [C, H, W, B] map, got shape {x.shape}")
+    _, h, w, _ = x.shape
     if not 1 <= k <= min(h, w):
         raise ShapeError(f"maxpool2d: kernel {k} exceeds input extent ({h}x{w})")
     if stride < 1:
@@ -419,21 +435,17 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
 
     hout, wout = (h - k) // stride + 1, (w - k) // stride + 1
     offsets = itertools.product(range(k), repeat=2)  # row-major in the window
-    slices = [_scatter_slices(hout, wout, i, j, stride) for i, j in offsets]
-    if stride == k:
-        planes = x.data[:, :, : hout * k, : wout * k].reshape(bsz, c, hout, k, wout, k)
-        planes = planes.transpose(3, 5, 0, 1, 2, 4).reshape(k * k, bsz, c, hout, wout)
-    else:
-        planes = [x.data[sl] for sl in slices]
+    slices = [_offset_slices(hout, wout, i, j, stride) for i, j in offsets]
     # Running max: the strict > keeps the first offset on ties, np.maximum keeps NaN.
-    out = planes[0].copy()
+    out = x.data[slices[0]].copy()
     taped = _taped((x,))
     arg = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1)) if taped else None
-    for idx in range(1, k * k):
+    for idx, sl in enumerate(slices[1:], 1):
+        plane = x.data[sl]
         if taped:
             # Offsets rise, so the max keeps the last offset that beat the running max.
-            np.maximum(arg, (planes[idx] > out) * arg.dtype.type(idx), out=arg)
-        np.maximum(out, planes[idx], out=out)
+            np.maximum(arg, (plane > out) * arg.dtype.type(idx), out=arg)
+        np.maximum(out, plane, out=out)
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
@@ -457,17 +469,23 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
+    """The same values in ``shape``; every dim is given, none is negative."""
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
+    # math.prod is exact: a product of dims cannot wrap around to x.size.
+    if min(shape, default=0) < 0 or math.prod(shape) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    return _record("reshape", x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
+    try:
+        out = x.data.reshape(shape)
+    except ValueError:  # an empty tensor given a dim numpy cannot index
+        raise ShapeError(f"reshape: cannot view {x.shape} as {shape}") from None
+    return _record("reshape", out, (x,), lambda g: (g.reshape(x.shape),))
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
     axes = tuple(range(x.ndim))[::-1] if axes is None else tuple(axes)
     if sorted(axes) != list(range(x.ndim)):
         raise ShapeError(f"transpose: axes {axes} invalid for shape {x.shape}")
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(axes.index(i) for i in range(x.ndim))
     return _record(
         "transpose",
         np.transpose(x.data, axes),

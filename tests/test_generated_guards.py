@@ -64,7 +64,8 @@ def test_conv2d_random_shapes():
         b, cin, cout = int(gen.integers(1, 4)), int(gen.integers(1, 4)), int(gen.integers(1, 4))
         h = int(gen.integers(max(1, kh - 2 * pad), 7))
         w = int(gen.integers(max(1, kw - 2 * pad), 7))
-        x, k, bias = leaf(gen, (b, cin, h, w)), leaf(gen, (cout, cin, kh, kw)), leaf(gen, (cout,))
+        # The spatial ops take [C, H, W, B] maps.
+        x, k, bias = leaf(gen, (cin, h, w, b)), leaf(gen, (cout, cin, kh, kw)), leaf(gen, (cout,))
         loss = probe_loss(lambda: T.conv2d(x, k, bias, stride, pad), gen)
         err = grad_check(loss, [x, k, bias])
         assert err < TOL, (case, x.shape, k.shape, stride, pad, err)
@@ -76,7 +77,8 @@ def test_maxpool2d_random_shapes():
         k = int(gen.integers(1, 4))
         stride = max(1, k + int(gen.integers(-1, 2)))  # below, equal to or above k
         h, w = int(gen.integers(k, 8)), int(gen.integers(k, 8))  # ragged edges included
-        x = tie_free(gen, (int(gen.integers(1, 3)), int(gen.integers(1, 3)), h, w))
+        c, b = int(gen.integers(1, 3)), int(gen.integers(1, 3))
+        x = tie_free(gen, (c, h, w, b))
         loss = probe_loss(lambda: T.maxpool2d(x, k, stride), gen)
         err = grad_check(loss, x)
         assert err < TOL, (case, x.shape, k, stride, err)

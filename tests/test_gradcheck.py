@@ -34,12 +34,12 @@ def test_sum_of_squares_is_nearly_exact():
 
 def test_pool_relu_matmul_chain():
     rng = Rng(123)
-    x = Tensor(rng.uniform_array((1, 2, 4, 4), -1, 1, dtype=np.float64),
-               requires_grad=True)
+    x = Tensor(rng.uniform_array((2, 4, 4, 1), -1, 1, dtype=np.float64),
+               requires_grad=True)  # a [C, H, W, B] map
     w = Tensor(rng.uniform_array((8, 3), -1, 1, dtype=np.float64))
 
     def f(v):
-        pooled = T.avgpool2d(v, 2, 2, stride=2)  # [1,2,2,2]
+        pooled = T.avgpool2d(v, 2, 2, stride=2)  # [2,2,2,1]
         flat = T.reshape(T.relu(pooled), (1, 8))
         return T.tensor_sum(T.matmul(flat, w))
 
@@ -62,8 +62,8 @@ def test_kink_margin_on_odd_pooled_extents():
 
 def test_kink_margin_reads_2x2_windows_on_a_pooled_extent_of_one():
     """A 3x3 map pools to 1x1 through the top-left 2x2 window only."""
-    x = Tensor(np.array([[[[1.0, 0.5, 9.0], [0.25, 0.125, 9.0], [9.0, 9.0, 9.0]]]]),
-               requires_grad=True)
+    cells = np.array([[1.0, 0.5, 9.0], [0.25, 0.125, 9.0], [9.0, 9.0, 9.0]])
+    x = Tensor(cells.reshape(1, 3, 3, 1), requires_grad=True)  # a [C, H, W, B] map
     loss = T.tensor_sum(T.relu(T.maxpool2d(x, 2, 2)))
     assert gradcheck._kink_margin(loss) == 0.5  # 1.0 down to 0.5; the relu's is 1.0
 

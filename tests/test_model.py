@@ -23,7 +23,8 @@ from lcanet.config import parse_config
 from lcanet.model import param_shapes
 from lcanet.optim import SGD
 from lcanet.tensor import ShapeError, Tensor
-from lcanet.train import run_training
+from lcanet.data import load_image_dir
+from lcanet.train import evaluate, run_training
 
 
 def tiny_backbone(h=16, w=16, channels=(16, 32)):
@@ -116,6 +117,34 @@ def test_freeze_backbone_excludes_conv_params(tmp_path):
     assert sorted(loaded.velocities) == ["cls_bias", "cls_weight", "fc_bias", "fc_weight"]
 
 
+def test_a_sample_forward_does_not_depend_on_its_batch(tmp_path):
+    """The metrics CSV scores the test split at the training batch size and
+    ``lcanet eval`` at 256. On a trained glyph model, evaluation gives the
+    same per-class counts at every batch size, and a sample's feature map
+    has the same bits alone as inside a batch of 32."""
+    assert main(["synth", "--out", str(tmp_path), "--classes", "4",
+                 "--per-class", "70", "--test-per-class", "2"]) == 0
+    cfg = parse_config(
+        "seed = 5\nepochs = 2\nbatch_size = 32\n"
+        f"data.train = {tmp_path / 'train'}\ndata.test = {tmp_path / 'test'}\n"
+        f"ckpt.out = {tmp_path / 'm.lcac'}\nlog.csv = {tmp_path / 'm.csv'}\n"
+    )
+    run_training(cfg)
+    model = load_checkpoint(cfg.ckpt_out).model
+    ds = load_image_dir(tmp_path / "train", model.backbone.input_size)
+    assert len(ds) == 280
+
+    counts = {bs: evaluate(model, ds, batch_size=bs).per_class for bs in (1, 7, 32, 256)}
+    assert sum(correct for _, correct, _ in counts[256]) > 70  # trained past chance
+    assert counts[1] == counts[7] == counts[32] == counts[256]
+
+    with T.no_grad():
+        batch = model.feature_map(Tensor(ds.inputs[:32])).data
+        for i in (0, 13, 31):
+            alone = model.feature_map(Tensor(ds.inputs[i : i + 1])).data
+            assert alone.tobytes() == batch[i : i + 1].tobytes(), i
+
+
 class TestBuildValidation:
     def test_num_classes_lower_bound(self):
         with pytest.raises(ConfigError):
@@ -196,7 +225,9 @@ def test_gap_head_bytes_match_full_map_avgpool(c, h, w, dtype):
     probe = Tensor(rng.uniform_array((3, c), -1, 1, dtype=dtype))
     fm, ref_fm = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
     out = m.head_output(fm)
-    ref = T.reshape(T.avgpool2d(ref_fm, h, w, 1), (3, c))
+    # avgpool2d takes a [C, H, W, B] map.
+    pooled = T.avgpool2d(T.transpose(ref_fm, (1, 2, 3, 0)), h, w, 1)
+    ref = T.reshape(T.transpose(pooled, (3, 0, 1, 2)), (3, c))
     T.backward(T.tensor_sum(T.mul(out, probe)))
     T.backward(T.tensor_sum(T.mul(ref, probe)))
     assert out.data.tobytes() == ref.data.tobytes()
@@ -212,11 +243,13 @@ def test_gap_head_output_length_is_spatial_free():
 
 
 def _relu_first_forward(m, x):
-    """Model.forward as it was written before the pool moved ahead of the relu."""
-    y = T.conv2d(x, m.param("conv1_weight"), m.param("conv1_bias"), 1, 1)
+    """Model.forward as it was written before the pool moved ahead of the
+    relu, on the [C, H, W, B] maps the spatial ops take."""
+    y = T.transpose(x, (1, 2, 3, 0))
+    y = T.conv2d(y, m.param("conv1_weight"), m.param("conv1_bias"), 1, 1)
     y = T.maxpool2d(T.relu(y), 2, 2)
     y = T.conv2d(y, m.param("conv2_weight"), m.param("conv2_bias"), 1, 1)
-    fm = T.maxpool2d(T.relu(y), 2, 2)
+    fm = T.transpose(T.maxpool2d(T.relu(y), 2, 2), (3, 0, 1, 2))
     logits = T.matmul(m.head_output(fm), T.transpose(m.param("cls_weight")))
     return T.add(logits, m.param("cls_bias"))
 

@@ -161,21 +161,24 @@ def test_normal_moments():
 
 @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 16, 16)])
 def test_normal_array_is_splitmix_keyed_by_one_draw(shape):
-    """normal_array(shape) reads outputs 0..2n-1 of splitmix64(key), key
-    being the next u64 of the stream, and Box-Mullers pairs (2i, 2i+1)."""
+    """normal_array(shape) reads outputs 0..2*ceil(n/2)-1 of splitmix64(key),
+    key being the next u64 of the stream, and Box-Mullers pairs (2i, 2i+1)
+    into values 2i (the cosine) and 2i+1 (the sine)."""
     r = Rng(21)
     r.next_u64()
     key = Rng.from_state_bytes(r.state_bytes()).next_u64()
     n = int(np.prod(shape))
-    bits = list(itertools.islice(splitmix64(key), 2 * n))
-    assert _splitmix64_array(key, 2 * n).tolist() == bits
+    pairs = (n + 1) // 2
+    bits = list(itertools.islice(splitmix64(key), 2 * pairs))
+    assert _splitmix64_array(key, 2 * pairs).tolist() == bits
 
     sigma = 0.05
-    ref = np.array([
-        sigma * math.sqrt(-2.0 * math.log(((z1 >> 11) + 1) * 2.0**-53))
-        * math.cos(2.0 * math.pi * (z2 >> 11) * 2.0**-53)
-        for z1, z2 in zip(bits[0::2], bits[1::2])
-    ], dtype=np.float32).reshape(shape)
+    values = []
+    for z1, z2 in zip(bits[0::2], bits[1::2]):
+        radius = sigma * math.sqrt(-2.0 * math.log(((z1 >> 11) + 1) * 2.0**-53))
+        angle = 2.0 * math.pi * (z2 >> 11) * 2.0**-53
+        values += [radius * math.cos(angle), radius * math.sin(angle)]
+    ref = np.array(values[:n], dtype=np.float32).reshape(shape)
     got = r.normal_array(shape, sigma=sigma)
     assert got.shape == shape and got.dtype == np.float32
     np.testing.assert_array_max_ulp(got, ref, maxulp=1)
@@ -198,10 +201,13 @@ def test_splitmix_array_gives_one_row_per_key(n):
 
 
 def _frozen_gaussian(keys, n):
-    """Box-Muller over _splitmix64_array, as two lines of array arithmetic."""
-    z = _splitmix64_array(keys, 2 * n)
-    return (np.sqrt(-2.0 * np.log(((z[..., 0::2] >> 11) + 1) * 2.0**-53))
-            * np.cos(2.0 * math.pi * (z[..., 1::2] >> 11) * 2.0**-53))
+    """Box-Muller over _splitmix64_array as plain array arithmetic: each pair
+    of outputs gives its cosine value, then its sine value."""
+    z = _splitmix64_array(keys, 2 * ((n + 1) // 2))
+    radius = np.sqrt(-2.0 * np.log(((z[..., 0::2] >> 11) + 1) * 2.0**-53))
+    angle = 2.0 * math.pi * (z[..., 1::2] >> 11) * 2.0**-53
+    both = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    return both.reshape(np.shape(keys) + (-1,))[..., :n]
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 768])

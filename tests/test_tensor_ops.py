@@ -50,11 +50,24 @@ def test_matmul_adjoints():
 
 # ---------------------------------------------------------------------------
 # conv2d
+#
+# The spatial ops take and return batch-innermost [C, H, W, B] maps. The
+# oracles below stay NCHW loops; ``chwb`` and ``nchw`` move the batch axis.
 # ---------------------------------------------------------------------------
 
 
+def chwb(a):
+    """An NCHW array as the [C, H, W, B] map the spatial ops take."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+def nchw(a):
+    """A [C, H, W, B] map back in NCHW order."""
+    return np.moveaxis(a, -1, 0)
+
+
 def test_conv2d_all_ones_sums_window():
-    x = t64(np.ones((1, 1, 3, 3)))
+    x = t64(np.ones((1, 3, 3, 1)))
     w = t64(np.ones((1, 1, 3, 3)))
     b = t64(np.zeros(1))
     out = T.conv2d(x, w, b, stride=1, pad=0)
@@ -63,7 +76,7 @@ def test_conv2d_all_ones_sums_window():
 
 def test_conv2d_delta_kernel_is_identity():
     rng = np.random.default_rng(0)
-    x = t64(rng.uniform(size=(2, 1, 5, 5)))
+    x = t64(chwb(rng.uniform(size=(2, 1, 5, 5))))
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0  # centre tap only
     out = T.conv2d(x, t64(w), t64(np.zeros(1)), stride=1, pad=1)
@@ -71,17 +84,47 @@ def test_conv2d_delta_kernel_is_identity():
 
 
 def test_conv2d_output_shape_formula():
-    x = t64(np.zeros((2, 3, 7, 9)))
+    x = t64(np.zeros((3, 7, 9, 2)))
     w = t64(np.zeros((4, 3, 3, 3)))
     out = T.conv2d(x, w, t64(np.zeros(4)), stride=2, pad=1)
-    assert out.shape == (2, 4, 4, 5)  # floor((7+2-3)/2)+1, floor((9+2-3)/2)+1
+    assert out.shape == (4, 4, 5, 2)  # floor((7+2-3)/2)+1, floor((9+2-3)/2)+1
 
 
 def test_conv2d_kernel_too_large():
-    x = t64(np.zeros((1, 1, 2, 2)))
+    x = t64(np.zeros((1, 2, 2, 1)))
     w = t64(np.zeros((1, 1, 3, 3)))
     with pytest.raises(ShapeError):
         T.conv2d(x, w, t64(np.zeros(1)), stride=1, pad=0)
+
+
+def test_conv2d_nchw_input_names_the_map_layout():
+    """An NCHW batch whose channel axis is not first is refused, and the
+    message says which layout the op takes."""
+    x = t64(np.zeros((8, 3, 16, 16)))  # B=8 NCHW: axis 0 is the batch
+    w = t64(np.zeros((16, 3, 3, 3)))
+    with pytest.raises(ShapeError, match=r"\[C, H, W, B\]"):
+        T.conv2d(x, w, t64(np.zeros(16)), stride=1, pad=1)
+
+
+def test_conv2d_keeps_its_columns_only_for_a_taped_weight_gradient():
+    """The [Cin·kh·kw, H'·W'·B] columns outlive the forward only while the
+    weight gradient is taped: not for a frozen kernel, not under no_grad."""
+    rng = np.random.default_rng(3)
+    x = t64(rng.uniform(-1, 1, (3, 6, 5, 4)), requires_grad=True)
+    n_cols = 3 * 3 * 3 * 6 * 5 * 4
+
+    def held_columns(out):
+        cells = out.node.grad_fn.__closure__ if out.node else ()
+        return [c.cell_contents for c in cells
+                if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.size == n_cols]
+
+    for w_grad in (True, False):
+        w = t64(rng.uniform(-1, 1, (2, 3, 3, 3)), requires_grad=w_grad)
+        out = T.conv2d(x, w, t64(np.zeros(2)), stride=1, pad=1)
+        assert len(held_columns(out)) == w_grad
+    with T.no_grad():
+        out = T.conv2d(x, t64(np.ones((2, 3, 3, 3)), requires_grad=True), t64(np.zeros(2)), 1, 1)
+    assert out.node is None
 
 
 def test_conv2d_matches_direct_loop():
@@ -90,7 +133,7 @@ def test_conv2d_matches_direct_loop():
     x = rng.uniform(-1, 1, size=(2, 3, 5, 4))
     w = rng.uniform(-1, 1, size=(4, 3, 2, 3))
     b = rng.uniform(-1, 1, size=4)
-    out = T.conv2d(t64(x), t64(w), t64(b), stride=1, pad=0).data
+    out = nchw(T.conv2d(t64(chwb(x)), t64(w), t64(b), stride=1, pad=0).data)
 
     ref = np.zeros_like(out)
     for n in range(2):
@@ -103,8 +146,20 @@ def test_conv2d_matches_direct_loop():
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
+def _conv_direct(x, w, b, stride, pad):
+    """Loop-over-outputs NCHW cross-correlation."""
+    kh, kw = w.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    hout, wout = (xp.shape[2] - kh) // stride + 1, (xp.shape[3] - kw) // stride + 1
+    out = np.empty((x.shape[0], w.shape[0], hout, wout))
+    for n, o, i, j in np.ndindex(*out.shape):
+        cell = xp[n, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
+        out[n, o, i, j] = (cell * w[o]).sum() + b[o]
+    return out
+
+
 def _conv_adjoints_direct(x, w, g, stride, pad):
-    """Loop-over-outputs adjoints of cross-correlation for upstream ``g``."""
+    """Loop-over-outputs adjoints of NCHW cross-correlation for upstream ``g``."""
     kh, kw = w.shape[2:]
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     gxp, gw = np.zeros_like(xp), np.zeros_like(w)
@@ -127,16 +182,17 @@ def _conv_adjoints_direct(x, w, g, stride, pad):
 )
 def test_conv2d_adjoints_match_direct_loop(xshape, wshape, stride, pad, x_grad):
     rng = np.random.default_rng(7)
-    x = t64(rng.uniform(-1, 1, size=xshape), requires_grad=x_grad)
+    x_nchw = rng.uniform(-1, 1, size=xshape)
+    x = t64(chwb(x_nchw), requires_grad=x_grad)
     w = t64(rng.uniform(-1, 1, size=wshape), requires_grad=True)
     b = t64(rng.uniform(-1, 1, size=wshape[0]), requires_grad=True)
     out = T.conv2d(x, w, b, stride=stride, pad=pad)
     g = rng.uniform(-1, 1, size=out.shape)
     T.backward(T.tensor_sum(T.mul(out, t64(g))))
 
-    gx, gw, gb = _conv_adjoints_direct(x.data, w.data, g, stride, pad)
+    gx, gw, gb = _conv_adjoints_direct(x_nchw, w.data, nchw(g), stride, pad)
     if x_grad:
-        np.testing.assert_allclose(x.grad, gx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(nchw(x.grad), gx, rtol=0, atol=1e-12)
     else:
         assert out.node.grad_fn(g)[0] is None and x.grad is None
     np.testing.assert_allclose(w.grad, gw, rtol=0, atol=1e-12)
@@ -144,8 +200,8 @@ def test_conv2d_adjoints_match_direct_loop(xshape, wshape, stride, pad, x_grad):
 
 
 def _conv2d_nchw_col2im(x, w, b, g, stride, pad):
-    """conv2d as it was written before the batch-innermost col2im: np.pad,
-    im2col GEMM, einsum weight gradient, and a col2im over NCHW rows."""
+    """conv2d as it was written on NCHW batches: np.pad, one im2col GEMM per
+    sample, einsum weight gradient, and a col2im over NCHW rows."""
     bsz, cin, h, wdt = x.shape
     cout, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
@@ -168,12 +224,16 @@ def _conv2d_nchw_col2im(x, w, b, g, stride, pad):
     return out, gx, gw, gb
 
 
+_TINY_CNN_CONVS = [
+    ((32, 3, 16, 16), (16, 3, 3, 3), 1, 1),  # tiny_cnn conv1 at batch 32
+    ((32, 16, 8, 8), (32, 16, 3, 3), 1, 1),  # tiny_cnn conv2
+]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize(
     "xshape, wshape, stride, pad",
-    [
-        ((32, 3, 16, 16), (16, 3, 3, 3), 1, 1),  # tiny_cnn conv1 at batch 32
-        ((32, 16, 8, 8), (32, 16, 3, 3), 1, 1),  # tiny_cnn conv2
+    _TINY_CNN_CONVS + [
         ((1, 4, 7, 9), (5, 4, 2, 3), 2, 1),
         ((5, 3, 6, 5), (4, 3, 3, 3), 2, 0),
         ((3, 8, 5, 7), (6, 8, 3, 3), 1, 1),
@@ -181,19 +241,30 @@ def _conv2d_nchw_col2im(x, w, b, g, stride, pad):
     ],
 )
 def test_conv2d_bytes_match_nchw_col2im_reference(xshape, wshape, stride, pad, dtype):
+    """The input gradient has the NCHW col2im's bytes at every shape: each
+    cell sums the same products in the same kernel-offset order. So has the
+    forward at the tiny_cnn shapes; elsewhere BLAS may round the one
+    [K, H'·W'·B] product and the per-sample [K, H'·W'] products differently.
+    The weight and bias gradients now sum over (h, w, b), not (b, h, w), and
+    agree to rounding."""
     rng = np.random.default_rng(sum(xshape) + sum(wshape) + stride + pad)
     x = rng.uniform(-1, 1, size=xshape).astype(dtype)
     w = rng.uniform(-1, 1, size=wshape).astype(dtype)
     b = rng.uniform(-1, 1, size=wshape[0]).astype(dtype)
-    out = T.conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+    out = T.conv2d(Tensor(chwb(x), requires_grad=True), Tensor(w, requires_grad=True),
                    Tensor(b, requires_grad=True), stride=stride, pad=pad)
-    g = rng.uniform(-1, 1, size=out.shape).astype(dtype)
-    gx, gw, gb = out.node.grad_fn(g)
+    g = rng.uniform(-1, 1, size=nchw(out.data).shape).astype(dtype)
+    gx, gw, gb = out.node.grad_fn(chwb(g))
+    ref_out, ref_gx, ref_gw, ref_gb = _conv2d_nchw_col2im(x, w, b, g, stride, pad)
 
-    ref = _conv2d_nchw_col2im(x, w, b, g, stride, pad)
-    for got, want in zip((out.data, gx, gw, gb), ref):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    assert gx.dtype == gw.dtype == gb.dtype == out.dtype == dtype
+    assert chwb(nchw(gx)).tobytes() == chwb(ref_gx).tobytes()
+    if (xshape, wshape, stride, pad) in _TINY_CNN_CONVS:
+        assert out.data.tobytes() == chwb(ref_out).tobytes()
+    rtol = 1e-5 if dtype == np.float32 else 1e-13
+    np.testing.assert_allclose(nchw(out.data), ref_out, rtol=rtol, atol=rtol)
+    np.testing.assert_allclose(gw, ref_gw, rtol=rtol, atol=rtol * np.abs(ref_gw).max())
+    np.testing.assert_allclose(gb, ref_gb, rtol=rtol, atol=rtol * np.abs(ref_gb).max())
 
 
 # ---------------------------------------------------------------------------
@@ -202,54 +273,54 @@ def test_conv2d_bytes_match_nchw_col2im_reference(xshape, wshape, stride, pad, d
 
 
 def test_avgpool_mean_of_four():
-    x = t64([[[[1.0, 2.0], [3.0, 4.0]]]])
+    x = t64(chwb(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])))
     out = T.avgpool2d(x, 2, 2, stride=1)
     np.testing.assert_array_equal(out.data.reshape(1), [2.5])
 
 
 def test_avgpool_row_kernel():
-    x = t64([[[[1.0, 2.0], [3.0, 4.0]]]])
+    x = t64(chwb(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])))
     out = T.avgpool2d(x, 1, 2, stride=1)
     np.testing.assert_array_equal(out.data.reshape(2, 1), [[1.5], [3.5]])
 
 
 def test_avgpool_1x1_identity_is_bit_exact():
     rng = np.random.default_rng(2)
-    x = Tensor(rng.uniform(size=(2, 3, 4, 5)).astype(np.float32))
+    x = Tensor(rng.uniform(size=(3, 4, 5, 2)).astype(np.float32))
     out = T.avgpool2d(x, 1, 1, stride=1)
     assert out.data.tobytes() == x.data.tobytes()
 
 
 def test_avgpool_adjoint_spreads_uniformly():
-    x = t64(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
+    x = t64(np.arange(16.0).reshape(1, 4, 4, 1), requires_grad=True)
     T.backward(T.tensor_sum(T.avgpool2d(x, 2, 2, stride=2)))
-    np.testing.assert_allclose(x.grad, np.full((1, 1, 4, 4), 0.25))
+    np.testing.assert_allclose(x.grad, np.full((1, 4, 4, 1), 0.25))
 
 
 def test_avgpool_kernel_exceeds_input():
     with pytest.raises(ShapeError):
-        T.avgpool2d(t64(np.zeros((1, 1, 2, 2))), 3, 1, stride=1)
+        T.avgpool2d(t64(np.zeros((1, 2, 2, 1))), 3, 1, stride=1)
 
 
 def test_maxpool_basic():
-    x = t64([[[[1.0, 2.0], [3.0, 4.0]]]])
+    x = t64(chwb(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])))
     out = T.maxpool2d(x, 2, stride=2)
     np.testing.assert_array_equal(out.data.reshape(1), [4.0])
 
 
 def test_maxpool_tie_break_first_index():
-    x = t64(np.ones((1, 1, 2, 2)), requires_grad=True)
+    x = t64(np.ones((1, 2, 2, 1)), requires_grad=True)
     out = T.maxpool2d(x, 2, stride=2)
     np.testing.assert_array_equal(out.data.reshape(1), [1.0])
     T.backward(T.tensor_sum(out))
     # whole gradient lands on the first window position, row-major
-    np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
+    np.testing.assert_array_equal(x.grad.reshape(2, 2), [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_maxpool_overlapping_windows_accumulate():
-    x = t64([[[[9.0, 1.0], [2.0, 3.0]]]], requires_grad=True)
+    x = t64(chwb(np.array([[[[9.0, 1.0], [2.0, 3.0]]]])), requires_grad=True)
     T.backward(T.tensor_sum(T.maxpool2d(x, 1, stride=1)))
-    np.testing.assert_array_equal(x.grad, np.ones((1, 1, 2, 2)))
+    np.testing.assert_array_equal(x.grad, np.ones((1, 2, 2, 1)))
 
 
 def _maxpool_direct(x, g, k, stride):
@@ -268,6 +339,18 @@ def _maxpool_direct(x, g, k, stride):
     return out, gx
 
 
+def _avgpool_direct(x, g, kh, kw, stride):
+    """Per-window mean, and the adjoint spreading g/(kh*kw) over each window."""
+    n, c, h, w = x.shape
+    out = np.empty((n, c, (h - kh) // stride + 1, (w - kw) // stride + 1), dtype=x.dtype)
+    gx = np.zeros_like(x)
+    for b, ch, i, j in np.ndindex(*out.shape):
+        rows, cols = slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw)
+        out[b, ch, i, j] = x[b, ch, rows, cols].mean()
+        gx[b, ch, rows, cols] += g[b, ch, i, j] / (kh * kw)
+    return out, gx
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("k, stride", [(2, 2), (3, 1), (2, 1), (3, 2)])
 def test_maxpool_matches_first_argmax_reference(k, stride, dtype):
@@ -275,21 +358,67 @@ def test_maxpool_matches_first_argmax_reference(k, stride, dtype):
     # Half-steps in [-2, 2], relu'd: zeros and repeated values tie often.
     # On the odd 7x5 extent, k=2 stride 2 leaves the last row and column out.
     raw = rng.integers(-4, 5, size=(2, 3, 7, 5)) / 2
-    x = Tensor(np.where(raw > 0, raw, 0).astype(dtype), requires_grad=True)
+    x_nchw = np.where(raw > 0, raw, 0).astype(dtype)
+    x = Tensor(chwb(x_nchw), requires_grad=True)
     out = T.maxpool2d(x, k, stride=stride)
     # Integer upstream gradients keep every accumulation order exact.
-    g = rng.integers(-3, 4, size=out.shape).astype(dtype)
-    T.backward(T.tensor_sum(T.mul(out, Tensor(g))))
+    g = rng.integers(-3, 4, size=nchw(out.data).shape).astype(dtype)
+    T.backward(T.tensor_sum(T.mul(out, Tensor(chwb(g)))))
 
-    ref_out, ref_gx = _maxpool_direct(x.data, g, k, stride)
+    ref_out, ref_gx = _maxpool_direct(x_nchw, g, k, stride)
     assert out.dtype == dtype and x.grad.dtype == dtype
-    np.testing.assert_array_equal(out.data, ref_out)
-    np.testing.assert_array_equal(x.grad, ref_gx)
+    np.testing.assert_array_equal(nchw(out.data), ref_out)
+    np.testing.assert_array_equal(nchw(x.grad), ref_gx)
+
+
+def test_spatial_ops_match_nchw_loops_on_random_shapes():
+    """Seeded random shapes: conv2d at strides 1-2, pads 0-2 and non-square
+    kernels, and both pools on ragged extents, against the NCHW loops after
+    moving the batch axis; forward and every adjoint."""
+    gen = np.random.default_rng(19)
+    for case in range(60):
+        bsz, cin, cout = (int(v) for v in gen.integers(1, 5, 3))
+        stride, pad = int(gen.integers(1, 3)), int(gen.integers(0, 3))
+        kh, kw = int(gen.integers(1, 4)), int(gen.integers(1, 4))
+        h = int(gen.integers(max(1, kh - 2 * pad), 9))
+        w = int(gen.integers(max(1, kw - 2 * pad), 9))
+        x_nchw = gen.uniform(-1, 1, (bsz, cin, h, w))
+        x = t64(chwb(x_nchw), requires_grad=True)
+        k = t64(gen.uniform(-1, 1, (cout, cin, kh, kw)), requires_grad=True)
+        bias = t64(gen.uniform(-1, 1, cout), requires_grad=True)
+        out = T.conv2d(x, k, bias, stride, pad)
+        g = gen.uniform(-1, 1, nchw(out.data).shape)
+        T.backward(T.tensor_sum(T.mul(out, t64(chwb(g)))))
+        np.testing.assert_allclose(nchw(out.data), _conv_direct(x_nchw, k.data, bias.data,
+                                                                stride, pad), atol=1e-12)
+        for got, want in zip((nchw(x.grad), k.grad, bias.grad),
+                             _conv_adjoints_direct(x_nchw, k.data, g, stride, pad)):
+            np.testing.assert_allclose(got, want, atol=1e-12, err_msg=f"conv case {case}")
+
+        pk = int(gen.integers(1, min(h, w, 3) + 1))
+        pstride = int(gen.integers(1, 3))
+        x = t64(chwb(x_nchw), requires_grad=True)
+        out = T.maxpool2d(x, pk, pstride)
+        g = gen.uniform(-1, 1, nchw(out.data).shape)
+        T.backward(T.tensor_sum(T.mul(out, t64(chwb(g)))))
+        ref_out, ref_gx = _maxpool_direct(x_nchw, g, pk, pstride)
+        np.testing.assert_array_equal(nchw(out.data), ref_out)
+        # Overlapping windows sum a cell's shares in another order than the loop.
+        np.testing.assert_allclose(nchw(x.grad), ref_gx, atol=1e-12)
+
+        ah, aw = int(gen.integers(1, h + 1)), int(gen.integers(1, w + 1))
+        x = t64(chwb(x_nchw), requires_grad=True)
+        out = T.avgpool2d(x, ah, aw, pstride)
+        g = gen.uniform(-1, 1, nchw(out.data).shape)
+        T.backward(T.tensor_sum(T.mul(out, t64(chwb(g)))))
+        ref_out, ref_gx = _avgpool_direct(x_nchw, g, ah, aw, pstride)
+        np.testing.assert_allclose(nchw(out.data), ref_out, atol=1e-12)
+        np.testing.assert_allclose(nchw(x.grad), ref_gx, atol=1e-12)
 
 
 def _maxpool_masked_argmax(x, g, k, stride):
-    """maxpool2d as it was written before the branch-free argmax: a running
-    max whose argmax is updated through a boolean mask."""
+    """maxpool2d as it was written before the branch-free argmax, on NCHW
+    batches: a running max whose argmax is updated through a boolean mask."""
     h, w = x.shape[2:]
     hout, wout = (h - k) // stride + 1, (w - k) // stride + 1
     span_h, span_w = stride * (hout - 1) + 1, stride * (wout - 1) + 1
@@ -306,6 +435,7 @@ def _maxpool_masked_argmax(x, g, k, stride):
     return out, gx
 
 
+# Shapes below are NCHW; each test moves the batch axis innermost.
 _MASKED_REF_CASES = [
     ((32, 16, 16, 16), 2, 2),  # the two tiny_cnn maps at batch 32
     ((32, 32, 8, 8), 2, 2),
@@ -346,14 +476,14 @@ def test_maxpool_bytes_match_masked_argmax_reference(shape, k, stride, dtype):
     # Relu'd half-steps: zeros and repeated values tie often.
     raw = rng.integers(-4, 5, size=shape) / 2
     x = np.where(raw > 0, raw, 0).astype(dtype)
-    out = T.maxpool2d(Tensor(x, requires_grad=True), k, stride=stride)
-    g = rng.uniform(-1, 1, size=out.shape).astype(dtype)
-    (gx,) = out.node.grad_fn(g)
+    out = T.maxpool2d(Tensor(chwb(x), requires_grad=True), k, stride=stride)
+    g = rng.uniform(-1, 1, size=nchw(out.data).shape).astype(dtype)
+    (gx,) = out.node.grad_fn(chwb(g))
 
     ref_out, ref_gx = _maxpool_masked_argmax(x, g, k, stride)
     assert out.data.dtype == dtype and gx.dtype == dtype
-    assert out.data.tobytes() == ref_out.tobytes()
-    assert gx.tobytes() == ref_gx.tobytes()
+    assert out.data.tobytes() == chwb(ref_out).tobytes()
+    assert gx.tobytes() == chwb(ref_gx).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -364,13 +494,13 @@ def test_maxpool_bytes_match_masked_argmax_reference_on_signed_input(shape, k, s
     accumulating into zeros would turn into +0.0 must come out +0.0."""
     rng = np.random.default_rng(sum(shape) + k + 1)
     x = _signed_half_steps(rng, shape, dtype)
-    out = T.maxpool2d(Tensor(x, requires_grad=True), k, stride=stride)
-    g = _signed_upstream(rng, out.shape, dtype)
-    (gx,) = out.node.grad_fn(g)
+    out = T.maxpool2d(Tensor(chwb(x), requires_grad=True), k, stride=stride)
+    g = _signed_upstream(rng, nchw(out.data).shape, dtype)
+    (gx,) = out.node.grad_fn(chwb(g))
 
     ref_out, ref_gx = _maxpool_masked_argmax(x, g, k, stride)
-    assert out.data.tobytes() == ref_out.tobytes()
-    assert gx.tobytes() == ref_gx.tobytes()
+    assert out.data.tobytes() == chwb(ref_out).tobytes()
+    assert gx.tobytes() == chwb(ref_gx).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -378,7 +508,7 @@ def test_maxpool_bytes_match_masked_argmax_reference_on_signed_input(shape, k, s
                          _MASKED_REF_CASES + _ODD_CASES + [((2, 3, 7, 5), 3, 1)])
 def test_maxpool_without_a_tape_matches_the_taped_bytes(shape, k, stride, dtype):
     rng = np.random.default_rng(sum(shape) + k + 2)
-    x = _signed_half_steps(rng, shape, dtype)
+    x = chwb(_signed_half_steps(rng, shape, dtype))
     taped = T.maxpool2d(Tensor(x, requires_grad=True), k, stride=stride)
     assert taped.node is not None
     with T.no_grad():
@@ -396,11 +526,11 @@ def test_pool_then_relu_bytes_equal_relu_then_pool(shape, k, stride, dtype):
     """relu is monotone: relu(maxpool(y)) == maxpool(relu(y)) on finite y,
     and the leaf gradient lands on the same cells with the same bytes."""
     rng = np.random.default_rng(sum(shape) + k + 3)
-    x = _signed_half_steps(rng, shape, dtype)
+    x = chwb(_signed_half_steps(rng, shape, dtype))
     pool_first, relu_first = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
     out = T.relu(T.maxpool2d(pool_first, k, stride=stride))
     ref = T.maxpool2d(T.relu(relu_first), k, stride=stride)
-    g = Tensor(_signed_upstream(rng, out.shape, dtype))
+    g = Tensor(chwb(_signed_upstream(rng, nchw(out.data).shape, dtype)))
     T.backward(T.tensor_sum(T.mul(out, g)))
     T.backward(T.tensor_sum(T.mul(ref, g)))
     assert out.dtype == dtype and pool_first.grad.dtype == dtype
@@ -649,6 +779,25 @@ def test_reshape_transpose_roundtrip():
     assert y.shape == (4, 6)
     T.backward(T.tensor_sum(T.mul(y, y)))
     np.testing.assert_allclose(x.grad, 2 * x.data)
+
+
+@pytest.mark.parametrize("size, shape", [
+    (0, (2**32, 2**32)),  # 2**64 wraps to 0 in int64
+    (6, (-2, -3)),  # negative dims whose product is the size
+    (6, (-1, 6)),  # no dim is inferred
+    (0, (0, 2**70)),  # a product of 0, but a dim numpy cannot index
+])
+def test_reshape_refuses_a_shape_of_another_size_with_shape_error(size, shape):
+    with pytest.raises(ShapeError, match="reshape"):
+        T.reshape(t64(np.zeros(size)), shape)
+
+
+def test_transpose_adjoint_applies_the_inverse_permutation():
+    x = t64(np.arange(120.0).reshape(2, 3, 4, 5), requires_grad=True)
+    y = T.transpose(x, (2, 0, 3, 1))
+    assert y.shape == (4, 2, 5, 3)
+    (gx,) = y.node.grad_fn(y.data)
+    assert gx.shape == x.shape and np.array_equal(gx, x.data)
 
 
 def test_mean_reduction_axis_and_full():
