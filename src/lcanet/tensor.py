@@ -324,15 +324,48 @@ def _offset_slices(hout: int, wout: int, i: int, j: int, stride: int):
     return (slice(None), slice(i, i + span_h, stride), slice(j, j + span_w, stride))
 
 
+def _conv_columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
+                  hout: int, wout: int) -> np.ndarray:
+    """The im2col columns [Cin·kh·kw, B, H'·W'] of a [Cin, H, W, B] map.
+
+    The map is copied once to [Cin, B, H, W] planes, and each kernel
+    offset's columns are read from them.
+    """
+    cin, h, wdt, bsz = x.shape
+    hw = hout * wout
+    if stride == 1 and (hout, wout) == (h, wdt):
+        # A "same" convolution: the columns of offset (i, j) are each plane
+        # read flat from i·W + j on, in a zero margin, then zeroed where a
+        # row wraps around.
+        last = (kh - 1) * wdt + kw - 1  # where the last offset's run starts
+        flat = np.zeros((cin, bsz, last + hw), dtype=x.dtype)
+        start = pad * wdt + pad
+        flat[:, :, start : start + hw].reshape(cin, bsz, h, wdt)[...] = x.transpose(0, 3, 1, 2)
+        win = sliding_window_view(flat, hw, axis=2)  # [Cin, B, starts, H·W]
+        cols = np.empty((cin, kh, kw, bsz, hw), dtype=x.dtype)
+        for i in range(kh):
+            cols[:, i] = win[:, :, i * wdt : i * wdt + kw].transpose(0, 2, 1, 3)
+        cells = cols.reshape(cin, kh, kw, bsz, hout, wout)
+        for j in range(kw):
+            cells[:, :, j, ..., : max(pad - j, 0)] = 0
+            cells[:, :, j, ..., wdt + pad - j :] = 0
+    else:
+        xp = np.zeros((cin, bsz, h + 2 * pad, wdt + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad : pad + h, pad : pad + wdt] = x.transpose(0, 3, 1, 2)
+        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        cols = np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3))
+    return cols.reshape(cin * kh * kw, bsz, hw)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation of a [Cin,H,W,B] map by [Cout,Cin,kh,kw] plus bias.
 
-    Returns [Cout,H',W',B]. The forward is one matrix product of the kernel
-    by the columns [Cin·kh·kw, H'·W'·B], built with one slice copy per
-    kernel offset. The columns are kept for the weight gradient, one matrix
-    product ``(cols @ gᵀ)ᵀ``, and only while that gradient is taped. The input
-    gradient is one matrix product and a col2im sum, one slice-add per
-    kernel offset.
+    Returns [Cout,H',W',B]. Each sample's im2col columns are a matrix of
+    their own, so the forward is one matrix product per sample, as on NCHW
+    batches, and a sample's output bits do not depend on its batch. The
+    columns are kept for the weight gradient, one matrix product over
+    (b, h', w'), and only while that gradient is taped. The input gradient
+    is a col2im sum: one matrix product and one slice-add per kernel offset.
     """
     _check_dtypes("conv2d", x, w, b)
     if x.ndim != 4 or w.ndim != 4:
@@ -348,43 +381,49 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({cout},)")
     if stride < 1 or pad < 0:
         raise ContractError(f"conv2d: stride {stride} must be >= 1 and pad {pad} >= 0")
-    if h + 2 * pad < kh or wdt + 2 * pad < kw:
-        raise ShapeError(
-            f"conv2d: kernel ({kh}x{kw}) larger than padded input "
-            f"({h + 2 * pad}x{wdt + 2 * pad})"
-        )
+    hp, wp = h + 2 * pad, wdt + 2 * pad
+    if hp < kh or wp < kw:
+        raise ShapeError(f"conv2d: kernel ({kh}x{kw}) larger than padded input ({hp}x{wp})")
 
-    hout, wout = (h + 2 * pad - kh) // stride + 1, (wdt + 2 * pad - kw) // stride + 1
-    padded = (cin, h + 2 * pad, wdt + 2 * pad, bsz)
-    xp = x.data
-    if pad:
-        xp = np.zeros(padded, dtype=x.dtype)
-        xp[:, pad : pad + h, pad : pad + wdt] = x.data
+    hout, wout = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    hw = hout * wout
     offsets = list(itertools.product(range(kh), range(kw)))
-    cols = np.empty((cin, kh, kw, hout, wout, bsz), dtype=x.dtype)
-    for i, j in offsets:
-        cols[:, i, j] = xp[_offset_slices(hout, wout, i, j, stride)]
-    cols = cols.reshape(cin * kh * kw, -1)
+    cols = _conv_columns(x.data, kh, kw, stride, pad, hout, wout)
     wmat = w.data.reshape(cout, -1)
-    out = wmat @ cols
-    out += b.data[:, None]
-    cols = cols if _grad_enabled and w.requires_grad else None
+    # One product per sample: a column of one product over the whole batch
+    # may round differently with the batch's size. The output is allocated
+    # before the products, whose buffer then leaves a hole the later
+    # allocations of a step reuse: about 1 MB less peak RSS when training.
+    out = np.empty((cout, hw, bsz), dtype=x.dtype)
+    prod = wmat @ cols.transpose(1, 0, 2)  # [B, Cout, H'·W']
+    np.add(prod.transpose(1, 2, 0), b.data[:, None, None], out=out)
+    del prod
+    out = out.reshape(cout, hout, wout, bsz)
+    cols = cols.reshape(cin * kh * kw, -1) if _taped((w,)) else None
 
     def grad_fn(g):
+        gb = gw = gx = None
+        if b.requires_grad or cols is not None:
+            # The upstream gradient in (b, h', w') order, the columns' order.
+            gt = np.ascontiguousarray(g.reshape(cout, hw, bsz).transpose(0, 2, 1))
+            if b.requires_grad:
+                # A pairwise sum over each sample's (h', w'), then the samples
+                # in order, as numpy reduces an NCHW gradient.
+                gb = np.ascontiguousarray(gt.sum(axis=2).T).sum(axis=0)
+            if cols is not None:
+                gw = (cols @ gt.reshape(cout, -1).T).T.reshape(w.shape)
+            del gt
         g = g.reshape(cout, -1)
-        gb = g.sum(axis=1) if b.requires_grad else None
-        gw = (cols @ g.T).T.reshape(w.shape) if cols is not None else None
-        gx = None
         if x.requires_grad:
             # col2im: every cell sums its terms in kernel-offset order.
             gcols = (wmat.T @ g).reshape(cin, kh, kw, hout, wout, bsz)
-            gxp = np.zeros(padded, dtype=g.dtype)
+            gxp = np.zeros((cin, hp, wp, bsz), dtype=g.dtype)
             for i, j in offsets:
                 gxp[_offset_slices(hout, wout, i, j, stride)] += gcols[:, i, j]
             gx = gxp[:, pad : pad + h, pad : pad + wdt]
         return gx, gw, gb
 
-    return _record("conv2d", out.reshape(cout, hout, wout, bsz), (x, w, b), grad_fn)
+    return _record("conv2d", out, (x, w, b), grad_fn)
 
 
 def avgpool2d(x: Tensor, kh: int, kw: int, stride: int = 1) -> Tensor:
@@ -474,11 +513,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     # math.prod is exact: a product of dims cannot wrap around to x.size.
     if min(shape, default=0) < 0 or math.prod(shape) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    try:
-        out = x.data.reshape(shape)
-    except ValueError:  # an empty tensor given a dim numpy cannot index
-        raise ShapeError(f"reshape: cannot view {x.shape} as {shape}") from None
-    return _record("reshape", out, (x,), lambda g: (g.reshape(x.shape),))
+    return _record("reshape", x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:

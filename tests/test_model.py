@@ -145,6 +145,25 @@ def test_a_sample_forward_does_not_depend_on_its_batch(tmp_path):
             assert alone.tobytes() == batch[i : i + 1].tobytes(), i
 
 
+@pytest.mark.parametrize("h,w,channels", [
+    (16, 16, (16, 32)),
+    (10, 10, (6, 12)),
+    (12, 20, (5, 7)),
+    (8, 28, (3, 9)),
+])
+def test_feature_map_bits_do_not_depend_on_the_batch_at_any_shape(h, w, channels):
+    """Each sample's conv forward is its own matrix product, so a sample's
+    feature map has the same bits in batches of every size and at every
+    place, also at input sizes and channel counts off the default."""
+    model = build_model(tiny_backbone(h, w, channels), LcaConfig(8), 4, rng=Rng(2))
+    x = Rng(3).uniform_array((37, 3, h, w), 0, 1, dtype=np.float32)
+    with T.no_grad():
+        full = model.feature_map(Tensor(x)).data
+        for lo, hi in ((0, 1), (5, 12), (3, 35), (36, 37)):
+            part = model.feature_map(Tensor(x[lo:hi])).data
+            assert part.tobytes() == full[lo:hi].tobytes(), (lo, hi)
+
+
 class TestBuildValidation:
     def test_num_classes_lower_bound(self):
         with pytest.raises(ConfigError):

@@ -224,29 +224,28 @@ def _conv2d_nchw_col2im(x, w, b, g, stride, pad):
     return out, gx, gw, gb
 
 
-_TINY_CNN_CONVS = [
-    ((32, 3, 16, 16), (16, 3, 3, 3), 1, 1),  # tiny_cnn conv1 at batch 32
-    ((32, 16, 8, 8), (32, 16, 3, 3), 1, 1),  # tiny_cnn conv2
-]
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize(
     "xshape, wshape, stride, pad",
-    _TINY_CNN_CONVS + [
+    [
+        ((32, 3, 16, 16), (16, 3, 3, 3), 1, 1),  # tiny_cnn conv1 at batch 32
+        ((32, 16, 8, 8), (32, 16, 3, 3), 1, 1),  # tiny_cnn conv2
         ((1, 4, 7, 9), (5, 4, 2, 3), 2, 1),
         ((5, 3, 6, 5), (4, 3, 3, 3), 2, 0),
         ((3, 8, 5, 7), (6, 8, 3, 3), 1, 1),
         ((7, 2, 9, 4), (3, 2, 1, 2), 1, 2),
+        ((3, 2, 2, 3), (4, 2, 5, 5), 1, 2),  # "same", the kernel wider than the map
+        ((2, 3, 1, 6), (2, 3, 3, 3), 1, 1),  # "same" on a single row
+        ((4, 5, 3, 4), (3, 5, 1, 1), 1, 0),  # "same" 1x1
     ],
 )
 def test_conv2d_bytes_match_nchw_col2im_reference(xshape, wshape, stride, pad, dtype):
-    """The input gradient has the NCHW col2im's bytes at every shape: each
-    cell sums the same products in the same kernel-offset order. So has the
-    forward at the tiny_cnn shapes; elsewhere BLAS may round the one
-    [K, H'·W'·B] product and the per-sample [K, H'·W'] products differently.
-    The weight and bias gradients now sum over (h, w, b), not (b, h, w), and
-    agree to rounding."""
+    """Every output has the NCHW version's bytes: the forward is one product
+    per sample, the input gradient's col2im sums each cell's products in
+    the same kernel-offset order, and the bias gradient sums as numpy
+    reduces the NCHW gradient. The weight gradient is one product over
+    (b, h', w'), the order einsum took; in float64 einsum takes another
+    path and the two agree to rounding."""
     rng = np.random.default_rng(sum(xshape) + sum(wshape) + stride + pad)
     x = rng.uniform(-1, 1, size=xshape).astype(dtype)
     w = rng.uniform(-1, 1, size=wshape).astype(dtype)
@@ -258,13 +257,13 @@ def test_conv2d_bytes_match_nchw_col2im_reference(xshape, wshape, stride, pad, d
     ref_out, ref_gx, ref_gw, ref_gb = _conv2d_nchw_col2im(x, w, b, g, stride, pad)
 
     assert gx.dtype == gw.dtype == gb.dtype == out.dtype == dtype
+    assert out.data.tobytes() == chwb(ref_out).tobytes()
     assert chwb(nchw(gx)).tobytes() == chwb(ref_gx).tobytes()
-    if (xshape, wshape, stride, pad) in _TINY_CNN_CONVS:
-        assert out.data.tobytes() == chwb(ref_out).tobytes()
-    rtol = 1e-5 if dtype == np.float32 else 1e-13
-    np.testing.assert_allclose(nchw(out.data), ref_out, rtol=rtol, atol=rtol)
-    np.testing.assert_allclose(gw, ref_gw, rtol=rtol, atol=rtol * np.abs(ref_gw).max())
-    np.testing.assert_allclose(gb, ref_gb, rtol=rtol, atol=rtol * np.abs(ref_gb).max())
+    assert gb.tobytes() == ref_gb.tobytes()
+    if dtype == np.float32:
+        assert gw.tobytes() == ref_gw.tobytes()
+    else:
+        np.testing.assert_allclose(gw, ref_gw, rtol=1e-13, atol=1e-13 * np.abs(ref_gw).max())
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +784,6 @@ def test_reshape_transpose_roundtrip():
     (0, (2**32, 2**32)),  # 2**64 wraps to 0 in int64
     (6, (-2, -3)),  # negative dims whose product is the size
     (6, (-1, 6)),  # no dim is inferred
-    (0, (0, 2**70)),  # a product of 0, but a dim numpy cannot index
 ])
 def test_reshape_refuses_a_shape_of_another_size_with_shape_error(size, shape):
     with pytest.raises(ShapeError, match="reshape"):
