@@ -93,7 +93,6 @@ class RunConfig:
     backbone: str = "tiny_cnn"
     input_size: tuple = (16, 16)
     channels: tuple = (16, 32)
-    freeze_backbone: bool = False
     data_train: str = ""
     data_test: str = ""
     data_format: str = "ppm"
@@ -122,7 +121,6 @@ _KEYS = {
     "backbone": ("backbone", _str),
     "input_size": ("input_size", _size),
     "channels": ("channels", _ints),
-    "train.freeze_backbone": ("freeze_backbone", _bool),
     "data.train": ("data_train", _str),
     "data.test": ("data_test", _str),
     "data.format": ("data_format", _str),

@@ -14,6 +14,7 @@ back is bit-identical to the in-memory one.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import struct
@@ -55,8 +56,9 @@ class AugmentConfig:
 
     def __post_init__(self):
         # 2*translate_px + 1 is a randint bound, which must not pass 2**64.
-        if not 0 <= self.translate_px < 2**63 or self.gauss_noise_sigma < 0:
-            raise ValueError("augmentation magnitudes must be >= 0, and translate_px < 2**63")
+        if not 0 <= self.translate_px < 2**63 or not 0 <= self.gauss_noise_sigma < math.inf:
+            raise ValueError("augmentation magnitudes must be finite and >= 0, "
+                             "and translate_px < 2**63")
         if not 0 <= self.brightness_delta < 1:
             raise ValueError(f"brightness_delta must be in [0,1), got {self.brightness_delta}")
 
@@ -134,8 +136,6 @@ def write_ppm(path, img: np.ndarray) -> None:
 def _resize_bilinear(img: np.ndarray, th: int, tw: int) -> np.ndarray:
     """Half-pixel-centered bilinear resample of [H,W,3]; identity is exact."""
     h, w = img.shape[:2]
-    if (h, w) == (th, tw):
-        return img.copy()
     src = img.astype(np.float64)
 
     def grid(n_src, n_dst):

@@ -82,7 +82,7 @@ def _t(rng: Rng, shape, lo=-1.0, hi=1.0) -> Tensor:
 
 def _spread(rng: Rng, shape) -> Tensor:
     """Values with pairwise gaps well above 2*eps, for argmax/tie-free ops."""
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     base = np.array(rng.permutation(n), dtype=np.float64) / n
     jitter = rng.uniform_array((n,), 0.0, 1.0 / (4 * n), dtype=np.float64)
     return Tensor((base + jitter).reshape(shape), requires_grad=True)

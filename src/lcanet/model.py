@@ -254,7 +254,9 @@ def save_checkpoint(model: Model, path, *, velocities: dict, epoch: int,
     embed = model.lca_cfg.embed_dim if model.lca_cfg else 0
     out.append(struct.pack("<II", embed, model.num_classes))
 
-    # Subset is legal: a frozen backbone keeps no velocity entries.
+    # Subset is legal: files from older head-only runs hold no conv* entries,
+    # and callers that keep no momentum pass {}. A missing entry resumes at
+    # zero velocity.
     if not set(velocities) <= {p.name for p in params}:
         raise CheckpointError("velocity table names params the model does not have")
     out.append(struct.pack("<I", len(velocities)))

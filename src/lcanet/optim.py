@@ -8,6 +8,8 @@ gradient. Gradients are zeroed once consumed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import ContractError, Parameter
@@ -17,8 +19,10 @@ class SGD:
     def __init__(self, params, lr: float, momentum: float = 0.0,
                  weight_decay: float = 0.0):
         params = list(params)
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
+        if not 0 < lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {lr}")
+        if not 0 <= weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {weight_decay}")
         if not 0 <= momentum < 1:
             raise ValueError(f"momentum must be in [0,1), got {momentum}")
         names = [p.name for p in params if isinstance(p, Parameter)]

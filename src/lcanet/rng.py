@@ -113,6 +113,20 @@ def _gaussian(keys, n: int) -> np.ndarray:
     return out.reshape(radius.shape[:-1] + (2 * pairs,))[..., :n]
 
 
+def _draw_count(shape) -> int:
+    """The element count of an array draw of ``shape``, taken before its key.
+
+    ``math.prod`` is exact, so no count wraps around. A negative dim, or a
+    count of 2**59 or more (its uint64 counters and float64 outputs would
+    pass the 2**63 bytes numpy can address), is refused with a
+    ``ValueError`` naming the shape, and the stream does not move.
+    """
+    n = math.prod(shape)
+    if min(shape, default=0) < 0 or n >= 2**59:
+        raise ValueError(f"cannot draw an array of shape {tuple(shape)}")
+    return n
+
+
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
@@ -167,7 +181,8 @@ class Rng:
         Element i is ``random()``'s transform applied to output i of
         ``splitmix64(key)``.
         """
-        z = _splitmix64_array(self.next_u64(), int(np.prod(shape)))
+        n = _draw_count(shape)
+        z = _splitmix64_array(self.next_u64(), n)
         out = (z >> 11) * 2.0**-53
         return (lo + (hi - lo) * out).reshape(shape).astype(dtype)
 
@@ -176,7 +191,8 @@ class Rng:
 
         Element i is ``sigma`` times value i of ``_gaussian(key, size)``.
         """
-        out = _gaussian(self.next_u64(), int(np.prod(shape)))
+        n = _draw_count(shape)
+        out = _gaussian(self.next_u64(), n)
         return (sigma * out).reshape(shape).astype(dtype)
 
     def shuffle(self, items) -> None:

@@ -167,21 +167,11 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
             f"checkpoint already covers {start_epoch} epochs; config asks for {cfg.epochs}"
         )
 
-    if cfg.freeze_backbone:
-        for p in model.parameters():
-            if p.name.startswith("conv"):
-                p.requires_grad = False
-
-    optim = SGD(
-        [p for p in model.parameters() if p.requires_grad],
-        lr=cfg.lr,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-    )
+    optim = SGD(model.parameters(), lr=cfg.lr, momentum=cfg.momentum,
+                weight_decay=cfg.weight_decay)
     if loaded:
         for name, vel in loaded.velocities.items():
-            if name in optim.velocity:
-                optim.velocity[name][...] = vel
+            optim.velocity[name][...] = vel
 
     aug_cfg = AugmentConfig(
         translate_px=cfg.aug_translate_px,

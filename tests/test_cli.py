@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import lcanet.data
-from lcanet import Rng, build_model, gradcheck, save_checkpoint, write_feature_file, write_ppm
+from lcanet import (Rng, build_model, gradcheck, load_checkpoint, save_checkpoint,
+                    write_feature_file, write_ppm)
 from lcanet.cli import main
 from lcanet.model import BackboneConfig
 from lcanet.lca import LcaConfig
@@ -340,6 +341,47 @@ def test_train_resume_with_augmentation_is_exact(workdir):
     assert len(resumed) == 4
     assert [r.rsplit(",", 1)[0] for r in resumed] == [r.rsplit(",", 1)[0] for r in straight]
     assert (workdir / "model.lcac").read_bytes() == (workdir / "straight.lcac").read_bytes()
+
+
+def test_train_resumes_a_checkpoint_without_conv_velocities(workdir, capsys):
+    """Runs of the removed train.freeze_backbone key wrote velocities for the
+    head and classifier only. Such a file still inspects, evaluates like the
+    full one, and resumes as if its conv velocities were zero; the resumed
+    checkpoint holds every velocity."""
+    make_data(workdir)
+    assert main(["train", "--config", str(write_cfg(workdir, **{"ckpt.out": "full.lcac"}))]) == 0
+    full = load_checkpoint("full.lcac")
+    head_only = {n: v for n, v in full.velocities.items() if not n.startswith("conv")}
+    zeroed = {n: v if n in head_only else np.zeros_like(v) for n, v in full.velocities.items()}
+    for name, velocities in (("partial.lcac", head_only), ("zeroed.lcac", zeroed)):
+        save_checkpoint(full.model, name, velocities=velocities, epoch=full.epoch,
+                        rng_state=full.rng_state)
+    capsys.readouterr()
+
+    assert main(["inspect", "--ckpt", "partial.lcac"]) == 0
+    assert "optimizer velocities: 4\n" in capsys.readouterr().out
+    evals = []
+    for name in ("partial.lcac", "full.lcac"):
+        assert main(["eval", "--ckpt", name, "--data", "data/test"]) == 0
+        evals.append(capsys.readouterr().out)
+    assert evals[0] == evals[1]
+
+    for name in ("partial", "zeroed"):
+        cfg = write_cfg(workdir, name=f"{name}.cfg", epochs="2",
+                        **{"ckpt.out": f"{name}-2.lcac", "log.csv": f"{name}.csv"})
+        assert main(["train", "--config", str(cfg), "--resume", f"{name}.lcac"]) == 0
+    resumed = load_checkpoint("partial-2.lcac")
+    assert sorted(resumed.velocities) == sorted(full.velocities)
+    assert (workdir / "partial-2.lcac").read_bytes() == (workdir / "zeroed-2.lcac").read_bytes()
+
+
+def test_train_freeze_backbone_key_exits_2_and_writes_nothing(workdir, capsys):
+    """The key is gone; a config that still sets it is refused by line."""
+    make_data(workdir)
+    cfg = write_cfg(workdir, **{"train.freeze_backbone": "true"})
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "line 10: unknown config key 'train.freeze_backbone'" in capsys.readouterr().err
+    assert not (workdir / "metrics.csv").exists() and not (workdir / "model.lcac").exists()
 
 
 def test_train_translate_wider_than_the_image_exits_0(workdir, capsys):

@@ -28,7 +28,6 @@ def test_defaults():
     assert cfg.backbone == "tiny_cnn"
     assert cfg.input_size == (16, 16)
     assert cfg.channels == (16, 32)
-    assert cfg.freeze_backbone is False
     assert cfg.data_format == "ppm"
     assert cfg.aug_translate_px == 0 and cfg.aug_hflip is False
 
@@ -50,7 +49,6 @@ def test_every_documented_key_parses():
     backbone = external_features
     input_size = 8x10
     channels = 24
-    train.freeze_backbone = yes
     data.train = data/train
     data.test = data/test
     data.format = lcaf
@@ -65,7 +63,6 @@ def test_every_documented_key_parses():
     assert cfg.backbone == "external_features"
     assert cfg.input_size == (8, 10)
     assert cfg.channels == (24,)
-    assert cfg.freeze_backbone is True
     assert cfg.data_train == "data/train" and cfg.data_test == "data/test"
     assert cfg.data_format == "lcaf"
     assert cfg.ckpt_out == "out/model.lcac" and cfg.log_csv == "out/metrics.csv"
@@ -189,10 +186,19 @@ def test_load_config_roundtrip(tmp_path):
 
 
 def test_readme_config_table_lists_exactly_the_config_keys():
+    """Every key has one row, and a row's default, parsed, is RunConfig()'s
+    (the data.train / data.test row has none)."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
-    documented = []
+    documented, defaults = [], {}
     for row in section.splitlines():
         if row.startswith("| `"):
-            documented += re.findall(r"`([^`]+)`", row.split("|")[1])
+            cells = row.split("|")
+            keys = re.findall(r"`([^`]+)`", cells[1])
+            documented += keys
+            if cells[2].strip() != "—":
+                (defaults[keys[0]],) = re.findall(r"`([^`]*)`", cells[2])
     assert sorted(documented) == sorted(_KEYS)
+    for key, text in defaults.items():
+        attr = _KEYS[key][0]
+        assert getattr(parse_config(f"{key} = {text}\n"), attr) == getattr(RunConfig(), attr), key

@@ -576,6 +576,14 @@ def test_augment_config_validation():
         AugmentConfig(0, 0.0, -0.5, False)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_augment_config_refuses_a_non_finite_noise_sigma(sigma):
+    """config refuses aug.noise_sigma = nan or inf; a NaN sigma would turn
+    every pixel into NaN."""
+    with pytest.raises(ValueError, match="finite"):
+        AugmentConfig(0, 0.0, sigma, False)
+
+
 # ---------------------------------------------------------------------------
 # batching
 # ---------------------------------------------------------------------------

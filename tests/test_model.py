@@ -96,27 +96,6 @@ def test_same_seed_same_initial_logits():
     np.testing.assert_array_equal(a.forward(x).data, b.forward(x).data)
 
 
-def test_freeze_backbone_excludes_conv_params(tmp_path):
-    """One frozen epoch leaves the conv tensors at their init bytes and keeps
-    momentum for the head and classifier only."""
-    assert main(["synth", "--out", str(tmp_path), "--classes", "2",
-                 "--per-class", "4", "--test-per-class", "2"]) == 0
-    cfg = parse_config(
-        "seed = 3\nepochs = 1\nbatch_size = 4\nchannels = 4,8\nlca.embed_dim = 6\n"
-        f"train.freeze_backbone = true\ndata.train = {tmp_path / 'train'}\n"
-        f"data.test = {tmp_path / 'test'}\nckpt.out = {tmp_path / 'm.lcac'}\n"
-        f"log.csv = {tmp_path / 'm.csv'}\n"
-    )
-    run_training(cfg)
-    init = build_model(tiny_backbone(channels=(4, 8)), LcaConfig(6), 2,
-                       rng=Rng(cfg.seed).spawn())  # the init stream
-    loaded = load_checkpoint(cfg.ckpt_out)
-    for p in loaded.model.parameters():
-        same = p.data.tobytes() == init.param(p.name).data.tobytes()
-        assert same == p.name.startswith("conv"), p.name
-    assert sorted(loaded.velocities) == ["cls_bias", "cls_weight", "fc_bias", "fc_weight"]
-
-
 def test_a_sample_forward_does_not_depend_on_its_batch(tmp_path):
     """The metrics CSV scores the test split at the training batch size and
     ``lcanet eval`` at 256. On a trained glyph model, evaluation gives the

@@ -135,6 +135,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             SGD([param([0.0])], lr=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"lr": float("nan")}, {"lr": float("inf")},
+        {"lr": 0.1, "weight_decay": -1.0}, {"lr": 0.1, "weight_decay": float("nan")},
+        {"lr": 0.1, "weight_decay": float("inf")},
+    ], ids=["lr_nan", "lr_inf", "wd_negative", "wd_nan", "wd_inf"])
+    def test_lr_and_weight_decay_must_be_finite(self, kwargs):
+        """The values config refuses for lr and weight_decay: a NaN lr would
+        turn every weight into NaN one step later."""
+        with pytest.raises(ValueError):
+            SGD([param([0.0])], **kwargs)
+
     def test_momentum_range(self):
         with pytest.raises(ValueError):
             SGD([param([0.0])], lr=0.1, momentum=1.0)

@@ -8,6 +8,7 @@ downstream dataset and training run.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,6 +229,19 @@ def test_normal_array_advances_the_stream_by_one_draw(shape):
     a.normal_array(shape, sigma=1.0)
     b.next_u64()
     assert a.state_bytes() == b.state_bytes()
+
+
+@pytest.mark.parametrize("method", ["uniform_array", "normal_array"])
+@pytest.mark.parametrize("shape", [(2**32, 2**32), (-2, -3)], ids=["wraps_int64", "negative"])
+def test_array_draw_refuses_a_shape_before_its_key(method, shape):
+    """A count of 2**64 once wrapped to 0 values, and (-2, -3) drew 6; both
+    are refused naming the shape, and the stream stays where it was."""
+    r = Rng(35)
+    before = r.state_bytes()
+    args = (0.0, 1.0) if method == "uniform_array" else (1.0,)
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        getattr(r, method)(shape, *args)
+    assert r.state_bytes() == before
 
 
 def test_successive_normal_arrays_differ():
