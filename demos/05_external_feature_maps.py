@@ -5,7 +5,7 @@ stand-in: it feeds stored [C, H, W] feature maps straight to the head, the
 way you would pair the head with a frozen pretrained network — export its
 feature maps once, then train only the head here. The demo's stand-in
 "pretrained network" is a matched-filter bank: one zero-mean 4x4 template
-per class glyph, applied with the library's own conv, relu'd, pooled, and
+per class glyph, applied with the library's own conv, relu'd, max-pooled, and
 standardized (center/scale per channel, as for any frozen-feature
 pipeline) before being written to .lcaf files.
 """
@@ -43,7 +43,7 @@ def featurize(images):
     with no_grad():
         y = T.transpose(Tensor(images), (1, 2, 3, 0))
         y = T.relu(T.conv2d(y, Tensor(filters), Tensor(bias)))
-        y = T.avgpool2d(y, 2, 2, stride=2)
+        y = T.maxpool2d(y, 2, 2)
         y = T.transpose(y, (3, 0, 1, 2))
     return y.data
 

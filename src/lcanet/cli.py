@@ -99,8 +99,7 @@ def cmd_inspect(args) -> int:
           f"input={model.backbone.input_size[0]}x{model.backbone.input_size[1]}")
     head = model.head
     if model.lca_cfg:
-        head += (f" (embed_dim={model.lca_cfg.embed_dim}, "
-                 f"include_one_by_k={model.lca_cfg.include_one_by_k})")
+        head += f" (embed_dim={model.lca_cfg.embed_dim})"
     print(f"head: {head}")
     print(f"classes: {model.num_classes}")
     total = 0

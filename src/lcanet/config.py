@@ -89,7 +89,6 @@ class RunConfig:
     lambda_entropy: float = 0.1
     head: str = "lca"
     lca_embed_dim: int = 32
-    lca_include_one_by_k: bool = True
     backbone: str = "tiny_cnn"
     input_size: tuple = (16, 16)
     channels: tuple = (16, 32)
@@ -117,7 +116,6 @@ _KEYS = {
     "lambda_entropy": ("lambda_entropy", _float),
     "head": ("head", _str),
     "lca.embed_dim": ("lca_embed_dim", _int),
-    "lca.include_one_by_k": ("lca_include_one_by_k", _bool),
     "backbone": ("backbone", _str),
     "input_size": ("input_size", _size),
     "channels": ("channels", _ints),

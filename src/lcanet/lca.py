@@ -31,17 +31,16 @@ class EmptyKernelError(ValueError):
 
 @dataclass(frozen=True)
 class LcaConfig:
-    """The head's two free choices; its input width C is the backbone's."""
+    """The head's one free choice; its input width C is the backbone's."""
 
     embed_dim: int
-    include_one_by_k: bool = True
 
     def __post_init__(self):
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim ({self.embed_dim}) must be >= 1")
 
 
-def check_extent(h: int, w: int, include_one_by_k: bool = True) -> None:
+def check_extent(h: int, w: int) -> None:
     """Raise unless an HxW map admits a pooling kernel other than 1x1.
 
     Costs O(1) at any extent, so an architecture can be checked before
@@ -49,42 +48,38 @@ def check_extent(h: int, w: int, include_one_by_k: bool = True) -> None:
     """
     if h < 1 or w < 1:
         raise ShapeError(f"feature map extent {h}x{w} is empty")
-    if h * w < 2 or (not include_one_by_k and min(h, w) < 2):
-        raise EmptyKernelError(
-            f"no pooling kernel other than 1x1 fits a {h}x{w} map "
-            f"(include_one_by_k={include_one_by_k})"
-        )
+    if h * w < 2:
+        raise EmptyKernelError(f"no pooling kernel other than 1x1 fits a {h}x{w} map")
 
 
-def enumerate_kernels(h: int, w: int, include_one_by_k: bool = True) -> list[tuple[int, int]]:
+def enumerate_kernels(h: int, w: int) -> list[tuple[int, int]]:
     """All pooling kernel sizes for an HxW map, kh-major, excluding 1x1."""
-    check_extent(h, w, include_one_by_k)
-    lo = 1 if include_one_by_k else 2
+    check_extent(h, w)
     return [
         (kh, kw)
-        for kh in range(lo, h + 1)
-        for kw in range(lo, w + 1)
+        for kh in range(1, h + 1)
+        for kw in range(1, w + 1)
         if (kh, kw) != (1, 1)
     ]
 
 
-def concept_count(h: int, w: int, include_one_by_k: bool = True) -> int:
+def concept_count(h: int, w: int) -> int:
     """Total stride-1 window positions over all enumerated kernels."""
     total = 0
-    for kh, kw in enumerate_kernels(h, w, include_one_by_k):
+    for kh, kw in enumerate_kernels(h, w):
         total += (h - kh + 1) * (w - kw + 1)
     return total
 
 
 @functools.lru_cache(maxsize=32)
-def pooling_matrix(h: int, w: int, include_one_by_k: bool, dtype) -> np.ndarray:
+def pooling_matrix(h: int, w: int, dtype) -> np.ndarray:
     """Read-only [P, H*W] matrix; row p holds 1/area on window p's cells.
 
     Rows follow ``enumerate_kernels``, then window position row-major.
     """
     index = np.arange(h * w).reshape(h, w)
     blocks = []
-    for kh, kw in enumerate_kernels(h, w, include_one_by_k):
+    for kh, kw in enumerate_kernels(h, w):
         cells = sliding_window_view(index, (kh, kw)).reshape(-1, kh * kw)
         block = np.zeros((len(cells), h * w), dtype=dtype)
         np.put_along_axis(block, cells, 1.0 / (kh * kw), axis=1)
@@ -94,7 +89,7 @@ def pooling_matrix(h: int, w: int, include_one_by_k: bool, dtype) -> np.ndarray:
     return a
 
 
-def concept_vectors(featmap: np.ndarray, include_one_by_k: bool = True) -> np.ndarray:
+def concept_vectors(featmap: np.ndarray) -> np.ndarray:
     """Materialize every raw local-concept vector as an array [B, P, C].
 
     Same windows and ordering as lca_forward, no embedding. Intended for
@@ -102,12 +97,11 @@ def concept_vectors(featmap: np.ndarray, include_one_by_k: bool = True) -> np.nd
     at once).
     """
     b, c, h, w = featmap.shape
-    a = pooling_matrix(h, w, include_one_by_k, np.result_type(featmap.dtype, np.float32))
+    a = pooling_matrix(h, w, np.result_type(featmap.dtype, np.float32))
     return a @ featmap.reshape(b, c, h * w).transpose(0, 2, 1)
 
 
-def lca_forward(featmap: Tensor, fc_weight: Tensor, fc_bias: Tensor,
-                include_one_by_k: bool = True) -> Tensor:
+def lca_forward(featmap: Tensor, fc_weight: Tensor, fc_bias: Tensor) -> Tensor:
     """Embed every local-concept vector and average: [B,C,H,W] -> [B,D].
 
     ``fc_weight`` [D, C] and ``fc_bias`` [D] are the shared embedding; the
@@ -120,7 +114,7 @@ def lca_forward(featmap: Tensor, fc_weight: Tensor, fc_bias: Tensor,
     if c != wc:
         raise ShapeError(f"feature map has {c} channels, fc_weight takes {wc}")
 
-    a = Tensor(pooling_matrix(h, w, include_one_by_k, featmap.dtype))  # constant [P, H*W]
+    a = Tensor(pooling_matrix(h, w, featmap.dtype))  # constant [P, H*W]
     cells = T.reshape(T.transpose(featmap, (2, 3, 0, 1)), (h * w * b, c))
     emb = T.add(T.matmul(cells, T.transpose(fc_weight)), fc_bias)
     pooled = T.matmul(a, T.reshape(emb, (h * w, b * d)))  # [P, B*D]

@@ -15,9 +15,13 @@ u32 param-count | per-param (u16 name-len, name UTF-8, u8 dtype=1 for f32,
 u8 rank, u32 dims..., f32 payload) | architecture+optimizer section |
 u64 epoch | 32-byte rng state. The middle section holds the architecture
 (so evaluation can rebuild the model without a config file) and the
-optimizer velocity table, encoded like the parameter table; the backbone
-and head tags index ``config.BACKBONE_KINDS`` and ``config.HEAD_KINDS``.
-Round-trips are byte-identical.
+optimizer velocity table, encoded like the parameter table. The
+architecture opens with four bytes: u8 backbone tag (an index into
+``config.BACKBONE_KINDS``) | u8 head tag (into ``config.HEAD_KINDS``) |
+u8 kernel-set byte, 1 for LCA and 0 for GAP | u8 pad = 0; any other value
+is a ``CheckpointError``. Then u32 H, u32 W | u32 channel count, u32
+channels... | u32 embed_dim (0 for GAP) | u32 num_classes. Round-trips are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ class CheckpointError(ValueError):
 MAGIC = b"LCAC"
 VERSION = 1
 POOL = 2  # window and stride of each of tiny_cnn's two max-pools
+_KERNEL_SET = {"lca": 1, "gap": 0}  # LCA 0 was a square-kernel-only head, no longer built
 
 
 @dataclass(frozen=True)
@@ -122,8 +127,7 @@ class Model:
 
     def head_output(self, fm: Tensor) -> Tensor:
         if self.lca_cfg is not None:
-            return lca_forward(fm, self.param("fc_weight"), self.param("fc_bias"),
-                               self.lca_cfg.include_one_by_k)
+            return lca_forward(fm, self.param("fc_weight"), self.param("fc_bias"))
         b, c, h, w = fm.shape
         return T.tensor_mean(T.reshape(fm, (b, c, h * w)), axis=2)
 
@@ -153,7 +157,7 @@ def param_shapes(backbone: BackboneConfig, lca_cfg: LcaConfig | None,
     cls_in = feat_c
     if lca_cfg is not None:
         try:
-            check_extent(fh, fw, lca_cfg.include_one_by_k)
+            check_extent(fh, fw)
         except (EmptyKernelError, ShapeError) as exc:
             raise ConfigError(f"lca head: {exc} (input {backbone.input_size})") from None
         cls_in = lca_cfg.embed_dim
@@ -245,9 +249,8 @@ def save_checkpoint(model: Model, path, *, velocities: dict, epoch: int,
 
     bk = BACKBONE_KINDS.index(model.backbone.kind)
     hk = HEAD_KINDS.index(model.head)
-    inc = 1 if (model.lca_cfg and model.lca_cfg.include_one_by_k) else 0
     h, w = model.backbone.input_size
-    out.append(struct.pack("<BBBB", bk, hk, inc, 0))
+    out.append(struct.pack("<BBBB", bk, hk, _KERNEL_SET[model.head], 0))
     out.append(struct.pack("<II", h, w))
     out.append(struct.pack(f"<I{len(model.backbone.channels)}I",
                            len(model.backbone.channels), *model.backbone.channels))
@@ -296,9 +299,15 @@ def load_checkpoint(path) -> LoadedCheckpoint:
 
     entries = [r.entry() for _ in range(r.u("<I"))]
 
-    bk, hk, inc, _pad = (r.u("<B") for _ in range(4))
+    bk, hk, kernel_set, pad = (r.u("<B") for _ in range(4))
     if bk >= len(BACKBONE_KINDS) or hk >= len(HEAD_KINDS):
         raise CheckpointError(f"unknown backbone/head tags ({bk}, {hk})")
+    head = HEAD_KINDS[hk]
+    if kernel_set != _KERNEL_SET[head]:
+        raise CheckpointError(f"{path}: kernel-set byte {kernel_set} on a {head} head, "
+                              f"expected {_KERNEL_SET[head]}")
+    if pad != 0:
+        raise CheckpointError(f"{path}: architecture pad byte {pad}, expected 0")
     h, w = r.u("<I"), r.u("<I")
     channels = tuple(r.u("<I") for _ in range(r.u("<I")))
     embed, num_classes = r.u("<I"), r.u("<I")
@@ -315,7 +324,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
 
     try:
         backbone = BackboneConfig(BACKBONE_KINDS[bk], channels, (h, w))
-        lca_cfg = LcaConfig(embed, bool(inc)) if HEAD_KINDS[hk] == "lca" else None
+        lca_cfg = LcaConfig(embed) if head == "lca" else None
         shapes = param_shapes(backbone, lca_cfg, num_classes)
     except ValueError as exc:  # ConfigError, or LcaConfig's own range check
         raise CheckpointError(f"{path}: invalid architecture: {exc}") from None

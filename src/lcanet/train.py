@@ -119,7 +119,7 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
 
     # Settle the architecture before any payload is read; external_features
     # takes H x W from the training file's header. 2 is the fewest classes.
-    lca_cfg = LcaConfig(cfg.lca_embed_dim, cfg.lca_include_one_by_k) if cfg.head == "lca" else None
+    lca_cfg = LcaConfig(cfg.lca_embed_dim) if cfg.head == "lca" else None
     input_size = cfg.input_size
     if cfg.backbone == "external_features":
         input_size = data_mod.read_feature_header(_data_path(cfg, "train"))[2:]

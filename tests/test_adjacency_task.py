@@ -70,7 +70,7 @@ def test_lca_solves_adjacency_and_gap_scores_chance(tmp_path, seed):
 def test_a_head_that_averages_all_cells_fails_the_task(tmp_path, monkeypatch):
     """The LCA assertion above fails when the head's one window is the whole map."""
 
-    def whole_map(h, w, include_one_by_k, dtype):
+    def whole_map(h, w, dtype):
         return np.full((1, h * w), 1.0 / (h * w), dtype=dtype)
 
     monkeypatch.setattr(lca, "pooling_matrix", whole_map)

@@ -239,22 +239,17 @@ def test_train_augmentation_on_feature_maps_exits_2_before_any_read(workdir, cap
     assert err.startswith("config error:") and "aug.hflip" in err
 
 
-@pytest.mark.parametrize("case", ["lcaf_1x4", "tiny_cnn_4x8"])
-def test_train_square_kernels_on_a_single_row_map_exits_2(workdir, capsys, case):
-    """With include_one_by_k = false a 1-row map admits no kernel: a config
-    error before the CSV or a checkpoint exists, not a crash in the forward."""
-    if case == "lcaf_1x4":
-        write_feature_file("row.lcaf", np.ones((4, 3, 1, 4), dtype=np.float32), [0, 1, 0, 1])
-        cfg = write_cfg(workdir, backbone="external_features", channels="3",
-                        **{"lca.include_one_by_k": "false", "data.format": "lcaf",
-                           "data.train": "row.lcaf", "data.test": "row.lcaf"})
-    else:  # two 2x2 maxpools turn a 4x8 image into a 1x2 map
-        make_data(workdir)
-        cfg = write_cfg(workdir, input_size="4x8", **{"lca.include_one_by_k": "false"})
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_train_include_one_by_k_key_exits_2_and_writes_nothing(workdir, capsys, value):
+    """The LCA head has one kernel set; a config that still chooses one, even
+    the one it has, is refused by line."""
+    make_data(workdir)
+    cfg = write_cfg(workdir, **{"lca.include_one_by_k": value})
     capsys.readouterr()
     assert main(["train", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert "line 10: unknown config key 'lca.include_one_by_k'" in err
     assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
 
 
@@ -262,7 +257,7 @@ def test_train_square_kernels_on_a_single_row_map_exits_2(workdir, capsys, case)
     ({"channels": "16"}, "tiny_cnn takes exactly two channel counts"),
     ({"input_size": "3"}, "tiny_cnn needs input >= 4x4, got 3x3"),
     ({"input_size": "4"}, "lca head: no pooling kernel other than 1x1 fits a 1x1 map "
-                          "(include_one_by_k=True) (input (4, 4))"),
+                          "(input (4, 4))"),
     ({"backbone": "external_features", "channels": "4,8", "data.format": "lcaf",
       "data.train": "feats.lcaf", "data.test": "feats.lcaf"},
      "external_features takes exactly one channel count"),
@@ -920,41 +915,55 @@ def test_inspect_invalid_architecture_exits_3(workdir, capsys):
     model = build_model(
         BackboneConfig("tiny_cnn", (4, 8), (16, 16)), LcaConfig(4), 2, rng=Rng(0)
     )
-    model.lca_cfg = SimpleNamespace(embed_dim=0, include_one_by_k=True)
+    model.lca_cfg = SimpleNamespace(embed_dim=0)
     save_checkpoint(model, "bad.lcac", velocities={}, epoch=0,
                     rng_state=Rng(0).state_bytes())
     assert main(["inspect", "--ckpt", "bad.lcac"]) == 3
     assert "embed_dim" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["eval", "inspect"])
+@pytest.mark.parametrize("command", ["eval", "inspect", "train_resume"])
 def test_checkpoint_with_square_kernels_on_a_1x4_map_exits_3(workdir, capsys, command):
-    """include_one_by_k flipped to 0 on a 1x4 LCA model leaves no kernel: the
-    loader refuses the architecture instead of the forward crashing later."""
+    """A kernel-set byte of 0 on an LCA file marks a head trained on square
+    kernels only, a set no longer built: every reader refuses the file and
+    nothing is written."""
     model = build_model(
         BackboneConfig("external_features", (3,), (1, 4)), LcaConfig(4), 2, rng=Rng(0)
     )
     save_checkpoint(model, "row.lcac", velocities={}, epoch=0,
                     rng_state=Rng(0).state_bytes())
     raw = (workdir / "row.lcac").read_bytes()
-    # The architecture block (backbone tag, head tag, 1xk flag, pad, input
-    # size, one channel, embed_dim, classes) precedes an empty velocity
-    # table, the epoch and the rng state.
+    # The architecture block (backbone tag, head tag, kernel-set byte, pad,
+    # input size, one channel, embed_dim, classes) precedes an empty
+    # velocity table, the epoch and the rng state.
     at = len(raw) - (4 + 8 + 8 + 8 + 4 + 8 + 32) + 2
     assert raw[at] == 1
-    (workdir / "row.lcac").write_bytes(raw[:at] + b"\x00" + raw[at + 1:])
+    raw = raw[:at] + b"\x00" + raw[at + 1:]
+    (workdir / "row.lcac").write_bytes(raw)
     write_feature_file("row.lcaf", np.ones((2, 3, 1, 4), dtype=np.float32), [0, 1])
-    args = ["--ckpt", "row.lcac"] + (["--data", "row.lcaf"] if command == "eval" else [])
-    assert main([command, *args]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("data error:") and "1x4" in err
+    if command == "train_resume":
+        cfg = write_cfg(workdir, backbone="external_features", channels="3",
+                        **{"lca.embed_dim": "4", "data.format": "lcaf", "data.train": "row.lcaf",
+                           "data.test": "row.lcaf", "ckpt.out": "row.lcac"})
+        argv = ["train", "--config", str(cfg), "--resume", "row.lcac"]
+    else:
+        argv = [command, "--ckpt", "row.lcac"]
+        if command == "eval":
+            argv += ["--data", "row.lcaf"]
+    capsys.readouterr()
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("data error:") and "kernel-set byte 0 on a lca head" in err
+    assert out == ""
+    assert (workdir / "row.lcac").read_bytes() == raw
+    assert not (workdir / "metrics.csv").exists()
 
 
 def test_inspect_huge_embed_dim_exits_3(workdir, capsys):
     model = build_model(
         BackboneConfig("tiny_cnn", (4, 8), (16, 16)), LcaConfig(4), 2, rng=Rng(0)
     )
-    model.lca_cfg = SimpleNamespace(embed_dim=2**31 - 1, include_one_by_k=True)
+    model.lca_cfg = SimpleNamespace(embed_dim=2**31 - 1)
     save_checkpoint(model, "huge.lcac", velocities={}, epoch=0,
                     rng_state=Rng(0).state_bytes())
     assert main(["inspect", "--ckpt", "huge.lcac"]) == 3

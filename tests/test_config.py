@@ -24,7 +24,6 @@ def test_defaults():
     assert cfg.lambda_entropy == 0.1
     assert cfg.head == "lca"
     assert cfg.lca_embed_dim == 32
-    assert cfg.lca_include_one_by_k is True
     assert cfg.backbone == "tiny_cnn"
     assert cfg.input_size == (16, 16)
     assert cfg.channels == (16, 32)
@@ -45,7 +44,6 @@ def test_every_documented_key_parses():
     lambda_entropy = 0.2
     head = gap
     lca.embed_dim = 12
-    lca.include_one_by_k = false
     backbone = external_features
     input_size = 8x10
     channels = 24
@@ -59,7 +57,6 @@ def test_every_documented_key_parses():
     assert cfg.seed == 7 and cfg.epochs == 3 and cfg.batch_size == 16
     assert cfg.lr == 0.05 and cfg.momentum == 0.8 and cfg.weight_decay == 1e-4
     assert cfg.head == "gap" and cfg.lca_embed_dim == 12
-    assert cfg.lca_include_one_by_k is False
     assert cfg.backbone == "external_features"
     assert cfg.input_size == (8, 10)
     assert cfg.channels == (24,)

@@ -90,14 +90,13 @@ def test_lca_forward_random_shapes():
     for case in range(100):
         h, w = int(gen.integers(1, 6)), int(gen.integers(1, 6))
         b, c, d = int(gen.integers(1, 3)), int(gen.integers(1, 4)), int(gen.integers(1, 4))
-        inc = bool(gen.integers(0, 2))
         fm, fw, fb = leaf(gen, (b, c, h, w)), leaf(gen, (d, c)), leaf(gen, (d,))
         try:
-            loss = probe_loss(lambda: lca_forward(fm, fw, fb, inc), gen)
+            loss = probe_loss(lambda: lca_forward(fm, fw, fb), gen)
         except EmptyKernelError:
             continue
         err = grad_check(loss, [fm, fw, fb])
-        assert err < TOL, (case, fm.shape, d, inc, err)
+        assert err < TOL, (case, fm.shape, d, err)
         checked += 1
     assert checked >= 80
 

@@ -24,15 +24,13 @@ from lcanet.gradcheck import grad_check
 from lcanet.tensor import ShapeError, Tensor
 
 
-def brute_concepts(fm: np.ndarray, include_one_by_k: bool = True) -> np.ndarray:
+def brute_concepts(fm: np.ndarray) -> np.ndarray:
     """Every local-concept vector of one [C,H,W] map, by explicit loops."""
     c, h, w = fm.shape
     out = []
     for kh in range(1, h + 1):
         for kw in range(1, w + 1):
             if (kh, kw) == (1, 1):
-                continue
-            if not include_one_by_k and (kh < 2 or kw < 2):
                 continue
             for i in range(h - kh + 1):
                 for j in range(w - kw + 1):
@@ -67,17 +65,6 @@ def test_kernels_1x1_map_has_none():
         enumerate_kernels(1, 1)
 
 
-def test_kernels_square_only_mode():
-    assert enumerate_kernels(3, 3, include_one_by_k=False) == [
-        (2, 2), (2, 3), (3, 2), (3, 3),
-    ]
-
-
-def test_kernels_square_only_mode_on_single_row_is_empty():
-    with pytest.raises(EmptyKernelError):
-        enumerate_kernels(1, 4, include_one_by_k=False)
-
-
 @pytest.mark.parametrize("hw,expected", [((2, 2), 5), ((3, 3), 27), ((8, 8), 1232)])
 def test_concept_count_spot_values(hw, expected):
     assert concept_count(*hw) == expected
@@ -92,14 +79,10 @@ def test_concept_count_matches_enumeration_everywhere():
             if h == w == 1:
                 continue
             fm = rng.uniform_array((1, h, w), -1, 1, dtype=np.float64)
-            for include in (True, False):
-                if not include and (h < 2 or w < 2):
-                    continue
-                ref = brute_concepts(fm, include)
-                got = concept_count(h, w, include)
-                assert got == len(ref), (h, w, include)
-                vecs = concept_vectors(fm[None], include)[0]
-                np.testing.assert_allclose(vecs, ref, atol=1e-13, err_msg=f"{(h, w, include)}")
+            ref = brute_concepts(fm)
+            assert concept_count(h, w) == len(ref), (h, w)
+            vecs = concept_vectors(fm[None])[0]
+            np.testing.assert_allclose(vecs, ref, atol=1e-13, err_msg=f"{(h, w)}")
 
 
 def test_concept_count_closed_form():
@@ -169,12 +152,11 @@ def test_forward_matches_brute_force_reference():
     w = rng.uniform_array((d, c), -1, 1, dtype=np.float64)
     bias = rng.uniform_array((d,), -0.5, 0.5, dtype=np.float64)
 
-    for include in (True, False):
-        got = lca_forward(Tensor(fm), Tensor(w), Tensor(bias), include).data
-        for n in range(2):
-            concepts = brute_concepts(fm[n], include)  # [P, C]
-            ref = np.maximum(concepts @ w.T + bias, 0.0).mean(axis=0)
-            np.testing.assert_allclose(got[n], ref, atol=1e-12, err_msg=f"include={include}")
+    got = lca_forward(Tensor(fm), Tensor(w), Tensor(bias)).data
+    for n in range(2):
+        concepts = brute_concepts(fm[n])  # [P, C]
+        ref = np.maximum(concepts @ w.T + bias, 0.0).mean(axis=0)
+        np.testing.assert_allclose(got[n], ref, atol=1e-12)
 
 
 def test_output_shape_is_b_by_d_for_any_spatial_size():

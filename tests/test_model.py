@@ -51,7 +51,7 @@ def test_feature_shape_tiny_cnn():
 def test_lca_head_concept_count_on_default_geometry():
     m = build_model(tiny_backbone(), LcaConfig(32), 8, rng=Rng(0))
     c, h, w = m.backbone.feature_shape()
-    assert concept_count(h, w, m.lca_cfg.include_one_by_k) == 84  # (10*10) - 16
+    assert concept_count(h, w) == 84  # (10*10) - 16
 
 
 def test_gap_classifier_input_is_channel_count():
@@ -100,7 +100,8 @@ def test_a_sample_forward_does_not_depend_on_its_batch(tmp_path):
     """The metrics CSV scores the test split at the training batch size and
     ``lcanet eval`` at 256. On a trained glyph model, evaluation gives the
     same per-class counts at every batch size, and a sample's feature map
-    has the same bits alone as inside a batch of 32."""
+    and head output have the same bits alone as inside a batch of 32 (its
+    logits need not: the classifier is one product over the batch)."""
     assert main(["synth", "--out", str(tmp_path), "--classes", "4",
                  "--per-class", "70", "--test-per-class", "2"]) == 0
     cfg = parse_config(
@@ -118,10 +119,13 @@ def test_a_sample_forward_does_not_depend_on_its_batch(tmp_path):
     assert counts[1] == counts[7] == counts[32] == counts[256]
 
     with T.no_grad():
-        batch = model.feature_map(Tensor(ds.inputs[:32])).data
+        fm = model.feature_map(Tensor(ds.inputs[:32]))
+        head = model.head_output(fm).data
         for i in (0, 13, 31):
-            alone = model.feature_map(Tensor(ds.inputs[i : i + 1])).data
-            assert alone.tobytes() == batch[i : i + 1].tobytes(), i
+            fm_alone = model.feature_map(Tensor(ds.inputs[i : i + 1]))
+            assert fm_alone.data.tobytes() == fm.data[i : i + 1].tobytes(), i
+            head_alone = model.head_output(fm_alone).data
+            assert head_alone.tobytes() == head[i : i + 1].tobytes(), i
 
 
 @pytest.mark.parametrize("h,w,channels", [
@@ -310,9 +314,9 @@ def test_checkpoint_roundtrip_restores_everything(tmp_path):
 
 
 @pytest.mark.parametrize("head,lca_cfg", [
-    ("lca", LcaConfig(5, include_one_by_k=False)),
+    ("lca", LcaConfig(5)),
     ("gap", None),
-], ids=["lca_without_one_by_k", "gap"])
+], ids=["lca", "gap"])
 def test_checkpoint_roundtrip_restores_head(tmp_path, head, lca_cfg):
     m = build_model(BackboneConfig("tiny_cnn", (4, 6), (8, 8)), lca_cfg, 3, rng=Rng(0))
     path = tmp_path / "m.lcac"
@@ -486,20 +490,37 @@ class TestCorruptFiles:
         with pytest.raises(CheckpointError, match="velocity cls_bias: shape"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("offset", [0, 1], ids=["backbone_tag", "head_tag"])
-    def test_unknown_architecture_tag(self, blob, offset):
-        path, raw = blob
+    @pytest.mark.parametrize("lca_cfg,offset,value,match", [
+        (LcaConfig(5), 0, 2, "tags"),
+        (LcaConfig(5), 1, 2, "tags"),
+        (LcaConfig(5), 2, 0, "kernel-set byte 0 on a lca head, expected 1"),
+        (LcaConfig(5), 2, 7, "kernel-set byte 7 on a lca head, expected 1"),
+        (None, 2, 1, "kernel-set byte 1 on a gap head, expected 0"),
+        (None, 2, 7, "kernel-set byte 7 on a gap head, expected 0"),
+        (LcaConfig(5), 3, 1, "pad byte 1, expected 0"),
+        (None, 3, 7, "pad byte 7, expected 0"),
+    ], ids=["backbone_tag", "head_tag", "lca_kernel_set_0", "lca_kernel_set_7",
+            "gap_kernel_set_1", "gap_kernel_set_7", "lca_pad", "gap_pad"])
+    def test_unknown_architecture_tag(self, tmp_path, lca_cfg, offset, value, match):
+        """Each of the architecture's four leading bytes has one valid value
+        per head; any other is refused, so no file loads that would re-save
+        to other bytes."""
+        path = tmp_path / "m.lcac"
+        m = build_model(BackboneConfig("tiny_cnn", (4, 6), (8, 8)), lca_cfg, 3, rng=Rng(0))
+        save_checkpoint(m, path, velocities={}, epoch=3, rng_state=RNG_STATE)
+        raw = path.read_bytes()
         # The architecture block opens with four bytes (backbone tag, head
-        # tag, 1xk flag, pad); after them come input size (8), channel count
-        # and two channels (12), embed_dim and classes (8), an empty velocity
-        # table (4), the epoch (8) and the rng state (32).
+        # tag, kernel-set byte, pad); after them come input size (8), channel
+        # count and two channels (12), embed_dim and classes (8), an empty
+        # velocity table (4), the epoch (8) and the rng state (32).
         at = len(raw) - (4 + 8 + 12 + 8 + 4 + 8 + 32) + offset
-        path.write_bytes(raw[:at] + bytes([2]) + raw[at + 1:])
-        with pytest.raises(CheckpointError, match="tags"):
+        assert raw[at] != value
+        path.write_bytes(raw[:at] + bytes([value]) + raw[at + 1:])
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field,value", [
-        ("lca_cfg", SimpleNamespace(embed_dim=0, include_one_by_k=True)),
+        ("lca_cfg", SimpleNamespace(embed_dim=0)),
         ("backbone", SimpleNamespace(kind="tiny_cnn", channels=(0, 6), input_size=(8, 8))),
     ], ids=["embed_dim_zero", "channel_zero"])
     def test_invalid_architecture(self, tmp_path, field, value):
@@ -513,7 +534,7 @@ class TestCorruptFiles:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field,value", [
-        ("lca_cfg", SimpleNamespace(embed_dim=2**31 - 1, include_one_by_k=True)),
+        ("lca_cfg", SimpleNamespace(embed_dim=2**31 - 1)),
         ("num_classes", 2**31 - 1),
         ("backbone", SimpleNamespace(kind="tiny_cnn", channels=(4, 2**31 - 1),
                                      input_size=(8, 8))),
