@@ -27,17 +27,10 @@ from .data import (
     write_ppm,
 )
 from .gradcheck import CheckResult, grad_check, run_suite
-from .lca import (
-    EmptyKernelError,
-    LcaConfig,
-    concept_count,
-    concept_vectors,
-    enumerate_kernels,
-    lca_forward,
-)
+from .lca import concept_count, concept_vectors, enumerate_kernels, lca_forward
 from .losses import entropy, loss_terms, max_entropy_loss, nll_loss
 from .model import (
-    BackboneConfig,
+    Architecture,
     CheckpointError,
     Model,
     build_model,

@@ -47,14 +47,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     loaded = model_mod.load_checkpoint(args.ckpt)
     model = loaded.model
-    [ds] = load_splits(model.backbone, {args.data: args.data})
+    [ds] = load_splits(model.arch, {args.data: args.data})
     if len(ds) == 0:
         raise DataError(f"{args.data}: no samples")
-    check_split(ds, model.num_classes, args.data)
+    check_split(ds, model.arch.num_classes, args.data)
 
     result = evaluate(model, ds)
     print(f"accuracy={100.0 * result.accuracy:.4f}%")
-    names = ds.class_names or [str(i) for i in range(model.num_classes)]
+    names = ds.class_names or [str(i) for i in range(model.arch.num_classes)]
     for cls, correct, total in result.per_class:
         pct = 100.0 * correct / total if total else 0.0
         print(f"class {cls} [{names[cls]}]: {pct:.4f}% ({correct}/{total})")
@@ -92,18 +92,18 @@ def cmd_synth(args) -> int:
 
 def cmd_inspect(args) -> int:
     loaded = model_mod.load_checkpoint(args.ckpt)
-    model = loaded.model
+    arch = loaded.model.arch
     print(f"version: {model_mod.VERSION}")
     print(f"epoch: {loaded.epoch}")
-    print(f"backbone: {model.backbone.kind} channels={model.backbone.channels} "
-          f"input={model.backbone.input_size[0]}x{model.backbone.input_size[1]}")
-    head = model.head
-    if model.lca_cfg:
-        head += f" (embed_dim={model.lca_cfg.embed_dim})"
+    print(f"backbone: {arch.backbone} channels={arch.channels} "
+          f"input={arch.input_size[0]}x{arch.input_size[1]}")
+    head = arch.head
+    if arch.embed_dim is not None:
+        head += f" (embed_dim={arch.embed_dim})"
     print(f"head: {head}")
-    print(f"classes: {model.num_classes}")
+    print(f"classes: {arch.num_classes}")
     total = 0
-    for p in model.parameters():
+    for p in loaded.model.parameters():
         shape = "x".join(str(d) for d in p.shape)
         print(f"  {p.name:<14} {shape:<12} {p.size}")
         total += p.size

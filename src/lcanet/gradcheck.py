@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, model as model_mod, tensor as T
-from .lca import LcaConfig, lca_forward
+from .lca import lca_forward
 from .rng import Rng
 from .tensor import Tensor, backward, no_grad
 
@@ -256,15 +256,10 @@ def _kink_margin(loss: Tensor) -> float:
 _E2E_MARGIN = 100 * DEFAULT_EPS
 
 
-def _e2e(rng, lca_cfg, input_hw: int):
+def _e2e(rng, embed_dim, input_hw: int):
+    arch = model_mod.Architecture("tiny_cnn", (2, 3), (input_hw, input_hw), embed_dim, 3)
     for _ in range(64):
-        m = model_mod.build_model(
-            model_mod.BackboneConfig("tiny_cnn", (2, 3), (input_hw, input_hw)),
-            lca_cfg,
-            num_classes=3,
-            rng=rng.spawn(),
-            dtype=np.float64,
-        )
+        m = model_mod.build_model(arch, rng=rng.spawn(), dtype=np.float64)
         # Zero-initialised biases put dead receptive fields exactly on the
         # relu kink (pre-activation == bias == 0), where central differences
         # return the average of the two one-sided slopes no matter how small
@@ -295,7 +290,7 @@ def _check_e2e_gap(rng):
 
 
 def _check_e2e_lca(rng):
-    return _e2e(rng, LcaConfig(embed_dim=2), 8)
+    return _e2e(rng, 2, 8)
 
 
 _CHECKS = [

@@ -5,7 +5,7 @@ other than 1x1 is slid over the map at stride 1. Each window's mean is one
 C-dimensional local-concept vector; all of them pass through one shared
 linear embedding followed by ReLU, and the head's output is the arithmetic
 mean of every embedded vector. The head's widths C and D are those of the
-embedding weight [D, C]; ``LcaConfig`` holds only what no tensor records.
+embedding weight [D, C].
 
 The window set is one cached pooling matrix A [P, H*W], shared by
 ``lca_forward`` and ``concept_vectors``. Each row of A sums to 1 and the
@@ -16,7 +16,6 @@ embedding space: relu(A (X W^T + b)) equals relu(A X W^T + b).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,23 +24,9 @@ from . import tensor as T
 from .tensor import ShapeError, Tensor
 
 
-class EmptyKernelError(ValueError):
-    """A 1x1 feature map admits no pooling kernel larger than 1x1."""
-
-
-@dataclass(frozen=True)
-class LcaConfig:
-    """The head's one free choice; its input width C is the backbone's."""
-
-    embed_dim: int
-
-    def __post_init__(self):
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim ({self.embed_dim}) must be >= 1")
-
-
 def check_extent(h: int, w: int) -> None:
-    """Raise unless an HxW map admits a pooling kernel other than 1x1.
+    """Raise ``ShapeError`` unless an HxW map admits a pooling kernel other
+    than 1x1.
 
     Costs O(1) at any extent, so an architecture can be checked before
     anything of its size exists.
@@ -49,7 +34,7 @@ def check_extent(h: int, w: int) -> None:
     if h < 1 or w < 1:
         raise ShapeError(f"feature map extent {h}x{w} is empty")
     if h * w < 2:
-        raise EmptyKernelError(f"no pooling kernel other than 1x1 fits a {h}x{w} map")
+        raise ShapeError(f"no pooling kernel other than 1x1 fits a {h}x{w} map")
 
 
 def enumerate_kernels(h: int, w: int) -> list[tuple[int, int]]:

@@ -1,14 +1,15 @@
 """Model assembly and checkpoint serialization.
 
-A model is backbone -> head -> linear classifier: its architecture plus one
-array per parameter, in ``param_shapes`` order, which ``Model`` wraps as
-given. ``build_model`` draws them and ``load_checkpoint`` reads them. The
-backbone is either a small two-stage CNN for end-to-end desk-scale
-training, or a pass-through (``external_features``) that consumes
+A model is backbone -> head -> linear classifier: an ``Architecture`` plus
+one array per parameter, in ``Architecture.param_shapes`` order, which
+``Model`` wraps as given. ``build_model`` draws them and ``load_checkpoint``
+reads them. The backbone is either a small two-stage CNN for end-to-end
+desk-scale training, or a pass-through (``external_features``) that consumes
 precomputed feature maps, standing in for a large pretrained trunk. The
 head is either the local-concepts accumulation layer (given an
-``LcaConfig``) or, with ``lca_cfg=None``, plain global average pooling (the
-baseline it is compared against); the classifier is a single linear layer.
+``embed_dim``) or, with ``embed_dim=None``, plain global average pooling
+(the baseline it is compared against); the classifier is a single linear
+layer.
 
 Checkpoints are little-endian binary: magic ``LCAC`` | u32 version=1 |
 u32 param-count | per-param (u16 name-len, name UTF-8, u8 dtype=1 for f32,
@@ -20,8 +21,8 @@ architecture opens with four bytes: u8 backbone tag (an index into
 ``config.BACKBONE_KINDS``) | u8 head tag (into ``config.HEAD_KINDS``) |
 u8 kernel-set byte, 1 for LCA and 0 for GAP | u8 pad = 0; any other value
 is a ``CheckpointError``. Then u32 H, u32 W | u32 channel count, u32
-channels... | u32 embed_dim (0 for GAP) | u32 num_classes. Round-trips are
-byte-identical.
+channels... | u32 embed_dim (0 for GAP, and only 0) | u32 num_classes.
+Round-trips are byte-identical.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import BACKBONE_KINDS, HEAD_KINDS, ConfigError, check_backbone
-from .lca import EmptyKernelError, LcaConfig, check_extent, lca_forward
+from .lca import check_extent, lca_forward
 from .rng import Rng
 from .tensor import Parameter, ShapeError, Tensor
 
@@ -51,26 +52,66 @@ _KERNEL_SET = {"lca": 1, "gap": 0}  # LCA 0 was a square-kernel-only head, no lo
 
 
 @dataclass(frozen=True)
-class BackboneConfig:
-    kind: str
+class Architecture:
+    """What a checkpoint stores besides tensors: backbone, head, classifier.
+
+    Making one runs every architecture rule and raises ``ConfigError``; it
+    allocates nothing, so training settles a config with it before reading
+    any payload, and the checkpoint loader checks a file's fields with it.
+    """
+
+    backbone: str  # a BACKBONE_KINDS entry
     channels: tuple  # tiny_cnn: (C1, C2); external_features: (C,)
     input_size: tuple  # (H, W) of images / feature maps
+    embed_dim: int | None  # the LCA head's width; None: the GAP head
+    num_classes: int
 
     def __post_init__(self):
-        check_backbone(self.kind, self.channels)
+        check_backbone(self.backbone, self.channels)
+        if self.num_classes < 2:
+            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        _, fh, fw = self.feature_shape()
+        if self.backbone == "tiny_cnn" and min(fh, fw) < 1:  # a pool found no full window
+            h, w = self.input_size
+            raise ConfigError(f"tiny_cnn needs input >= {POOL**2}x{POOL**2}, got {h}x{w}")
+        if self.embed_dim is not None:
+            try:
+                check_extent(fh, fw)
+            except ShapeError as exc:
+                raise ConfigError(f"lca head: {exc} (input {self.input_size})") from None
+            if self.embed_dim < 1:
+                raise ConfigError(f"embed_dim ({self.embed_dim}) must be >= 1")
+
+    @property
+    def head(self) -> str:
+        return "gap" if self.embed_dim is None else "lca"
 
     def input_shape(self) -> tuple:
-        """(C, H, W) of one sample this backbone reads."""
-        if self.kind == "tiny_cnn":
+        """(C, H, W) of one sample the backbone reads."""
+        if self.backbone == "tiny_cnn":
             return (3, *self.input_size)
         return self.feature_shape()
 
     def feature_shape(self) -> tuple:
-        """(C, H', W') of the map this backbone hands the head."""
+        """(C, H', W') of the map the backbone hands the head."""
         h, w = self.input_size
-        if self.kind == "tiny_cnn":
+        if self.backbone == "tiny_cnn":
             return (self.channels[1], h // POOL // POOL, w // POOL // POOL)
         return (self.channels[0], h, w)
+
+    def param_shapes(self) -> dict:
+        """Every parameter's shape, in init order."""
+        shapes = {}
+        if self.backbone == "tiny_cnn":
+            c1, c2 = self.channels
+            shapes.update(conv1_weight=(c1, 3, 3, 3), conv1_bias=(c1,),
+                          conv2_weight=(c2, c1, 3, 3), conv2_bias=(c2,))
+        cls_in = feat_c = self.feature_shape()[0]
+        if self.embed_dim is not None:
+            cls_in = self.embed_dim
+            shapes.update(fc_weight=(cls_in, feat_c), fc_bias=(cls_in,))
+        shapes.update(cls_weight=(self.num_classes, cls_in), cls_bias=(self.num_classes,))
+        return shapes
 
 
 def _glorot(rng, shape, fan_in, fan_out, dtype):
@@ -92,10 +133,8 @@ def _he_uniform(rng, shape, fan_in, dtype):
 
 
 class Model:
-    def __init__(self, backbone: BackboneConfig, lca_cfg, num_classes, arrays: dict):
-        self.backbone = backbone
-        self.lca_cfg = lca_cfg  # None: the GAP head
-        self.num_classes = num_classes
+    def __init__(self, arch: Architecture, arrays: dict):
+        self.arch = arch
         self._params = {name: Parameter(name, data) for name, data in arrays.items()}
 
     def parameters(self) -> list[Parameter]:
@@ -104,15 +143,11 @@ class Model:
     def param(self, name: str) -> Parameter:
         return self._params[name]
 
-    @property
-    def head(self) -> str:
-        return "gap" if self.lca_cfg is None else "lca"
-
     def feature_map(self, x: Tensor) -> Tensor:
-        c, h, w = self.backbone.input_shape()
+        c, h, w = self.arch.input_shape()
         if x.ndim != 4 or x.shape[1:] != (c, h, w):
             raise ShapeError(f"input batch {x.shape} != (B, {c}, {h}, {w})")
-        if self.backbone.kind == "external_features":
+        if self.arch.backbone == "external_features":
             return x
         # The spatial ops run on batch-innermost [C, H, W, B] maps: one
         # transpose in, one out. Pool, then relu: relu is monotone, so this is
@@ -126,7 +161,7 @@ class Model:
         return T.transpose(y, (3, 0, 1, 2))
 
     def head_output(self, fm: Tensor) -> Tensor:
-        if self.lca_cfg is not None:
+        if self.arch.embed_dim is not None:
             return lca_forward(fm, self.param("fc_weight"), self.param("fc_bias"))
         b, c, h, w = fm.shape
         return T.tensor_mean(T.reshape(fm, (b, c, h * w)), axis=2)
@@ -137,42 +172,12 @@ class Model:
         return T.add(logits, self.param("cls_bias"))
 
 
-def param_shapes(backbone: BackboneConfig, lca_cfg: LcaConfig | None,
-                 num_classes: int) -> dict:
-    """Validate an architecture and return its parameter shapes, in init order.
-    Allocates nothing: training settles a config with it before reading any
-    payload, and the checkpoint loader checks a file's tensors against it."""
-    if num_classes < 2:
-        raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
-
-    shapes = {}
-    feat_c, fh, fw = backbone.feature_shape()
-    if backbone.kind == "tiny_cnn":
-        h, w = backbone.input_size
-        if min(fh, fw) < 1:  # a pool found no full window
-            raise ConfigError(f"tiny_cnn needs input >= {POOL**2}x{POOL**2}, got {h}x{w}")
-        c1, c2 = backbone.channels
-        shapes.update(conv1_weight=(c1, 3, 3, 3), conv1_bias=(c1,),
-                      conv2_weight=(c2, c1, 3, 3), conv2_bias=(c2,))
-    cls_in = feat_c
-    if lca_cfg is not None:
-        try:
-            check_extent(fh, fw)
-        except (EmptyKernelError, ShapeError) as exc:
-            raise ConfigError(f"lca head: {exc} (input {backbone.input_size})") from None
-        cls_in = lca_cfg.embed_dim
-        shapes.update(fc_weight=(cls_in, feat_c), fc_bias=(cls_in,))
-    shapes.update(cls_weight=(num_classes, cls_in), cls_bias=(num_classes,))
-    return shapes
-
-
-def build_model(backbone: BackboneConfig, lca_cfg: LcaConfig | None,
-                num_classes: int, rng: Rng, dtype=np.float32) -> Model:
-    """A fresh model whose arrays ``rng`` draws, in ``param_shapes`` order; an
-    ``lca_cfg`` of None gives the GAP head. Biases start at zero; conv kernels
-    draw He-uniform and linear weights Glorot."""
+def build_model(arch: Architecture, rng: Rng, dtype=np.float32) -> Model:
+    """A fresh model whose arrays ``rng`` draws, in ``arch.param_shapes()``
+    order. Biases start at zero; conv kernels draw He-uniform and linear
+    weights Glorot."""
     arrays = {}
-    for name, shape in param_shapes(backbone, lca_cfg, num_classes).items():
+    for name, shape in arch.param_shapes().items():
         try:
             if name.endswith("_bias"):
                 arrays[name] = np.zeros(shape, dtype=dtype)
@@ -182,7 +187,7 @@ def build_model(backbone: BackboneConfig, lca_cfg: LcaConfig | None,
                 arrays[name] = _glorot(rng, shape, shape[1], shape[0], dtype)
         except (MemoryError, ValueError):  # numpy refuses the array size
             raise ConfigError(f"cannot allocate parameter {name} of shape {shape}") from None
-    return Model(backbone, lca_cfg, num_classes, arrays)
+    return Model(arch, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +252,12 @@ def save_checkpoint(model: Model, path, *, velocities: dict, epoch: int,
     for p in params:
         _write_entry(out, p.name, p.data)
 
-    bk = BACKBONE_KINDS.index(model.backbone.kind)
-    hk = HEAD_KINDS.index(model.head)
-    h, w = model.backbone.input_size
-    out.append(struct.pack("<BBBB", bk, hk, _KERNEL_SET[model.head], 0))
-    out.append(struct.pack("<II", h, w))
-    out.append(struct.pack(f"<I{len(model.backbone.channels)}I",
-                           len(model.backbone.channels), *model.backbone.channels))
-    embed = model.lca_cfg.embed_dim if model.lca_cfg else 0
-    out.append(struct.pack("<II", embed, model.num_classes))
+    arch = model.arch
+    out.append(struct.pack("<BBBB", BACKBONE_KINDS.index(arch.backbone),
+                           HEAD_KINDS.index(arch.head), _KERNEL_SET[arch.head], 0))
+    out.append(struct.pack("<II", *arch.input_size))
+    out.append(struct.pack(f"<I{len(arch.channels)}I", len(arch.channels), *arch.channels))
+    out.append(struct.pack("<II", arch.embed_dim or 0, arch.num_classes))
 
     # Subset is legal: files from older head-only runs hold no conv* entries,
     # and callers that keep no momentum pass {}. A missing entry resumes at
@@ -275,7 +277,11 @@ def save_checkpoint(model: Model, path, *, velocities: dict, epoch: int,
         fh.write(blob)
         fh.flush()
         os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:  # path is a directory, say: leave no stray temp file
+        os.unlink(tmp)
+        raise
 
 
 @dataclass
@@ -288,7 +294,8 @@ class LoadedCheckpoint:
 
 def load_checkpoint(path) -> LoadedCheckpoint:
     """Read and check a whole checkpoint. The model wraps its stored tensors in
-    ``param_shapes`` order, whatever the file's order, so a re-save is canonical."""
+    ``Architecture.param_shapes`` order, whatever the file's order, so a
+    re-save is canonical."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
     if r.take(4) != MAGIC:
@@ -301,7 +308,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
 
     bk, hk, kernel_set, pad = (r.u("<B") for _ in range(4))
     if bk >= len(BACKBONE_KINDS) or hk >= len(HEAD_KINDS):
-        raise CheckpointError(f"unknown backbone/head tags ({bk}, {hk})")
+        raise CheckpointError(f"{path}: unknown backbone/head tags ({bk}, {hk})")
     head = HEAD_KINDS[hk]
     if kernel_set != _KERNEL_SET[head]:
         raise CheckpointError(f"{path}: kernel-set byte {kernel_set} on a {head} head, "
@@ -311,6 +318,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     h, w = r.u("<I"), r.u("<I")
     channels = tuple(r.u("<I") for _ in range(r.u("<I")))
     embed, num_classes = r.u("<I"), r.u("<I")
+    if head == "gap" and embed != 0:
+        raise CheckpointError(f"{path}: embed_dim field {embed} on a gap head, expected 0")
 
     velocities = dict(r.entry() for _ in range(r.u("<I")))
     epoch = r.u("<Q")
@@ -323,11 +332,11 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         raise CheckpointError(f"{path}: {exc}") from None
 
     try:
-        backbone = BackboneConfig(BACKBONE_KINDS[bk], channels, (h, w))
-        lca_cfg = LcaConfig(embed) if head == "lca" else None
-        shapes = param_shapes(backbone, lca_cfg, num_classes)
-    except ValueError as exc:  # ConfigError, or LcaConfig's own range check
+        arch = Architecture(BACKBONE_KINDS[bk], channels, (h, w),
+                            embed if head == "lca" else None, num_classes)
+    except ConfigError as exc:
         raise CheckpointError(f"{path}: invalid architecture: {exc}") from None
+    shapes = arch.param_shapes()
 
     # The stored tensors must be exactly the ones the architecture fields
     # imply, each once and with its shape; the model wraps them as they are.
@@ -348,5 +357,5 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             raise CheckpointError(f"velocity {name}: shape {vel.shape} mismatched")
 
     arrays = dict(entries)
-    model = Model(backbone, lca_cfg, num_classes, {name: arrays[name] for name in shapes})
+    model = Model(arch, {name: arrays[name] for name in shapes})
     return LoadedCheckpoint(model, velocities, epoch, rng_state)

@@ -17,14 +17,13 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import data as data_mod, losses, model as model_mod
 from .config import ConfigError, RunConfig
 from .data import AugmentConfig, DataError, augment, batches
-from .lca import LcaConfig
 from .optim import SGD
 from .rng import Rng
 from .tensor import NumericsError, Tensor, backward, no_grad
@@ -48,14 +47,14 @@ class TrainSummary:
     ckpt_path: str
 
 
-def load_splits(backbone: model_mod.BackboneConfig, splits: dict) -> list:
-    """The datasets a model with ``backbone`` reads, one per ``{what: path}``
+def load_splits(arch: model_mod.Architecture, splits: dict) -> list:
+    """The datasets a model of ``arch`` reads, one per ``{what: path}``
     entry, in order: PPM class trees resized to its input size for tiny_cnn,
     LCAF feature files for external_features. An LCAF header whose (C, H, W)
-    is not ``backbone.input_shape()`` is refused before any payload is read."""
-    if backbone.kind == "tiny_cnn":
-        return [data_mod.load_image_dir(path, backbone.input_size) for path in splits.values()]
-    want = backbone.input_shape()
+    is not ``arch.input_shape()`` is refused before any payload is read."""
+    if arch.backbone == "tiny_cnn":
+        return [data_mod.load_image_dir(path, arch.input_size) for path in splits.values()]
+    want = arch.input_shape()
     for what, path in splits.items():
         got = data_mod.read_feature_header(path)[1:]
         if got != want:
@@ -81,7 +80,7 @@ def check_split(ds: data_mod.Dataset, num_classes: int, what: str) -> None:
 
 
 def evaluate(model: model_mod.Model, ds: data_mod.Dataset, batch_size: int = 256) -> EvalResult:
-    k = model.num_classes
+    k = model.arch.num_classes
     correct = np.zeros(k, dtype=np.int64)
     with no_grad():
         for b in batches(ds, batch_size):
@@ -119,15 +118,14 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
 
     # Settle the architecture before any payload is read; external_features
     # takes H x W from the training file's header. 2 is the fewest classes.
-    lca_cfg = LcaConfig(cfg.lca_embed_dim) if cfg.head == "lca" else None
     input_size = cfg.input_size
     if cfg.backbone == "external_features":
         input_size = data_mod.read_feature_header(_data_path(cfg, "train"))[2:]
-    backbone = model_mod.BackboneConfig(cfg.backbone, tuple(cfg.channels), input_size)
-    model_mod.param_shapes(backbone, lca_cfg, num_classes=2)
+    arch = model_mod.Architecture(cfg.backbone, tuple(cfg.channels), input_size,
+                                  cfg.lca_embed_dim if cfg.head == "lca" else None, 2)
 
     train_ds, test_ds = load_splits(
-        backbone, {"training": _data_path(cfg, "train"), "test": _data_path(cfg, "test")})
+        arch, {"training": _data_path(cfg, "train"), "test": _data_path(cfg, "test")})
     if len(train_ds) < 1:
         raise DataError("training split is empty")
     # Image trees number their classes by sorted directory name.
@@ -147,19 +145,17 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
         raise DataError(f"training split has no sample of class {missing}; "
                         f"its labels must cover 0..{num_classes - 1}")
     check_split(test_ds, num_classes, "test")
+    arch = replace(arch, num_classes=num_classes)
 
     loaded = None
     if resume is None:
-        model = model_mod.build_model(backbone, lca_cfg, num_classes, rng=init_rng)
+        model = model_mod.build_model(arch, rng=init_rng)
     else:
         loaded = model_mod.load_checkpoint(resume)
         model = loaded.model
-        found = (model.backbone, model.lca_cfg, model.num_classes)
-        if found != (backbone, lca_cfg, num_classes):
+        if model.arch != arch:
             raise model_mod.CheckpointError(
-                f"checkpoint architecture {found} does not match config "
-                f"{(backbone, lca_cfg, num_classes)}"
-            )
+                f"checkpoint architecture {model.arch} does not match config {arch}")
         train_rng = Rng.from_state_bytes(loaded.rng_state)
     start_epoch = loaded.epoch if loaded else 0
     if start_epoch >= cfg.epochs:
@@ -184,7 +180,11 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
     tmp = f"{cfg.log_csv}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n" + "".join(kept))
-    os.replace(tmp, cfg.log_csv)
+    try:
+        os.replace(tmp, cfg.log_csv)
+    except OSError:  # log.csv is a directory, say: leave no stray temp file
+        os.unlink(tmp)
+        raise
     csv = open(cfg.log_csv, "a", encoding="utf-8", newline="\n")
     try:
         last_row = None

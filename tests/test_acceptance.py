@@ -21,10 +21,10 @@ from lcanet.cli import main as lcanet_main
 from lcanet.config import load_config
 from lcanet.data import batches, synth_glyphs
 from lcanet.gradcheck import run_suite
-from lcanet.lca import EmptyKernelError, concept_count, concept_vectors, lca_forward
+from lcanet.lca import concept_count, concept_vectors, lca_forward
 from lcanet.model import load_checkpoint, save_checkpoint
 from lcanet.rng import Rng
-from lcanet.tensor import Parameter, Tensor, backward
+from lcanet.tensor import Parameter, ShapeError, Tensor, backward
 from lcanet.train import run_training
 
 
@@ -106,7 +106,7 @@ def test_criterion_2_concept_count_matches_enumeration():
         for w in range(1, 9):
             expected = _brute_windows(h, w)
             if expected == 0:  # only the 1x1 map; no admissible kernel exists
-                with pytest.raises(EmptyKernelError):
+                with pytest.raises(ShapeError):
                     concept_count(h, w)
                 continue
             assert concept_count(h, w) == expected, (h, w)

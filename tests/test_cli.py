@@ -11,17 +11,14 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import lcanet.data
-from lcanet import (Rng, build_model, gradcheck, load_checkpoint, save_checkpoint,
+from lcanet import (Architecture, Rng, build_model, gradcheck, load_checkpoint, save_checkpoint,
                     write_feature_file, write_ppm)
 from lcanet.cli import main
-from lcanet.model import BackboneConfig
-from lcanet.lca import LcaConfig
 
 
 @pytest.fixture()
@@ -442,7 +439,7 @@ def test_ppm_sample_above_maxval_exits_3_and_writes_nothing(workdir, capsys, com
     if command == "train":
         argv = ["train", "--config", str(write_cfg(workdir))]
     else:
-        model = build_model(BackboneConfig("tiny_cnn", (4, 8), (16, 16)), None, 2, rng=Rng(0))
+        model = build_model(Architecture("tiny_cnn", (4, 8), (16, 16), None, 2), rng=Rng(0))
         save_checkpoint(model, "model.lcac", velocities={}, epoch=1,
                         rng_state=Rng(0).state_bytes())
         argv = ["eval", "--ckpt", "model.lcac", "--data", "data/train"]
@@ -562,6 +559,22 @@ def test_train_resume_against_another_architecture_exits_3(workdir, capsys, over
     assert (workdir / "model.lcac").read_bytes() == ckpt
 
 
+@pytest.mark.parametrize("key", ["ckpt.out", "log.csv"])
+def test_train_output_onto_a_directory_exits_3_and_leaves_no_temp_file(workdir, capsys, key):
+    """The atomic write's rename onto a directory fails; its temp file is removed."""
+    make_data(workdir)
+    (workdir / "taken").mkdir()
+    (workdir / "taken" / "keep.txt").write_text("kept\n")
+    cfg = write_cfg(workdir, **{key: "taken"})
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert not (workdir / "taken.tmp").exists()
+    assert os.listdir(workdir / "taken") == ["keep.txt"]
+    assert (workdir / "taken" / "keep.txt").read_text() == "kept\n"
+
+
 def test_train_resume_with_invalid_config_architecture_exits_2(workdir, capsys):
     make_data(workdir)
     assert main(["train", "--config", str(write_cfg(workdir))]) == 0
@@ -611,9 +624,7 @@ def test_eval_is_repeatable(workdir, capsys):
 def test_eval_zero_classifier_ties_to_class_zero(workdir, capsys):
     """All-zero logits argmax to index 0: class 0 scores 100%, the rest 0."""
     make_data(workdir, classes=2, per_class=2, test_per_class=2)
-    model = build_model(
-        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), None, 2, rng=Rng(0)
-    )
+    model = build_model(Architecture("tiny_cnn", (4, 8), (16, 16), None, 2), rng=Rng(0))
     for p in model.parameters():
         p.data[...] = 0.0
     save_checkpoint(model, "zero.lcac", velocities={}, epoch=0,
@@ -647,9 +658,7 @@ def test_eval_format_mismatch_exits_3(workdir):
 def test_eval_feature_checkpoint_on_image_tree_exits_3(workdir, capsys):
     """The loader follows the checkpoint's backbone: an LCAF reader on a PPM tree."""
     make_data(workdir)
-    model = build_model(
-        BackboneConfig("external_features", (8,), (4, 4)), None, 2, rng=Rng(0)
-    )
+    model = build_model(Architecture("external_features", (8,), (4, 4), None, 2), rng=Rng(0))
     save_checkpoint(model, "feat.lcac", velocities={}, epoch=0,
                     rng_state=Rng(0).state_bytes())
     capsys.readouterr()
@@ -660,9 +669,7 @@ def test_eval_feature_checkpoint_on_image_tree_exits_3(workdir, capsys):
 
 def test_eval_feature_maps_of_another_extent_exit_3(workdir, capsys):
     """A checkpoint built for 5x5 maps refuses 9x9 maps of the same channel count."""
-    model = build_model(
-        BackboneConfig("external_features", (4,), (5, 5)), LcaConfig(8), 2, rng=Rng(0)
-    )
+    model = build_model(Architecture("external_features", (4,), (5, 5), 8, 2), rng=Rng(0))
     save_checkpoint(model, "feat.lcac", velocities={}, epoch=0,
                     rng_state=Rng(0).state_bytes())
     write_feature_file("big.lcaf", np.zeros((2, 4, 9, 9), dtype=np.float32), [0, 1])
@@ -770,9 +777,7 @@ def test_train_huge_input_size_exits_3(workdir, capsys):
 def test_eval_checkpoint_with_huge_input_size_exits_3(workdir, capsys):
     """No parameter shape depends on the input size, so a checkpoint can carry any."""
     _two_image_tree(workdir / "tree")
-    model = build_model(
-        BackboneConfig("tiny_cnn", (4, 8), (300000, 300000)), None, 2, rng=Rng(0)
-    )
+    model = build_model(Architecture("tiny_cnn", (4, 8), (300000, 300000), None, 2), rng=Rng(0))
     save_checkpoint(model, "huge.lcac", velocities={}, epoch=0,
                     rng_state=Rng(0).state_bytes())
     capsys.readouterr()
@@ -811,7 +816,7 @@ def test_train_input_size_beyond_numpy_size_limit_exits_3(workdir, capsys):
 
 
 def test_eval_empty_feature_file_exits_3(workdir, capsys):
-    model = build_model(BackboneConfig("external_features", (4,), (3, 3)), None, 2, rng=Rng(0))
+    model = build_model(Architecture("external_features", (4,), (3, 3), None, 2), rng=Rng(0))
     save_checkpoint(model, "feat.lcac", velocities={}, epoch=0,
                     rng_state=Rng(0).state_bytes())
     write_feature_file("empty.lcaf", np.zeros((0, 4, 3, 3), dtype=np.float32), [])
@@ -833,8 +838,7 @@ def test_eval_out_of_memory_exits_3(workdir):
     """At D=512 the LCA head's [P, B*D] product for 256 maps of 14x14 is
     5.29 GiB; under a 3 GB address-space limit numpy refuses it in evaluate."""
     resource = pytest.importorskip("resource")
-    model = build_model(BackboneConfig("external_features", (2,), (14, 14)), LcaConfig(512), 2,
-                        rng=Rng(0))
+    model = build_model(Architecture("external_features", (2,), (14, 14), 512, 2), rng=Rng(0))
     save_checkpoint(model, "head.lcac", velocities={}, epoch=1, rng_state=Rng(0).state_bytes())
     write_feature_file("maps.lcaf", np.ones((256, 2, 14, 14), np.float32), np.arange(256) % 2)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -911,15 +915,35 @@ def test_inspect_corrupt_magic_exits_3(workdir):
     assert main(["inspect", "--ckpt", "junk.lcac"]) == 3
 
 
+def _save_patched(path, embed_dim, offset, value: bytes):
+    """Save a tiny_cnn (4, 8) checkpoint with no velocities, and write
+    ``value`` ``offset`` bytes into its architecture block: four tag bytes
+    (backbone, head, kernel set, pad), input size (4), channel count and
+    channels (12, 16, 20), embed_dim (24), classes (28). The velocity count,
+    the epoch and the rng state follow it."""
+    model = build_model(Architecture("tiny_cnn", (4, 8), (16, 16), embed_dim, 2), rng=Rng(0))
+    save_checkpoint(model, path, velocities={}, epoch=0, rng_state=Rng(0).state_bytes())
+    raw = Path(path).read_bytes()
+    at = len(raw) - (4 + 8 + 12 + 8 + 4 + 8 + 32) + offset
+    Path(path).write_bytes(raw[:at] + value + raw[at + len(value):])
+
+
 def test_inspect_invalid_architecture_exits_3(workdir, capsys):
-    model = build_model(
-        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), LcaConfig(4), 2, rng=Rng(0)
-    )
-    model.lca_cfg = SimpleNamespace(embed_dim=0)
-    save_checkpoint(model, "bad.lcac", velocities={}, epoch=0,
-                    rng_state=Rng(0).state_bytes())
+    _save_patched("bad.lcac", 4, 24, (0).to_bytes(4, "little"))
     assert main(["inspect", "--ckpt", "bad.lcac"]) == 3
     assert "embed_dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("embed_dim,offset,value", [(4, 0, 5), (None, 24, 7)],
+                         ids=["backbone_tag", "gap_embed_dim"])
+def test_inspect_refused_architecture_names_the_file(workdir, capsys, embed_dim, offset, value):
+    """An unknown backbone tag, or a GAP head's nonzero embed_dim field, is a
+    data error that names the checkpoint."""
+    _save_patched("bad.lcac", embed_dim, offset, bytes([value]))
+    capsys.readouterr()
+    assert main(["inspect", "--ckpt", "bad.lcac"]) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("data error: bad.lcac: ") and out == ""
 
 
 @pytest.mark.parametrize("command", ["eval", "inspect", "train_resume"])
@@ -927,9 +951,7 @@ def test_checkpoint_with_square_kernels_on_a_1x4_map_exits_3(workdir, capsys, co
     """A kernel-set byte of 0 on an LCA file marks a head trained on square
     kernels only, a set no longer built: every reader refuses the file and
     nothing is written."""
-    model = build_model(
-        BackboneConfig("external_features", (3,), (1, 4)), LcaConfig(4), 2, rng=Rng(0)
-    )
+    model = build_model(Architecture("external_features", (3,), (1, 4), 4, 2), rng=Rng(0))
     save_checkpoint(model, "row.lcac", velocities={}, epoch=0,
                     rng_state=Rng(0).state_bytes())
     raw = (workdir / "row.lcac").read_bytes()
@@ -960,11 +982,6 @@ def test_checkpoint_with_square_kernels_on_a_1x4_map_exits_3(workdir, capsys, co
 
 
 def test_inspect_huge_embed_dim_exits_3(workdir, capsys):
-    model = build_model(
-        BackboneConfig("tiny_cnn", (4, 8), (16, 16)), LcaConfig(4), 2, rng=Rng(0)
-    )
-    model.lca_cfg = SimpleNamespace(embed_dim=2**31 - 1)
-    save_checkpoint(model, "huge.lcac", velocities={}, epoch=0,
-                    rng_state=Rng(0).state_bytes())
+    _save_patched("huge.lcac", 4, 24, (2**31 - 1).to_bytes(4, "little"))
     assert main(["inspect", "--ckpt", "huge.lcac"]) == 3
     assert "fc_weight" in capsys.readouterr().err

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lcanet.tensor as T
-from lcanet import BackboneConfig, LcaConfig, build_model, gradcheck, max_entropy_loss
+from lcanet import Architecture, build_model, gradcheck, max_entropy_loss
 from lcanet.gradcheck import (
     COMPOSITE_TOL,
     N_SEEDS,
@@ -50,8 +50,8 @@ def test_pool_relu_matmul_chain():
 def test_kink_margin_on_odd_pooled_extents():
     """A 10x10 tiny_cnn pools a 5x5 map; its last row and column are read
     by no window."""
-    m = build_model(BackboneConfig("tiny_cnn", (2, 3), (10, 10)), LcaConfig(embed_dim=2), 3,
-                    rng=Rng(0), dtype=np.float64)
+    m = build_model(Architecture("tiny_cnn", (2, 3), (10, 10), 2, 3), rng=Rng(0),
+                    dtype=np.float64)
     for p in m.parameters():
         if p.name.endswith("_bias"):
             p.data[...] = 0.1

@@ -10,9 +10,8 @@ import pytest
 
 import lcanet.tensor as T
 from lcanet import (
-    BackboneConfig,
-    EmptyKernelError,
-    LcaConfig,
+    Architecture,
+    ConfigError,
     Rng,
     build_model,
     concept_count,
@@ -61,7 +60,7 @@ def test_kernels_ordering_is_kh_major():
 
 
 def test_kernels_1x1_map_has_none():
-    with pytest.raises(EmptyKernelError):
+    with pytest.raises(ShapeError, match="no pooling kernel other than 1x1 fits a 1x1 map"):
         enumerate_kernels(1, 1)
 
 
@@ -175,7 +174,7 @@ def test_channel_mismatch_rejected():
 
 def test_1x1_map_rejected():
     fm = Tensor(np.zeros((1, 1, 1, 1)))
-    with pytest.raises(EmptyKernelError):
+    with pytest.raises(ShapeError):
         lca_forward(fm, *identity_params(1))
 
 
@@ -236,8 +235,7 @@ class TestParamInit:
 
     @staticmethod
     def head(c, d, seed):
-        m = build_model(BackboneConfig("external_features", (c,), (2, 2)),
-                        LcaConfig(embed_dim=d), 2, rng=Rng(seed))
+        m = build_model(Architecture("external_features", (c,), (2, 2), d, 2), rng=Rng(seed))
         return m.param("fc_weight"), m.param("fc_bias")
 
     def test_glorot_bound(self):
@@ -264,8 +262,8 @@ class TestParamInit:
 
 
 def test_config_validation():
-    """A zero input width is the backbone's to reject; a zero output width the head's."""
-    with pytest.raises(ValueError):
-        BackboneConfig("external_features", (0,), (2, 2))
-    with pytest.raises(ValueError):
-        LcaConfig(embed_dim=0)
+    """A zero input width and a zero output width are both refused."""
+    with pytest.raises(ConfigError, match="channels must be >= 1"):
+        Architecture("external_features", (0,), (2, 2), 4, 2)
+    with pytest.raises(ConfigError, match="embed_dim"):
+        Architecture("external_features", (4,), (2, 2), 0, 2)

@@ -1,16 +1,16 @@
 """Model assembly, forward composition, and checkpoint persistence."""
 
-from types import SimpleNamespace
+import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import lcanet.tensor as T
 from lcanet import (
-    BackboneConfig,
+    Architecture,
     CheckpointError,
     ConfigError,
-    LcaConfig,
     Rng,
     build_model,
     concept_count,
@@ -20,19 +20,18 @@ from lcanet import (
 )
 from lcanet.cli import main
 from lcanet.config import parse_config
-from lcanet.model import param_shapes
 from lcanet.optim import SGD
 from lcanet.tensor import ShapeError, Tensor
 from lcanet.data import load_image_dir
 from lcanet.train import evaluate, run_training
 
 
-def tiny_backbone(h=16, w=16, channels=(16, 32)):
-    return BackboneConfig("tiny_cnn", channels, (h, w))
+def tiny_arch(embed_dim=None, num_classes=8, h=16, w=16, channels=(16, 32)):
+    return Architecture("tiny_cnn", channels, (h, w), embed_dim, num_classes)
 
 
-def ext_backbone(c=1, h=2, w=2):
-    return BackboneConfig("external_features", (c,), (h, w))
+def ext_arch(c=1, h=2, w=2, embed_dim=None, num_classes=2):
+    return Architecture("external_features", (c,), (h, w), embed_dim, num_classes)
 
 
 RNG_STATE = Rng(0).state_bytes()
@@ -44,36 +43,34 @@ RNG_STATE = Rng(0).state_bytes()
 
 
 def test_feature_shape_tiny_cnn():
-    m = build_model(tiny_backbone(), None, 8, rng=Rng(0))
-    assert m.backbone.feature_shape() == (32, 4, 4)
+    assert tiny_arch().feature_shape() == (32, 4, 4)
 
 
 def test_lca_head_concept_count_on_default_geometry():
-    m = build_model(tiny_backbone(), LcaConfig(32), 8, rng=Rng(0))
-    c, h, w = m.backbone.feature_shape()
+    c, h, w = tiny_arch(32).feature_shape()
     assert concept_count(h, w) == 84  # (10*10) - 16
 
 
 def test_gap_classifier_input_is_channel_count():
-    m = build_model(tiny_backbone(), None, 8, rng=Rng(0))
+    m = build_model(tiny_arch(), rng=Rng(0))
     assert m.param("cls_weight").shape == (8, 32)
 
 
 def test_lca_classifier_input_is_embed_dim():
-    m = build_model(tiny_backbone(), LcaConfig(12), 8, rng=Rng(0))
+    m = build_model(tiny_arch(12), rng=Rng(0))
     assert m.param("cls_weight").shape == (8, 12)
 
 
-@pytest.mark.parametrize("backbone,head,lca_cfg", [
-    (tiny_backbone(), "lca", LcaConfig(32)),
-    (tiny_backbone(), "gap", None),
-    (ext_backbone(512, 7, 7), "lca", LcaConfig(512)),
+@pytest.mark.parametrize("arch,head", [
+    (tiny_arch(32), "lca"),
+    (tiny_arch(), "gap"),
+    (ext_arch(512, 7, 7, embed_dim=512, num_classes=8), "lca"),
 ])
-def test_init_takes_one_stream_draw_per_weight(backbone, head, lca_cfg):
+def test_init_takes_one_stream_draw_per_weight(arch, head):
     """Each weight array is keyed by one u64, whatever its size; biases draw nothing."""
     a, b = Rng(7), Rng(7)
-    m = build_model(backbone, lca_cfg, 8, rng=a)
-    assert m.head == head
+    m = build_model(arch, rng=a)
+    assert m.arch.head == head
     weights = [p for p in m.parameters() if not p.name.endswith("_bias")]
     assert len(weights) < len(m.parameters())
     for _ in weights:
@@ -82,7 +79,7 @@ def test_init_takes_one_stream_draw_per_weight(backbone, head, lca_cfg):
 
 
 def test_parameter_names_are_stable():
-    m = build_model(tiny_backbone(), LcaConfig(32), 8, rng=Rng(0))
+    m = build_model(tiny_arch(32), rng=Rng(0))
     assert [p.name for p in m.parameters()] == [
         "conv1_weight", "conv1_bias", "conv2_weight", "conv2_bias",
         "fc_weight", "fc_bias", "cls_weight", "cls_bias",
@@ -91,8 +88,8 @@ def test_parameter_names_are_stable():
 
 def test_same_seed_same_initial_logits():
     x = Tensor(Rng(5).uniform_array((2, 3, 16, 16), 0, 1, dtype=np.float32))
-    a = build_model(tiny_backbone(), LcaConfig(16), 4, rng=Rng(7))
-    b = build_model(tiny_backbone(), LcaConfig(16), 4, rng=Rng(7))
+    a = build_model(tiny_arch(16, 4), rng=Rng(7))
+    b = build_model(tiny_arch(16, 4), rng=Rng(7))
     np.testing.assert_array_equal(a.forward(x).data, b.forward(x).data)
 
 
@@ -111,7 +108,7 @@ def test_a_sample_forward_does_not_depend_on_its_batch(tmp_path):
     )
     run_training(cfg)
     model = load_checkpoint(cfg.ckpt_out).model
-    ds = load_image_dir(tmp_path / "train", model.backbone.input_size)
+    ds = load_image_dir(tmp_path / "train", model.arch.input_size)
     assert len(ds) == 280
 
     counts = {bs: evaluate(model, ds, batch_size=bs).per_class for bs in (1, 7, 32, 256)}
@@ -138,7 +135,7 @@ def test_feature_map_bits_do_not_depend_on_the_batch_at_any_shape(h, w, channels
     """Each sample's conv forward is its own matrix product, so a sample's
     feature map has the same bits in batches of every size and at every
     place, also at input sizes and channel counts off the default."""
-    model = build_model(tiny_backbone(h, w, channels), LcaConfig(8), 4, rng=Rng(2))
+    model = build_model(tiny_arch(8, 4, h, w, channels), rng=Rng(2))
     x = Rng(3).uniform_array((37, 3, h, w), 0, 1, dtype=np.float32)
     with T.no_grad():
         full = model.feature_map(Tensor(x)).data
@@ -148,25 +145,27 @@ def test_feature_map_bits_do_not_depend_on_the_batch_at_any_shape(h, w, channels
 
 
 class TestBuildValidation:
+    """Each architecture rule refuses when the value is made."""
+
     def test_num_classes_lower_bound(self):
-        with pytest.raises(ConfigError):
-            build_model(tiny_backbone(), None, 1, rng=Rng(0))
+        with pytest.raises(ConfigError, match="num_classes must be >= 2"):
+            tiny_arch(num_classes=1)
 
     def test_input_too_small_for_backbone(self):
-        with pytest.raises(ConfigError):
-            build_model(tiny_backbone(3, 3), None, 4, rng=Rng(0))
+        with pytest.raises(ConfigError, match="tiny_cnn needs input >= 4x4, got 3x3"):
+            tiny_arch(h=3, w=3)
 
     def test_lca_needs_spatial_extent(self):
-        with pytest.raises(ConfigError):
-            build_model(ext_backbone(4, 1, 1), LcaConfig(4), 4, rng=Rng(0))
+        with pytest.raises(ConfigError, match="lca head: no pooling kernel"):
+            ext_arch(4, 1, 1, embed_dim=4)
 
     def test_backbone_kind_checked(self):
         with pytest.raises(ConfigError):
-            BackboneConfig("resnext", (8,), (16, 16))
+            Architecture("resnext", (8,), (16, 16), None, 2)
 
     def test_tiny_cnn_channel_arity(self):
         with pytest.raises(ConfigError):
-            BackboneConfig("tiny_cnn", (16,), (16, 16))
+            tiny_arch(channels=(16,))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ class TestBuildValidation:
 
 def test_external_features_reproduces_head_worked_example():
     """Hand map [[1,2],[3,4]] through identity FC gives 2.5 pre-classifier."""
-    m = build_model(ext_backbone(), LcaConfig(1), 2, rng=Rng(0))
+    m = build_model(ext_arch(embed_dim=1), rng=Rng(0))
     m.param("fc_weight").data[...] = 1.0
     fm = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32))
     head = m.head_output(m.feature_map(fm))
@@ -184,7 +183,7 @@ def test_external_features_reproduces_head_worked_example():
 
 
 def test_zero_classifier_gives_uniform_predictions():
-    m = build_model(tiny_backbone(), None, 5, rng=Rng(0))
+    m = build_model(tiny_arch(num_classes=5), rng=Rng(0))
     for p in m.parameters():
         p.data[...] = 0.0
     x = Tensor(Rng(1).uniform_array((3, 3, 16, 16), 0, 1, dtype=np.float32))
@@ -196,7 +195,7 @@ def test_zero_classifier_gives_uniform_predictions():
 
 
 def test_identical_images_identical_logit_rows():
-    m = build_model(tiny_backbone(), LcaConfig(16), 4, rng=Rng(3))
+    m = build_model(tiny_arch(16, 4), rng=Rng(3))
     one = Rng(4).uniform_array((1, 3, 16, 16), 0, 1, dtype=np.float32)
     batch = Tensor(np.repeat(one, 5, axis=0))
     logits = m.forward(batch).data
@@ -205,13 +204,13 @@ def test_identical_images_identical_logit_rows():
 
 
 def test_forward_rejects_wrong_image_shape():
-    m = build_model(tiny_backbone(), None, 4, rng=Rng(0))
+    m = build_model(tiny_arch(num_classes=4), rng=Rng(0))
     with pytest.raises(ShapeError):
         m.forward(Tensor(np.zeros((1, 3, 8, 8), dtype=np.float32)))
 
 
 def test_external_mode_rejects_wrong_channels():
-    m = build_model(ext_backbone(c=4, h=3, w=3), None, 4, rng=Rng(0))
+    m = build_model(ext_arch(c=4, h=3, w=3, num_classes=4), rng=Rng(0))
     with pytest.raises(ShapeError):
         m.forward(Tensor(np.zeros((1, 3, 3, 3), dtype=np.float32)))
 
@@ -221,7 +220,7 @@ def test_external_mode_rejects_wrong_channels():
 def test_gap_head_bytes_match_full_map_avgpool(c, h, w, dtype):
     """The GAP head's output and feature-map gradient equal avgpool2d over the
     whole map, bit for bit."""
-    m = build_model(ext_backbone(c, h, w), None, 2, rng=Rng(0), dtype=dtype)
+    m = build_model(ext_arch(c, h, w), rng=Rng(0), dtype=dtype)
     rng = Rng(c * h * w)
     x = rng.uniform_array((3, c, h, w), -1, 1, dtype=dtype)
     probe = Tensor(rng.uniform_array((3, c), -1, 1, dtype=dtype))
@@ -238,7 +237,7 @@ def test_gap_head_bytes_match_full_map_avgpool(c, h, w, dtype):
 
 def test_gap_head_output_length_is_spatial_free():
     for h, w in [(8, 8), (16, 16), (16, 24)]:
-        m = build_model(tiny_backbone(h, w), None, 4, rng=Rng(0))
+        m = build_model(tiny_arch(num_classes=4, h=h, w=w), rng=Rng(0))
         x = Tensor(np.zeros((2, 3, h, w), dtype=np.float32))
         fm = m.feature_map(x)
         assert m.head_output(fm).shape == (2, 32)
@@ -263,7 +262,7 @@ def test_pool_then_relu_model_bytes_equal_relu_then_pool(hw, lca, dtype):
     the relu-then-pool backbone gave, with dead channels and signed biases."""
     models = []
     for _ in range(2):
-        m = build_model(tiny_backbone(*hw, channels=(4, 6)), LcaConfig(5) if lca else None, 3,
+        m = build_model(tiny_arch(5 if lca else None, 3, *hw, channels=(4, 6)),
                         rng=Rng(11), dtype=dtype)
         for p in m.parameters():
             if p.name.endswith("_bias"):
@@ -288,10 +287,7 @@ def test_pool_then_relu_model_bytes_equal_relu_then_pool(hw, lca, dtype):
 
 
 def small_model(rng_seed=0):
-    return build_model(
-        BackboneConfig("tiny_cnn", (4, 6), (8, 8)), LcaConfig(5), 3,
-        rng=Rng(rng_seed),
-    )
+    return build_model(tiny_arch(5, 3, 8, 8, (4, 6)), rng=Rng(rng_seed))
 
 
 def test_checkpoint_roundtrip_restores_everything(tmp_path):
@@ -307,31 +303,22 @@ def test_checkpoint_roundtrip_restores_everything(tmp_path):
     for p in m.parameters():
         np.testing.assert_array_equal(loaded.model.param(p.name).data, p.data)
         np.testing.assert_array_equal(loaded.velocities[p.name], vel[p.name])
-    assert loaded.model.backbone == m.backbone
-    assert loaded.model.head == m.head
-    assert loaded.model.lca_cfg == m.lca_cfg
-    assert loaded.model.num_classes == m.num_classes
+    assert loaded.model.arch == m.arch
 
 
-@pytest.mark.parametrize("head,lca_cfg", [
-    ("lca", LcaConfig(5)),
-    ("gap", None),
-], ids=["lca", "gap"])
-def test_checkpoint_roundtrip_restores_head(tmp_path, head, lca_cfg):
-    m = build_model(BackboneConfig("tiny_cnn", (4, 6), (8, 8)), lca_cfg, 3, rng=Rng(0))
-    path = tmp_path / "m.lcac"
-    save_checkpoint(m, path, velocities={}, epoch=0, rng_state=RNG_STATE)
-    loaded = load_checkpoint(path).model
-    assert loaded.lca_cfg == lca_cfg
-    assert loaded.head == head
-
-
-def test_save_load_save_is_byte_identical(tmp_path):
-    m = small_model()
+@pytest.mark.parametrize("embed_dim", [5, None], ids=["lca", "gap"])
+@pytest.mark.parametrize("arch", [tiny_arch(h=8, w=8, channels=(4, 6)), ext_arch(3, 2, 5)],
+                         ids=["tiny_cnn", "external_features"])
+def test_save_load_save_is_byte_identical(tmp_path, arch, embed_dim):
+    """Every backbone and head loads to an equal architecture, and re-saves
+    to the same bytes."""
+    m = build_model(dataclasses.replace(arch, embed_dim=embed_dim, num_classes=3), rng=Rng(0))
     vel = {p.name: np.zeros(p.shape, dtype=np.float32) for p in m.parameters()}
     a, b = tmp_path / "a.lcac", tmp_path / "b.lcac"
     save_checkpoint(m, a, velocities=vel, epoch=2, rng_state=RNG_STATE)
     loaded = load_checkpoint(a)
+    assert loaded.model.arch == m.arch
+    assert loaded.model.arch.head == ("gap" if embed_dim is None else "lca")
     save_checkpoint(loaded.model, b, velocities=loaded.velocities, epoch=loaded.epoch,
                     rng_state=loaded.rng_state)
     assert a.read_bytes() == b.read_bytes()
@@ -339,13 +326,14 @@ def test_save_load_save_is_byte_identical(tmp_path):
 
 def test_checkpoint_loads_into_architecture_order(tmp_path):
     """A file that lists its parameters in another order loads them in
-    param_shapes order, with the file's bytes, and re-saves canonically."""
+    Architecture.param_shapes order, with the file's bytes, and re-saves
+    canonically."""
     m = small_model()
     vel = {p.name: Rng(2).uniform_array(p.shape, -1, 1, dtype=np.float32)
            for p in m.parameters()}
     canonical, shuffled, resaved = (tmp_path / f"{n}.lcac" for n in ("a", "b", "c"))
     save_checkpoint(m, canonical, velocities=vel, epoch=4, rng_state=RNG_STATE)
-    order = list(param_shapes(m.backbone, m.lca_cfg, m.num_classes))
+    order = list(m.arch.param_shapes())
     m._params = {name: m.param(name) for name in reversed(order)}
     save_checkpoint(m, shuffled, velocities=vel, epoch=4, rng_state=RNG_STATE)
     assert shuffled.read_bytes() != canonical.read_bytes()
@@ -490,63 +478,59 @@ class TestCorruptFiles:
         with pytest.raises(CheckpointError, match="velocity cls_bias: shape"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("lca_cfg,offset,value,match", [
-        (LcaConfig(5), 0, 2, "tags"),
-        (LcaConfig(5), 1, 2, "tags"),
-        (LcaConfig(5), 2, 0, "kernel-set byte 0 on a lca head, expected 1"),
-        (LcaConfig(5), 2, 7, "kernel-set byte 7 on a lca head, expected 1"),
-        (None, 2, 1, "kernel-set byte 1 on a gap head, expected 0"),
-        (None, 2, 7, "kernel-set byte 7 on a gap head, expected 0"),
-        (LcaConfig(5), 3, 1, "pad byte 1, expected 0"),
-        (None, 3, 7, "pad byte 7, expected 0"),
-    ], ids=["backbone_tag", "head_tag", "lca_kernel_set_0", "lca_kernel_set_7",
-            "gap_kernel_set_1", "gap_kernel_set_7", "lca_pad", "gap_pad"])
-    def test_unknown_architecture_tag(self, tmp_path, lca_cfg, offset, value, match):
-        """Each of the architecture's four leading bytes has one valid value
-        per head; any other is refused, so no file loads that would re-save
-        to other bytes."""
+    @staticmethod
+    def patched(tmp_path, embed_dim, offset, value: bytes):
+        """A small tiny_cnn checkpoint whose architecture block has ``value``
+        written ``offset`` bytes in. The block opens with four bytes
+        (backbone tag, head tag, kernel-set byte, pad); after them come
+        input size (offset 4), channel count and two channels (12, 16, 20),
+        embed_dim (24) and classes (28). An empty velocity table (4), the
+        epoch (8) and the rng state (32) follow it."""
         path = tmp_path / "m.lcac"
-        m = build_model(BackboneConfig("tiny_cnn", (4, 6), (8, 8)), lca_cfg, 3, rng=Rng(0))
+        m = build_model(tiny_arch(embed_dim, 3, 8, 8, (4, 6)), rng=Rng(0))
         save_checkpoint(m, path, velocities={}, epoch=3, rng_state=RNG_STATE)
         raw = path.read_bytes()
-        # The architecture block opens with four bytes (backbone tag, head
-        # tag, kernel-set byte, pad); after them come input size (8), channel
-        # count and two channels (12), embed_dim and classes (8), an empty
-        # velocity table (4), the epoch (8) and the rng state (32).
         at = len(raw) - (4 + 8 + 12 + 8 + 4 + 8 + 32) + offset
-        assert raw[at] != value
-        path.write_bytes(raw[:at] + bytes([value]) + raw[at + 1:])
-        with pytest.raises(CheckpointError, match=match):
+        assert raw[at : at + len(value)] != value
+        path.write_bytes(raw[:at] + value + raw[at + len(value):])
+        return path
+
+    @pytest.mark.parametrize("embed_dim,offset,value,match", [
+        (5, 0, 2, "tags"),
+        (5, 1, 2, "tags"),
+        (5, 2, 0, "kernel-set byte 0 on a lca head, expected 1"),
+        (5, 2, 7, "kernel-set byte 7 on a lca head, expected 1"),
+        (None, 2, 1, "kernel-set byte 1 on a gap head, expected 0"),
+        (None, 2, 7, "kernel-set byte 7 on a gap head, expected 0"),
+        (5, 3, 1, "pad byte 1, expected 0"),
+        (None, 3, 7, "pad byte 7, expected 0"),
+        (None, 24, 7, "embed_dim field 7 on a gap head, expected 0"),
+    ], ids=["backbone_tag", "head_tag", "lca_kernel_set_0", "lca_kernel_set_7",
+            "gap_kernel_set_1", "gap_kernel_set_7", "lca_pad", "gap_pad", "gap_embed_dim"])
+    def test_unknown_architecture_tag(self, tmp_path, embed_dim, offset, value, match):
+        """Each of the architecture's four leading bytes has one valid value
+        per head, and a GAP head's embed_dim field one; any other is refused,
+        naming the file, so no file loads that would re-save to other
+        bytes."""
+        path = self.patched(tmp_path, embed_dim, offset, bytes([value]))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: .*{match}"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("field,value", [
-        ("lca_cfg", SimpleNamespace(embed_dim=0)),
-        ("backbone", SimpleNamespace(kind="tiny_cnn", channels=(0, 6), input_size=(8, 8))),
-    ], ids=["embed_dim_zero", "channel_zero"])
-    def test_invalid_architecture(self, tmp_path, field, value):
-        """Architecture fields the model constructors reject (embed_dim 0,
-        a zero channel count) are a corrupt checkpoint, not a bad config."""
-        m = small_model()
-        setattr(m, field, value)
-        path = tmp_path / "m.lcac"
-        save_checkpoint(m, path, velocities={}, epoch=3, rng_state=RNG_STATE)
-        with pytest.raises(CheckpointError):
+    @pytest.mark.parametrize("offset", [24, 16], ids=["embed_dim_zero", "channel_zero"])
+    def test_invalid_architecture(self, tmp_path, offset):
+        """Architecture fields that ``Architecture`` rejects (embed_dim 0, a
+        zero channel count) are a corrupt checkpoint, not a bad config."""
+        path = self.patched(tmp_path, 5, offset, (0).to_bytes(4, "little"))
+        with pytest.raises(CheckpointError, match="invalid architecture"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("field,value", [
-        ("lca_cfg", SimpleNamespace(embed_dim=2**31 - 1)),
-        ("num_classes", 2**31 - 1),
-        ("backbone", SimpleNamespace(kind="tiny_cnn", channels=(4, 2**31 - 1),
-                                     input_size=(8, 8))),
-    ], ids=["embed_dim", "num_classes", "last_channel"])
-    def test_huge_architecture_field_allocates_nothing(self, tmp_path, field, value):
+    @pytest.mark.parametrize("offset", [24, 28, 20],
+                             ids=["embed_dim", "num_classes", "last_channel"])
+    def test_huge_architecture_field_allocates_nothing(self, tmp_path, offset):
         """A size field patched far beyond the tensors the file holds is a
         corrupt checkpoint, caught before the model is built from it (at
         2**31-1 that build would ask for tens of GiB)."""
-        m = small_model()
-        setattr(m, field, value)
-        path = tmp_path / "m.lcac"
-        save_checkpoint(m, path, velocities={}, epoch=3, rng_state=RNG_STATE)
+        path = self.patched(tmp_path, 5, offset, (2**31 - 1).to_bytes(4, "little"))
         with pytest.raises(CheckpointError, match="stored shape"):
             load_checkpoint(path)
 

@@ -3,8 +3,9 @@
 numpy is the only runtime dependency, and the tape's private plumbing
 (``_record``, which decides whether an op is taped and records it) is used
 only by ``lcanet.tensor``, where every adjoint is defined. A ``Model`` is
-built one way, by ``build_model`` or ``load_checkpoint``, and one function
-parses an LCAF header.
+built one way, by ``build_model`` or ``load_checkpoint``; an ``Architecture``
+is made from a config, a checkpoint or the gradient suite's end-to-end check;
+and one function parses an LCAF header.
 """
 
 import ast
@@ -64,6 +65,11 @@ def test_losses_reexports_the_tensor_ops():
 
 def test_only_model_constructs_a_model():
     assert _callers("Model") == {("model.py", "build_model"), ("model.py", "load_checkpoint")}
+
+
+def test_an_architecture_comes_from_a_config_a_checkpoint_or_gradcheck():
+    assert _callers("Architecture") == {
+        ("model.py", "load_checkpoint"), ("train.py", "run_training"), ("gradcheck.py", "_e2e")}
 
 
 def test_one_function_unpacks_an_lcaf_header():
