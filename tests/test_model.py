@@ -306,22 +306,36 @@ def test_checkpoint_roundtrip_restores_everything(tmp_path):
     assert loaded.model.arch == m.arch
 
 
+ROUNDTRIP_ARCHS = [tiny_arch(h=8, w=8, channels=(4, 6)), ext_arch(3, 2, 5)]
+
+
 @pytest.mark.parametrize("embed_dim", [5, None], ids=["lca", "gap"])
-@pytest.mark.parametrize("arch", [tiny_arch(h=8, w=8, channels=(4, 6)), ext_arch(3, 2, 5)],
-                         ids=["tiny_cnn", "external_features"])
-def test_save_load_save_is_byte_identical(tmp_path, arch, embed_dim):
-    """Every backbone and head loads to an equal architecture, and re-saves
-    to the same bytes."""
-    m = build_model(dataclasses.replace(arch, embed_dim=embed_dim, num_classes=3), rng=Rng(0))
-    vel = {p.name: np.zeros(p.shape, dtype=np.float32) for p in m.parameters()}
-    a, b = tmp_path / "a.lcac", tmp_path / "b.lcac"
-    save_checkpoint(m, a, velocities=vel, epoch=2, rng_state=RNG_STATE)
-    loaded = load_checkpoint(a)
-    assert loaded.model.arch == m.arch
-    assert loaded.model.arch.head == ("gap" if embed_dim is None else "lca")
-    save_checkpoint(loaded.model, b, velocities=loaded.velocities, epoch=loaded.epoch,
-                    rng_state=loaded.rng_state)
-    assert a.read_bytes() == b.read_bytes()
+def test_checkpoint_roundtrip_restores_head(tmp_path, embed_dim):
+    """Every backbone loads back with the head and architecture it was saved
+    with."""
+    for arch in ROUNDTRIP_ARCHS:
+        m = build_model(dataclasses.replace(arch, embed_dim=embed_dim, num_classes=3),
+                        rng=Rng(0))
+        path = tmp_path / "m.lcac"
+        save_checkpoint(m, path, velocities={}, epoch=0, rng_state=RNG_STATE)
+        loaded = load_checkpoint(path).model
+        assert loaded.arch == m.arch
+        assert loaded.arch.head == ("gap" if embed_dim is None else "lca")
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    """Every backbone and head re-saves to the same bytes."""
+    for arch in ROUNDTRIP_ARCHS:
+        for embed_dim in (5, None):
+            m = build_model(dataclasses.replace(arch, embed_dim=embed_dim, num_classes=3),
+                            rng=Rng(0))
+            vel = {p.name: np.zeros(p.shape, dtype=np.float32) for p in m.parameters()}
+            a, b = tmp_path / "a.lcac", tmp_path / "b.lcac"
+            save_checkpoint(m, a, velocities=vel, epoch=2, rng_state=RNG_STATE)
+            loaded = load_checkpoint(a)
+            save_checkpoint(loaded.model, b, velocities=loaded.velocities,
+                            epoch=loaded.epoch, rng_state=loaded.rng_state)
+            assert a.read_bytes() == b.read_bytes()
 
 
 def test_checkpoint_loads_into_architecture_order(tmp_path):
