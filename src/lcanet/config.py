@@ -25,7 +25,7 @@ def check_backbone(kind: str, channels) -> None:
     """Refuse what no input size can make buildable: an unknown kind, or
     channel counts other than tiny_cnn's (C1, C2) and external_features' (C,)."""
     if kind not in BACKBONE_KINDS:
-        raise ConfigError(f"unknown backbone kind {kind!r}")
+        raise ConfigError(f"unknown backbone kind {kind!r}, not one of {BACKBONE_KINDS}")
     if any(c < 1 for c in channels):
         raise ConfigError(f"channels must be >= 1, got {channels}")
     if kind == "tiny_cnn" and len(channels) != 2:
@@ -187,11 +187,9 @@ def _validate(cfg: RunConfig) -> None:
     need(cfg.lambda_entropy >= 0, "lambda_entropy", f"must be >= 0, got {cfg.lambda_entropy}")
     need(cfg.head in HEAD_KINDS, "head", f"must be one of {HEAD_KINDS}, got {cfg.head!r}")
     need(cfg.lca_embed_dim >= 1, "lca.embed_dim", f"must be >= 1, got {cfg.lca_embed_dim}")
-    need(cfg.backbone in BACKBONE_KINDS, "backbone",
-         f"must be one of {BACKBONE_KINDS}, got {cfg.backbone!r}")
     need(all(n >= 1 for n in cfg.input_size), "input_size",
          f"dimensions must be >= 1, got {cfg.input_size}")
-    fmt = "ppm" if cfg.backbone == "tiny_cnn" else "lcaf"
+    fmt = {"tiny_cnn": "ppm", "external_features": "lcaf"}.get(cfg.backbone, cfg.data_format)
     need(cfg.data_format == fmt, "data.format",
          f"backbone {cfg.backbone} needs data.format={fmt}, got {cfg.data_format!r}")
     need(0 <= cfg.aug_translate_px < 2**63, "aug.translate_px",

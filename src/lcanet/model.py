@@ -207,16 +207,18 @@ def _write_entry(out: list, name: str, arr: np.ndarray) -> None:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
+    """A checkpoint's bytes, read in order; every refusal starts with the path."""
+
+    def __init__(self, path, blob: bytes):
+        self.path, self.blob, self.pos = path, blob, 0
+
+    def refuse(self, why: str) -> CheckpointError:
+        return CheckpointError(f"{self.path}: {why}")
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
-            raise CheckpointError(
-                f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
-                f"file has {len(self.blob)}"
-            )
+            raise self.refuse(f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
+                              f"file has {len(self.blob)}")
         piece = self.blob[self.pos : self.pos + n]
         self.pos += n
         return piece
@@ -224,22 +226,45 @@ class _Reader:
     def u(self, fmt: str) -> int:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
-    def entry(self):
+    def entry(self, kind: str):
         raw = self.take(self.u("<H"))
         try:
             name = raw.decode("utf-8")
         except UnicodeDecodeError:
-            raise CheckpointError(f"parameter name {raw!r} is not UTF-8") from None
+            raise self.refuse(f"{kind} name {raw!r} is not UTF-8") from None
         dtype_tag = self.u("<B")
         if dtype_tag != 1:
-            raise CheckpointError(f"param {name}: unknown dtype tag {dtype_tag}")
+            raise self.refuse(f"{kind} {name}: unknown dtype tag {dtype_tag}")
         rank = self.u("<B")
         if rank > 4:  # no parameter has more axes than a conv kernel
-            raise CheckpointError(f"param {name}: rank {rank} exceeds 4")
+            raise self.refuse(f"{kind} {name}: rank {rank} exceeds 4")
         shape = tuple(self.u("<I") for _ in range(rank))
         count = math.prod(shape)  # a Python int: declared dims cannot wrap around
         data = np.frombuffer(self.take(4 * count), dtype="<f4").reshape(shape)
+        if not np.isfinite(data).all():
+            raise self.refuse(f"{kind} {name} holds NaN or inf")
         return name, data.astype(np.float32)
+
+
+def _check_tables(path, arch: Architecture, params: list, velocities: list) -> None:
+    """The rule of a checkpoint's two tables, which save checks before it builds
+    a byte and load once it knows the architecture: (name, array) pairs naming
+    distinct parameters of ``arch``, each with its shape. The parameter table
+    names all of them; the velocity table any subset (a missing one is zero)."""
+    shapes = arch.param_shapes()
+    for kind, table in (("param", params), ("velocity", velocities)):
+        names = [name for name, _ in table]
+        for name, arr in table:
+            if name not in shapes:
+                raise CheckpointError(f"{path}: {kind} {name} is not in the architecture")
+            if names.count(name) > 1:
+                raise CheckpointError(f"{path}: {kind} {name} is stored twice")
+            if arr.shape != shapes[name]:
+                raise CheckpointError(f"{path}: {kind} {name}: stored shape {arr.shape} "
+                                      f"!= expected {shapes[name]}")
+    if len(params) != len(shapes):
+        stored = sorted(name for name, _ in params)
+        raise CheckpointError(f"{path}: params {stored} != expected {sorted(shapes)}")
 
 
 def save_checkpoint(model: Model, path, *, velocities: dict, epoch: int,
@@ -248,6 +273,7 @@ def save_checkpoint(model: Model, path, *, velocities: dict, epoch: int,
     if len(rng_state) != 32:
         raise CheckpointError(f"rng state must be 32 bytes, got {len(rng_state)}")
     params = model.parameters()
+    _check_tables(path, model.arch, [(p.name, p.data) for p in params], list(velocities.items()))
     out = [MAGIC, struct.pack("<II", VERSION, len(params))]
     for p in params:
         _write_entry(out, p.name, p.data)
@@ -259,11 +285,6 @@ def save_checkpoint(model: Model, path, *, velocities: dict, epoch: int,
     out.append(struct.pack(f"<I{len(arch.channels)}I", len(arch.channels), *arch.channels))
     out.append(struct.pack("<II", arch.embed_dim or 0, arch.num_classes))
 
-    # Subset is legal: files from older head-only runs hold no conv* entries,
-    # and callers that keep no momentum pass {}. A missing entry resumes at
-    # zero velocity.
-    if not set(velocities) <= {p.name for p in params}:
-        raise CheckpointError("velocity table names params the model does not have")
     out.append(struct.pack("<I", len(velocities)))
     for name in [p.name for p in params if p.name in velocities]:
         _write_entry(out, name, velocities[name])
@@ -295,67 +316,48 @@ class LoadedCheckpoint:
 def load_checkpoint(path) -> LoadedCheckpoint:
     """Read and check a whole checkpoint. The model wraps its stored tensors in
     ``Architecture.param_shapes`` order, whatever the file's order, so a
-    re-save is canonical."""
+    re-save is canonical. Each refusal is a ``CheckpointError`` naming the file."""
     with open(path, "rb") as fh:
-        r = _Reader(fh.read())
+        r = _Reader(path, fh.read())
     if r.take(4) != MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+        raise r.refuse("bad magic, not a checkpoint file")
     version = r.u("<I")
     if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        raise r.refuse(f"unsupported checkpoint version {version}")
 
-    entries = [r.entry() for _ in range(r.u("<I"))]
+    params = [r.entry("param") for _ in range(r.u("<I"))]
 
     bk, hk, kernel_set, pad = (r.u("<B") for _ in range(4))
     if bk >= len(BACKBONE_KINDS) or hk >= len(HEAD_KINDS):
-        raise CheckpointError(f"{path}: unknown backbone/head tags ({bk}, {hk})")
+        raise r.refuse(f"unknown backbone/head tags ({bk}, {hk})")
     head = HEAD_KINDS[hk]
     if kernel_set != _KERNEL_SET[head]:
-        raise CheckpointError(f"{path}: kernel-set byte {kernel_set} on a {head} head, "
-                              f"expected {_KERNEL_SET[head]}")
+        raise r.refuse(f"kernel-set byte {kernel_set} on a {head} head, "
+                       f"expected {_KERNEL_SET[head]}")
     if pad != 0:
-        raise CheckpointError(f"{path}: architecture pad byte {pad}, expected 0")
+        raise r.refuse(f"architecture pad byte {pad}, expected 0")
     h, w = r.u("<I"), r.u("<I")
     channels = tuple(r.u("<I") for _ in range(r.u("<I")))
     embed, num_classes = r.u("<I"), r.u("<I")
     if head == "gap" and embed != 0:
-        raise CheckpointError(f"{path}: embed_dim field {embed} on a gap head, expected 0")
+        raise r.refuse(f"embed_dim field {embed} on a gap head, expected 0")
 
-    velocities = dict(r.entry() for _ in range(r.u("<I")))
+    velocities = [r.entry("velocity") for _ in range(r.u("<I"))]
     epoch = r.u("<Q")
     rng_state = r.take(32)
     if r.pos != len(r.blob):
-        raise CheckpointError(f"{path}: {len(r.blob) - r.pos} trailing bytes")
+        raise r.refuse(f"{len(r.blob) - r.pos} trailing bytes")
     try:
         Rng.from_state_bytes(rng_state)
     except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
+        raise r.refuse(str(exc)) from None
 
     try:
         arch = Architecture(BACKBONE_KINDS[bk], channels, (h, w),
                             embed if head == "lca" else None, num_classes)
     except ConfigError as exc:
-        raise CheckpointError(f"{path}: invalid architecture: {exc}") from None
-    shapes = arch.param_shapes()
-
-    # The stored tensors must be exactly the ones the architecture fields
-    # imply, each once and with its shape; the model wraps them as they are.
-    for name, data in entries:
-        if name not in shapes:
-            raise CheckpointError(f"checkpoint param {name} is not in the architecture")
-        if data.shape != shapes[name]:
-            raise CheckpointError(
-                f"param {name}: stored shape {data.shape} != expected {shapes[name]}"
-            )
-    stored = sorted(n for n, _ in entries)
-    if stored != sorted(shapes):
-        raise CheckpointError(f"checkpoint params {stored} != expected {sorted(shapes)}")
-    for name, vel in velocities.items():
-        if name not in shapes:
-            raise CheckpointError(f"velocity for unknown param {name}")
-        if vel.shape != shapes[name]:
-            raise CheckpointError(f"velocity {name}: shape {vel.shape} mismatched")
-
-    arrays = dict(entries)
-    model = Model(arch, {name: arrays[name] for name in shapes})
-    return LoadedCheckpoint(model, velocities, epoch, rng_state)
+        raise r.refuse(f"invalid architecture: {exc}") from None
+    _check_tables(path, arch, params, velocities)
+    arrays = dict(params)
+    model = Model(arch, {name: arrays[name] for name in arch.param_shapes()})
+    return LoadedCheckpoint(model, dict(velocities), epoch, rng_state)

@@ -981,6 +981,36 @@ def test_checkpoint_with_square_kernels_on_a_1x4_map_exits_3(workdir, capsys, co
     assert not (workdir / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "inspect", "train_resume"])
+@pytest.mark.parametrize("table", ["param", "velocity"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_checkpoint_holding_nan_or_inf_exits_3_and_writes_nothing(workdir, capsys, value, table,
+                                                                  command):
+    """One NaN or inf in a parameter or a velocity makes every reader refuse
+    the file, naming it and the tensor; nothing is printed or written."""
+    model = build_model(Architecture("external_features", (3,), (2, 2), 4, 2), rng=Rng(0))
+    velocities = {p.name: np.zeros(p.shape, np.float32) for p in model.parameters()}
+    (model.param("cls_weight").data if table == "param" else velocities["cls_weight"])[1, 2] = value
+    save_checkpoint(model, "bad.lcac", velocities=velocities, epoch=0,
+                    rng_state=Rng(0).state_bytes())
+    raw = (workdir / "bad.lcac").read_bytes()
+    write_feature_file("maps.lcaf", np.ones((2, 3, 2, 2), dtype=np.float32), [0, 1])
+    if command == "train_resume":
+        cfg = write_cfg(workdir, backbone="external_features", channels="3", input_size="2x2",
+                        **{"lca.embed_dim": "4", "data.format": "lcaf", "data.train": "maps.lcaf",
+                           "data.test": "maps.lcaf", "ckpt.out": "out.lcac"})
+        argv = ["train", "--config", str(cfg), "--resume", "bad.lcac"]
+    else:
+        argv = [command, "--ckpt", "bad.lcac"] + (["--data", "maps.lcaf"] if command == "eval" else [])
+    capsys.readouterr()
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert err == f"data error: bad.lcac: {table} cls_weight holds NaN or inf\n"
+    assert out == ""
+    assert (workdir / "bad.lcac").read_bytes() == raw
+    assert not (workdir / "metrics.csv").exists() and not (workdir / "out.lcac").exists()
+
+
 def test_inspect_huge_embed_dim_exits_3(workdir, capsys):
     _save_patched("huge.lcac", 4, 24, (2**31 - 1).to_bytes(4, "little"))
     assert main(["inspect", "--ckpt", "huge.lcac"]) == 3

@@ -26,6 +26,7 @@ from lcanet import (
     read_ppm,
     save_checkpoint,
     write_feature_file,
+    write_ppm,
 )
 from lcanet.config import _KEYS
 from lcanet.tensor import ShapeError, Tensor
@@ -104,12 +105,16 @@ def test_lca_forward_random_shapes():
 # ---------------------------------------------------------------------------
 
 
-def parses_or_refuses(load, path, error):
-    """``load(path)`` either succeeds or raises ``error``; anything else fails."""
+def parses_or_refuses(load, path, error, names_file=True):
+    """``load(path)`` either succeeds and returns True, or raises ``error`` and
+    returns False; anything else fails. A file format's refusal must start
+    with ``f"{path}: "`` (config refusals name a line instead)."""
     try:
         load(path)
-    except error:
-        pass
+    except error as exc:
+        assert not names_file or str(exc).startswith(f"{path}: "), exc
+        return False
+    return True
 
 
 def mutations(gen, blob, n):
@@ -129,28 +134,29 @@ LOADERS = {
 
 
 def valid_blob(kind, tmp_path):
-    """The bytes of a small valid checkpoint or LCAF file."""
+    """The bytes of a small valid checkpoint, LCAF or PPM file."""
     path = tmp_path / f"ok.{kind}"
     if kind == "checkpoint":
         model = build_model(Architecture("external_features", (2,), (3, 3), 2, 2), rng=Rng(0))
         vel = {p.name: np.full(p.shape, 0.5, np.float32) for p in model.parameters()}
         save_checkpoint(model, path, velocities=vel, epoch=3, rng_state=Rng(1).state_bytes())
-    else:
+    elif kind == "lcaf":
         write_feature_file(path, np.ones((3, 2, 2, 2), np.float32), [0, 1, 1])
+    else:
+        write_ppm(path, np.arange(18, dtype=np.uint8).reshape(2, 3, 3))
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("kind", ["checkpoint", "lcaf"])
+@pytest.mark.parametrize("kind", ["checkpoint", "lcaf", "ppm"])
 def test_every_truncation_is_refused(tmp_path, kind):
     blob, (load, error) = valid_blob(kind, tmp_path), LOADERS[kind]
     path = tmp_path / "cut"
     for n in range(len(blob)):
         path.write_bytes(blob[:n])
-        with pytest.raises(error):
-            load(path)
+        assert not parses_or_refuses(load, path, error), n
 
 
-@pytest.mark.parametrize("kind", ["checkpoint", "lcaf"])
+@pytest.mark.parametrize("kind", ["checkpoint", "lcaf", "ppm"])
 def test_byte_mutations_raise_only_the_documented_error(tmp_path, kind):
     blob, (load, error) = valid_blob(kind, tmp_path), LOADERS[kind]
     gen = np.random.default_rng(201)
@@ -198,7 +204,7 @@ def test_config_key_values_raise_only_config_error(tmp_path):
                  f"{values[int(gen.integers(0, len(values)))]}"
                  for _ in range(int(gen.integers(1, 4)))]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        parses_or_refuses(load_config, path, ConfigError)
+        parses_or_refuses(load_config, path, ConfigError, names_file=False)
 
 
 def test_config_random_bytes_raise_only_config_error(tmp_path):
@@ -206,4 +212,4 @@ def test_config_random_bytes_raise_only_config_error(tmp_path):
     path = tmp_path / "noise.cfg"
     for _ in range(300):
         path.write_bytes(gen.integers(0, 256, int(gen.integers(0, 64)), dtype=np.uint8).tobytes())
-        parses_or_refuses(load_config, path, ConfigError)
+        parses_or_refuses(load_config, path, ConfigError, names_file=False)

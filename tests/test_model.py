@@ -467,29 +467,75 @@ class TestCorruptFiles:
         with pytest.raises(CheckpointError, match="unknown dtype tag 2"):
             load_checkpoint(path)
 
-    def test_param_missing(self, tmp_path):
-        m = small_model()
-        del m._params["cls_bias"]
-        path = tmp_path / "m.lcac"
-        save_checkpoint(m, path, velocities={}, epoch=3, rng_state=RNG_STATE)
-        with pytest.raises(CheckpointError, match="!= expected"):
+    @staticmethod
+    def named(path, match):
+        """A ``match`` pattern that also requires the refusal to start with the path."""
+        return f"^{re.escape(str(path))}: {match}"
+
+    @staticmethod
+    def cls_bias_entry(raw, at):
+        """(start, end) of the cls_bias table entry whose name starts at ``at``:
+        u16 name length, the 8-byte name, dtype tag, rank 1, one u32 dim, and
+        three f32 values."""
+        assert raw[at - 2 : at + 14] == b"\x08\x00cls_bias\x01\x01\x03\x00\x00\x00"
+        return at - 2, at + 26
+
+    def test_param_missing(self, blob):
+        """save refuses a model without cls_bias, so the file is made by
+        cutting that entry, the parameter table's last, out of a valid one."""
+        path, raw = blob
+        start, end = self.cls_bias_entry(raw, raw.index(b"cls_bias"))
+        assert raw[8:12] == (8).to_bytes(4, "little")
+        path.write_bytes(raw[:8] + (7).to_bytes(4, "little") + raw[12:start] + raw[end:])
+        with pytest.raises(CheckpointError, match=self.named(path, "params .* != expected")):
             load_checkpoint(path)
 
-    def test_velocity_name_patched_to_an_unknown_param(self, tmp_path):
+    @staticmethod
+    def with_cls_bias_velocity(tmp_path):
+        """A small checkpoint whose velocity table holds cls_bias alone, at 0.5."""
         path = tmp_path / "m.lcac"
-        save_checkpoint(small_model(), path, velocities={"cls_bias": np.zeros(3, np.float32)},
+        save_checkpoint(small_model(), path, velocities={"cls_bias": np.full(3, 0.5, np.float32)},
                         epoch=3, rng_state=RNG_STATE)
         raw = path.read_bytes()
-        at = raw.rindex(b"cls_bias")  # the velocity table follows the parameter table
+        return path, raw, raw.rindex(b"cls_bias")  # the velocity table follows the parameters
+
+    def test_velocity_name_patched_to_an_unknown_param(self, tmp_path):
+        path, raw, at = self.with_cls_bias_velocity(tmp_path)
         path.write_bytes(raw[:at] + b"cls_bixs" + raw[at + 8:])
-        with pytest.raises(CheckpointError, match="velocity for unknown param"):
+        with pytest.raises(CheckpointError,
+                           match=self.named(path, "velocity cls_bixs is not in the architecture")):
             load_checkpoint(path)
 
     def test_velocity_of_the_wrong_shape(self, tmp_path):
-        path = tmp_path / "m.lcac"
-        save_checkpoint(small_model(), path, velocities={"cls_bias": np.zeros(4, np.float32)},
-                        epoch=3, rng_state=RNG_STATE)
-        with pytest.raises(CheckpointError, match="velocity cls_bias: shape"):
+        """save refuses a wrong-shape velocity, so the file is made by patching
+        the stored dim 3 -> 4 and adding a fourth value."""
+        path, raw, at = self.with_cls_bias_velocity(tmp_path)
+        _, end = self.cls_bias_entry(raw, at)
+        path.write_bytes(raw[:at + 10] + (4).to_bytes(4, "little") + raw[at + 14 : end]
+                         + bytes(4) + raw[end:])
+        with pytest.raises(CheckpointError, match=self.named(
+                path, re.escape("velocity cls_bias: stored shape (4,) != expected (3,)"))):
+            load_checkpoint(path)
+
+    def test_velocity_stored_twice(self, tmp_path):
+        """A second cls_bias velocity (zeros, after the 0.5 one) is refused,
+        not read as the one that wins."""
+        path, raw, at = self.with_cls_bias_velocity(tmp_path)
+        start, end = self.cls_bias_entry(raw, at)
+        assert raw[start - 4 : start] == (1).to_bytes(4, "little")  # the velocity count
+        zeros = raw[start : at + 14] + bytes(12)
+        path.write_bytes(raw[:start - 4] + (2).to_bytes(4, "little") + raw[start:end] + zeros
+                         + raw[end:])
+        with pytest.raises(CheckpointError,
+                           match=self.named(path, "velocity cls_bias is stored twice")):
+            load_checkpoint(path)
+
+    def test_param_stored_twice(self, blob):
+        path, raw = blob
+        start, end = self.cls_bias_entry(raw, raw.index(b"cls_bias"))
+        path.write_bytes(raw[:8] + (9).to_bytes(4, "little") + raw[12:end] + raw[start:])
+        with pytest.raises(CheckpointError,
+                           match=self.named(path, "param cls_bias is stored twice")):
             load_checkpoint(path)
 
     @staticmethod
@@ -547,6 +593,22 @@ class TestCorruptFiles:
         path = self.patched(tmp_path, 5, offset, (2**31 - 1).to_bytes(4, "little"))
         with pytest.raises(CheckpointError, match="stored shape"):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize("drop,velocities,match", [
+    (None, {"fc_weight": np.zeros(7, np.float32)},
+     r"velocity fc_weight: stored shape \(7,\) != expected \(5, 6\)"),
+    ("cls_bias", {}, "params .* != expected"),
+], ids=["velocity_of_the_wrong_shape", "param_missing"])
+def test_save_refuses_what_load_would_refuse(tmp_path, drop, velocities, match):
+    """save checks the tables by load's rule before it builds a byte, so it
+    leaves neither the file nor its temp file."""
+    m = small_model()
+    m._params.pop(drop, None)
+    path = tmp_path / "m.lcac"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: {match}"):
+        save_checkpoint(m, path, velocities=velocities, epoch=0, rng_state=RNG_STATE)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_rng_state_length_rejected(tmp_path):
