@@ -217,18 +217,28 @@ _LCAF_VERSION = 1
 
 
 def write_feature_file(path, feats: np.ndarray, labels) -> None:
-    """[N,C,H,W] float32 + labels -> little-endian LCAF file."""
+    """[N,C,H,W] float32 + labels -> little-endian LCAF file.
+
+    The file is written under ``<path>.tmp`` and renamed over ``path``, so a
+    dataset that maps the old file keeps reading the old bytes.
+    """
     feats = np.ascontiguousarray(feats, dtype="<f4")
     labels = np.asarray(labels, dtype="<u4")
     if feats.ndim != 4:
         raise DataError(f"features must be [N,C,H,W], got {feats.shape}")
     if labels.shape != (feats.shape[0],):
         raise DataError("labels length does not match feature count")
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(_LCAF_MAGIC)
         fh.write(struct.pack("<5I", _LCAF_VERSION, *feats.shape))
         fh.write(feats.tobytes())
         fh.write(labels.tobytes())
+    try:
+        os.replace(tmp, path)
+    except OSError:  # path is a directory, say: leave no stray temp file
+        os.unlink(tmp)
+        raise
 
 
 def read_feature_header(path) -> tuple:
@@ -253,14 +263,22 @@ def read_feature_header(path) -> tuple:
 
 
 def load_feature_file(path) -> Dataset:
-    """LCAF file -> dataset, read whole once ``read_feature_header`` passes it."""
+    """LCAF file -> dataset, once ``read_feature_header`` passes it.
+
+    The maps are a read-only memory map of the file: a batch reads only the
+    pages it copies out. Only the labels are read into memory. The file must
+    keep its size while the dataset is in use; a read of a truncated map
+    raises SIGBUS.
+    """
     n, c, h, w = read_feature_header(path)
-    count = n * c * h * w
-    words = np.fromfile(path, dtype="<u4", offset=24)  # the maps' f32 bits, then the labels
-    if words.size != count + n:
+    try:
+        maps = np.memmap(path, "<f4", "r", offset=24, shape=(n, c, h, w)).view(np.ndarray)
+    except ValueError:  # numpy's refusal of a map past the end of the file
+        maps = None
+    labels = np.fromfile(path, dtype="<u4", offset=24 + 4 * n * c * h * w)
+    if maps is None or labels.size != n:
         raise DataError(f"{path}: LCAF file changed size while it was read")
-    return Dataset(words[:count].view("<f4").reshape(n, c, h, w).astype(np.float32, copy=False),
-                   words[count:].astype(np.int64))
+    return Dataset(maps, labels.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

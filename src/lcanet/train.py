@@ -80,11 +80,19 @@ def check_split(ds: data_mod.Dataset, num_classes: int, what: str) -> None:
 
 
 def evaluate(model: model_mod.Model, ds: data_mod.Dataset, batch_size: int = 256) -> EvalResult:
+    """Accuracy over ``ds``; a non-finite logit is a ``NumericsError`` naming
+    its sample, not a prediction."""
     k = model.arch.num_classes
     correct = np.zeros(k, dtype=np.int64)
-    with no_grad():
+    start = 0
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for b in batches(ds, batch_size):
-            preds = model.forward(Tensor(b.inputs)).data.argmax(axis=1)
+            logits = model.forward(Tensor(b.inputs)).data
+            bad = ~np.isfinite(logits).all(axis=1)
+            if bad.any():
+                raise NumericsError(f"non-finite logits for sample {start + int(bad.argmax())}")
+            start += len(b)
+            preds = logits.argmax(axis=1)
             correct += np.bincount(b.labels[preds == b.labels], minlength=k)
     total = np.bincount(ds.labels, minlength=k)
     acc = float(correct.sum()) / len(ds) if len(ds) else 0.0
@@ -124,8 +132,8 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
     arch = model_mod.Architecture(cfg.backbone, tuple(cfg.channels), input_size,
                                   cfg.lca_embed_dim if cfg.head == "lca" else None, 2)
 
-    train_ds, test_ds = load_splits(
-        arch, {"training": _data_path(cfg, "train"), "test": _data_path(cfg, "test")})
+    splits = {"training": _data_path(cfg, "train"), "test": _data_path(cfg, "test")}
+    train_ds, test_ds = load_splits(arch, splits)
     if len(train_ds) < 1:
         raise DataError("training split is empty")
     # Image trees number their classes by sorted directory name.
@@ -189,6 +197,12 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
     try:
         last_row = None
         for epoch in range(start_epoch, cfg.epochs):
+            if cfg.backbone == "external_features":
+                # LCAF maps are read from the files as the epoch runs: a file
+                # cut short would end the run with SIGBUS at its next batch.
+                for path, ds in zip(splits.values(), (train_ds, test_ds)):
+                    if data_mod.read_feature_header(path) != ds.inputs.shape:
+                        raise DataError(f"{path}: LCAF header changed since the file was loaded")
             t0 = time.perf_counter()
             optim.lr = cfg.lr * cfg.lr_step_factor if 0 < cfg.lr_step_epoch <= epoch else cfg.lr
 
@@ -219,6 +233,11 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
                 with np.errstate(over="ignore", invalid="ignore"):
                     backward(loss)
                     optim.step()
+                bad = next((p.name for p in optim.params if not np.isfinite(p.data).all()), None)
+                if bad is not None:
+                    raise NumericsError(
+                        f"non-finite parameter {bad} after the update at epoch {epoch}, step {step}"
+                    )
 
             train_acc = 100.0 * hits / seen
             test_acc = 100.0 * evaluate(model, test_ds, cfg.batch_size).accuracy

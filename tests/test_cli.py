@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import lcanet.data
+import lcanet.train
 from lcanet import (Architecture, Rng, build_model, gradcheck, load_checkpoint, save_checkpoint,
                     write_feature_file, write_ppm)
 from lcanet.cli import main
@@ -286,6 +287,74 @@ def test_train_divergence_exits_4(workdir, capsys):
     cfg = write_cfg(workdir, lr="1e30", epochs="2")
     assert main(["train", "--config", str(cfg)]) == 4
     assert "epoch" in capsys.readouterr().err
+
+
+def _maps_cfg(workdir, **overrides):
+    """Two epochs, one step each, on 3x3x3 maps in train.lcaf and test.lcaf."""
+    gen = np.random.default_rng(0)
+    write_feature_file("train.lcaf", gen.standard_normal((4, 3, 3, 3), dtype=np.float32),
+                       [0, 1, 0, 1])
+    write_feature_file("test.lcaf", gen.standard_normal((2, 3, 3, 3), dtype=np.float32), [0, 1])
+    return write_cfg(workdir, **{"backbone": "external_features", "channels": "3", "epochs": "2",
+                                 "lca.embed_dim": "4", "data.format": "lcaf",
+                                 "data.train": "train.lcaf", "data.test": "test.lcaf", **overrides})
+
+
+def test_train_update_to_non_finite_parameters_exits_4_and_writes_no_row(workdir, capsys):
+    """lr = 1e38 overflows fc_weight in the first step; the run stops there,
+    before the epoch is evaluated, logged or saved."""
+    cfg = _maps_cfg(workdir, lr="1e38", epochs="1")
+    write_feature_file("train.lcaf", np.full((4, 3, 3, 3), 100, np.float32), [0, 1, 0, 1])
+    assert main(["train", "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err == ("numerical divergence: non-finite parameter fc_weight "
+                                       "after the update at epoch 0, step 0\n")
+    assert (workdir / "metrics.csv").read_text().splitlines()[1:] == []
+    assert not (workdir / "model.lcac").exists()
+
+
+def test_eval_on_maps_holding_inf_exits_4(workdir, capsys):
+    assert main(["train", "--config", str(_maps_cfg(workdir, epochs="1"))]) == 0
+    maps = np.ones((3, 3, 3, 3), np.float32)
+    maps[1, 2, 0, 1] = np.inf
+    write_feature_file("inf.lcaf", maps, [0, 1, 0])
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", "model.lcac", "--data", "inf.lcaf"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "numerical divergence: non-finite logits for sample 1\n"
+
+
+@pytest.mark.parametrize("change, message", [
+    ("truncate", "train.lcaf: LCAF payload is"),
+    ("rewrite", "train.lcaf: LCAF header changed since the file was loaded"),
+])
+def test_train_split_changed_between_epochs_exits_3(workdir, capsys, monkeypatch, change,
+                                                    message):
+    """The maps are read from the file as training goes, so each epoch first
+    checks the headers; the first epoch's row and checkpoint stay as written."""
+    cfg = _maps_cfg(workdir, **{"ckpt.out": "one.lcac", "log.csv": "one.csv", "epochs": "1"})
+    assert main(["train", "--config", str(cfg)]) == 0
+    cfg = _maps_cfg(workdir)
+    evaluate = lcanet.train.evaluate
+
+    def evaluate_then_change(*args, **kwargs):
+        result = evaluate(*args, **kwargs)
+        if change == "truncate":
+            with open("train.lcaf", "r+b") as fh:
+                fh.truncate(os.fstat(fh.fileno()).st_size - 4)
+        else:
+            write_feature_file("train.lcaf", np.zeros((2, 3, 3, 3), np.float32), [0, 1])
+        return result
+
+    monkeypatch.setattr(lcanet.train, "evaluate", evaluate_then_change)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {message}") and "Traceback" not in err
+    rows = (workdir / "metrics.csv").read_text().splitlines()
+    assert [r.rsplit(",", 1)[0] for r in rows] == [
+        r.rsplit(",", 1)[0] for r in (workdir / "one.csv").read_text().splitlines()]
+    assert len(rows) == 2
+    assert (workdir / "model.lcac").read_bytes() == (workdir / "one.lcac").read_bytes()
 
 
 def test_train_resume_appends_rows(workdir):

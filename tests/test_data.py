@@ -233,6 +233,40 @@ def test_lcaf_roundtrip(tmp_path):
     assert ds.labels.tolist() == labels
 
 
+def test_lcaf_maps_are_a_read_only_map_of_the_file(tmp_path):
+    path = tmp_path / "f.lcaf"
+    write_feature_file(path, np.ones((3, 2, 4, 5), np.float32), [0, 1, 0])
+    ds = load_feature_file(path)
+    assert type(ds.inputs) is np.ndarray and ds.inputs.dtype == np.float32
+    assert not ds.inputs.flags.writeable and not ds.inputs.flags.owndata
+    assert ds.labels.flags.writeable and ds.labels.dtype == np.int64
+
+
+def test_lcaf_rewrite_leaves_a_loaded_dataset_its_bytes(tmp_path):
+    """The writer renames a new file over the old one, so a dataset that
+    maps the old file keeps reading it; a fresh load reads the new one."""
+    gen = np.random.default_rng(0)
+    old, new = gen.standard_normal((2, 6, 2, 3, 3), dtype=np.float32)
+    path = tmp_path / "f.lcaf"
+    write_feature_file(path, old, [0, 1, 0, 1, 0, 1])
+    loaded = load_feature_file(path)
+    write_feature_file(path, new, [1, 0, 1, 0, 1, 0])
+    [batch] = batches(loaded, 6)
+    np.testing.assert_array_equal(batch.inputs, old)
+    assert batch.labels.tolist() == [0, 1, 0, 1, 0, 1]
+    fresh = load_feature_file(path)
+    np.testing.assert_array_equal(fresh.inputs, new)
+    assert fresh.labels.tolist() == [1, 0, 1, 0, 1, 0]
+    assert os.listdir(tmp_path) == ["f.lcaf"]
+
+
+def test_lcaf_write_onto_a_directory_leaves_no_temp_file(tmp_path):
+    (tmp_path / "f.lcaf").mkdir()
+    with pytest.raises(OSError):
+        write_feature_file(tmp_path / "f.lcaf", np.ones((1, 1, 1, 1), np.float32), [0])
+    assert os.listdir(tmp_path) == ["f.lcaf"]
+
+
 def test_lcaf_fixture_matches_head_worked_example(tmp_path):
     """A 1-channel [[1,2],[3,4]] feature file runs the head to 2.5."""
     path = tmp_path / "w.lcaf"
