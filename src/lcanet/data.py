@@ -36,6 +36,7 @@ class Dataset:
     inputs: np.ndarray  # [N, C, H, W] float32
     labels: np.ndarray  # [N] int64
     class_names: list | None = None
+    source: str | None = None  # the file or tree it was read from, for messages
 
     def __post_init__(self):
         if self.inputs.ndim != 4 or self.inputs.dtype != np.float32:
@@ -74,13 +75,34 @@ class AugmentConfig:
 _PPM_HEADER = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)" * 4)
 
 
-def _read_bytes(path) -> bytes:
-    with open(path, "rb", buffering=0) as fh:
-        return fh.readall()
+_FIRST_READ = 1 << 16  # bytes asked of a file whose size nothing hints at
+# Binary mode where the platform has a text mode, and a FIFO reads as empty
+# instead of waiting for a writer.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK", 0)
+
+
+def _read_bytes(path, size: int = _FIRST_READ) -> bytes:
+    """The whole file at ``path``, from one ``os.read`` when the file is
+    shorter than ``size`` bytes: a short read of a regular file is its end,
+    so only a full read is followed by another, up to twice the size. An
+    error names ``path``, as ``open`` does; ``os.read`` on a directory would
+    not."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        blob = os.read(fd, size)
+        while len(blob) == size:
+            size *= 2
+            blob += os.read(fd, size - len(blob))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return blob
 
 
 def _decode_ppm(blob: bytes, path) -> tuple:
-    """Binary PPM bytes -> ([H, W, 3] uint8 view of ``blob``, maxval).
+    """Binary PPM bytes -> ([H, W, 3] uint8 view of ``blob``, maxval, offset
+    of the payload).
 
     Refuses, in this order: a header without a first token, a first token
     that is not ``P6``, a width, height or maxval that is missing or not an
@@ -108,7 +130,7 @@ def _decode_ppm(blob: bytes, path) -> tuple:
     arr = np.ndarray((h, w, 3), np.uint8, blob, pos)
     if maxval < 255 and arr.max() > maxval:
         raise DataError(f"{path}: PPM sample exceeds maxval {maxval}")
-    return arr, maxval
+    return arr, maxval, pos
 
 
 def read_ppm(path) -> np.ndarray:
@@ -117,7 +139,7 @@ def read_ppm(path) -> np.ndarray:
     The file is read once; ``_decode_ppm`` lists what it refuses, each as a
     ``DataError`` naming the file.
     """
-    arr, maxval = _decode_ppm(_read_bytes(path), path)
+    arr, maxval, _ = _decode_ppm(_read_bytes(path), path)
     return arr.astype(np.float32) / maxval
 
 
@@ -157,27 +179,32 @@ def _resize_bilinear(img: np.ndarray, th: int, tw: int) -> np.ndarray:
 def load_image_dir(root, size=(16, 16)) -> Dataset:
     """``root/<class_name>/*.ppm`` -> image dataset; classes in sorted name order.
 
-    Every path is listed first, then each file is read once. An image of the
-    target size is decoded into one uint8 array, and the whole array is
-    divided by the per-image maxvals at once, in float32, which gives
-    ``read_ppm``'s bytes. An image of another size goes through
-    ``read_ppm``'s conversion and ``_resize_bilinear``. A target size numpy
-    refuses to allocate is a ``DataError`` naming it.
+    Every path is listed first, then each file is read once, with one
+    ``os.read`` sized one byte past the previous file. An image of the target
+    size is decoded into one uint8 array, and the whole array is divided by
+    the per-image maxvals at once, in float32, which gives ``read_ppm``'s
+    bytes. A file that starts with the header bytes of the last file decoded
+    at the target size with maxval 255, and holds the payload, would decode
+    to the same extent and maxval: its payload is copied without parsing the
+    header again. Every other file goes through ``_decode_ppm``, so the first
+    bad file in sorted order is the one refused. An image of another size
+    goes through ``read_ppm``'s conversion and ``_resize_bilinear``. A target
+    size numpy refuses to allocate is a ``DataError`` naming it.
     """
     if not os.path.isdir(root):
         raise DataError(f"dataset root {root} is not a directory")
-    class_names = sorted(
-        d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d))
-    )
+    with os.scandir(root) as entries:
+        class_names = sorted(e.name for e in entries if e.is_dir())
     if not class_names:
         raise DataError(f"dataset root {root} has no class subdirectories")
     paths, labels = [], []
     for idx, name in enumerate(class_names):
         cdir = os.path.join(root, name)
-        files = sorted(f for f in os.listdir(cdir) if f.endswith(".ppm"))
+        with os.scandir(cdir) as entries:
+            files = sorted(e.path for e in entries if e.name.endswith(".ppm"))
         if not files:
             raise DataError(f"class directory {cdir} contains no .ppm files")
-        paths += [os.path.join(cdir, f) for f in files]
+        paths += files
         labels += [idx] * len(files)
 
     th, tw = size
@@ -189,11 +216,23 @@ def load_image_dir(root, size=(16, 16)) -> Dataset:
         raise refused from None
     maxvals = np.zeros(len(paths), np.float32)  # stays 0 for a resized image
     resized = 0
+    need = 3 * th * tw
+    pixels = memoryview(raw).cast("B")
+    head = None  # header bytes of the last target-size file with maxval 255
+    hint = _FIRST_READ
     for i, path in enumerate(paths):
-        arr, maxval = _decode_ppm(_read_bytes(path), path)
+        blob = _read_bytes(path, hint)
+        hint = len(blob) + 1  # a tree's files tend to share a size
+        if head and blob.startswith(head) and len(blob) - len(head) >= need:
+            pixels[i * need : (i + 1) * need] = blob[len(head) : len(head) + need]
+            maxvals[i] = 255
+            continue
+        arr, maxval, pos = _decode_ppm(blob, path)
         if arr.shape[:2] == (th, tw):
             raw[i] = arr
             maxvals[i] = maxval
+            if maxval == 255:
+                head = blob[:pos]
             continue
         try:
             img = _resize_bilinear(arr.astype(np.float32) / maxval, th, tw)
@@ -202,10 +241,11 @@ def load_image_dir(root, size=(16, 16)) -> Dataset:
         inputs[i] = img.transpose(2, 0, 1)
         resized += 1
     decoded = (maxvals > 0)[:, None, None, None] if resized else True
-    np.divide(raw.transpose(0, 3, 1, 2), maxvals[:, None, None, None], out=inputs,
-              where=decoded)
+    # Transposed as bytes first: a strided float division is slower.
+    np.divide(np.ascontiguousarray(raw.transpose(0, 3, 1, 2)), maxvals[:, None, None, None],
+              out=inputs, where=decoded)
     return Dataset(inputs=inputs, labels=np.array(labels, dtype=np.int64),
-                   class_names=class_names)
+                   class_names=class_names, source=str(root))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +318,7 @@ def load_feature_file(path) -> Dataset:
     labels = np.fromfile(path, dtype="<u4", offset=24 + 4 * n * c * h * w)
     if maps is None or labels.size != n:
         raise DataError(f"{path}: LCAF file changed size while it was read")
-    return Dataset(maps, labels.astype(np.int64))
+    return Dataset(maps, labels.astype(np.int64), source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +486,21 @@ def augment(batch: Dataset, cfg: AugmentConfig, rng: Rng) -> Dataset:
 
 
 def batches(dataset: Dataset, batch_size: int, rng: Rng | None = None):
-    """One epoch of batches, each a Dataset; seeded shuffle when an rng is given."""
+    """One epoch of batches, each a Dataset; seeded shuffle when an rng is given.
+
+    Each batch is checked as it is copied out: one holding NaN or inf is a
+    ``DataError`` naming the dataset's source and the lowest such sample's
+    index in it. Mapped LCAF maps are never checked whole, so each page is
+    read only by the batch that uses it.
+    """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     n = len(dataset)
     order = np.array(rng.permutation(n), dtype=np.int64) if rng else np.arange(n)
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
-        yield Dataset(dataset.inputs[idx], dataset.labels[idx])
+        inputs = dataset.inputs[idx]
+        if not np.isfinite(inputs).all():
+            bad = idx[~np.isfinite(inputs).reshape(len(idx), -1).all(axis=1)].min()
+            raise DataError(f"{dataset.source or 'dataset'}: sample {bad} holds NaN or inf")
+        yield Dataset(inputs, dataset.labels[idx])

@@ -312,15 +312,42 @@ def test_train_update_to_non_finite_parameters_exits_4_and_writes_no_row(workdir
     assert not (workdir / "model.lcac").exists()
 
 
-def test_eval_on_maps_holding_inf_exits_4(workdir, capsys):
+def test_eval_on_maps_whose_logits_overflow_exits_4(workdir, capsys):
+    """Finite maps of 1e38 overflow in the head; no argmax is taken."""
     assert main(["train", "--config", str(_maps_cfg(workdir, epochs="1"))]) == 0
     maps = np.ones((3, 3, 3, 3), np.float32)
-    maps[1, 2, 0, 1] = np.inf
-    write_feature_file("inf.lcaf", maps, [0, 1, 0])
+    maps[1] = 1e38
+    write_feature_file("big.lcaf", maps, [0, 1, 0])
     capsys.readouterr()
-    assert main(["eval", "--ckpt", "model.lcac", "--data", "inf.lcaf"]) == 4
+    assert main(["eval", "--ckpt", "model.lcac", "--data", "big.lcaf"]) == 4
     out, err = capsys.readouterr()
     assert out == "" and err == "numerical divergence: non-finite logits for sample 1\n"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("split, command", [("train", "train"), ("test", "train"),
+                                            ("test", "eval")])
+def test_map_value_nan_or_inf_exits_3_and_writes_no_row(workdir, capsys, split, command, value):
+    """One bad cell in sample 2 of either split is refused as data, before
+    the step that would train on it or the evaluation that would score it.
+    relu would map a NaN to 0, and a NaN in training would be blamed on a
+    weight."""
+    cfg = _maps_cfg(workdir, epochs="1")
+    maps = np.random.default_rng(1).standard_normal((4, 3, 3, 3), dtype=np.float32)
+    maps[2, 1, 2, 0] = value
+    if command == "eval":
+        assert main(["train", "--config", str(cfg)]) == 0
+    write_feature_file(f"{split}.lcaf", maps, [0, 1, 0, 1])
+    capsys.readouterr()
+    if command == "eval":
+        assert main(["eval", "--ckpt", "model.lcac", "--data", "test.lcaf"]) == 3
+    else:
+        assert main(["train", "--config", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"data error: {split}.lcaf: sample 2 holds NaN or inf\n"
+    if command == "train":
+        assert (workdir / "metrics.csv").read_text().splitlines()[1:] == []
+        assert not (workdir / "model.lcac").exists()
 
 
 @pytest.mark.parametrize("change, message", [
@@ -517,6 +544,27 @@ def test_ppm_sample_above_maxval_exits_3_and_writes_nothing(workdir, capsys, com
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.err == f"data error: {bad}: PPM sample exceeds maxval 15\n"
+    assert captured.out == "" and sorted(os.listdir(workdir)) == before
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_ppm_path_that_is_a_directory_exits_3_and_writes_nothing(workdir, capsys, command):
+    """A directory named x.ppm is listed with the images; the refusal names it."""
+    make_data(workdir)
+    bad = os.path.join("data", "train", "class_01", "x.ppm")
+    os.mkdir(bad)
+    if command == "train":
+        argv = ["train", "--config", str(write_cfg(workdir))]
+    else:
+        model = build_model(Architecture("tiny_cnn", (4, 8), (16, 16), None, 2), rng=Rng(0))
+        save_checkpoint(model, "model.lcac", velocities={}, epoch=1,
+                        rng_state=Rng(0).state_bytes())
+        argv = ["eval", "--ckpt", "model.lcac", "--data", "data/train"]
+    before = sorted(os.listdir(workdir))
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: [Errno 21] Is a directory: '{bad}'\n"
     assert captured.out == "" and sorted(os.listdir(workdir)) == before
 
 

@@ -87,6 +87,14 @@ def test_ppm_malformed_inputs(tmp_path, blob):
         read_ppm(path)
 
 
+@pytest.mark.parametrize("length", [0, 7, 8, 9, 16, 17, 100])
+def test_read_bytes_returns_the_whole_file_whatever_the_first_read(tmp_path, length):
+    """A read of 8 bytes that comes back full is followed by more."""
+    path = tmp_path / "f.ppm"
+    path.write_bytes(bytes(range(length)))
+    assert D._read_bytes(path, 8) == bytes(range(length))
+
+
 def test_write_ppm_clips_and_quantizes(tmp_path):
     path = tmp_path / "q.ppm"
     write_ppm(path, np.array([[[1.5, -0.25, 0.5]]], dtype=np.float32))
@@ -199,6 +207,88 @@ def test_load_image_dir_names_the_malformed_file_in_the_middle(tmp_path):
         load_image_dir(tmp_path)
     with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: PPM sample exceeds maxval 15$"):
         read_ppm(bad)
+
+
+def _ppm(rng, h, w, maxval=255, header=b"P6\n%d %d\n%d\n", tail=b""):
+    pixels = rng.uniform_array((h, w, 3), 0, maxval + 1, dtype=np.float64).astype(np.uint8)
+    return header % (w, h, maxval) + pixels.tobytes() + tail
+
+
+def _shared_header_tree(root):
+    """``_mixed_tree`` and, sorted first, a class whose files share headers:
+    160x160 images larger than the first read, first and after small ones;
+    maxval-255 images with one plain header, one with bytes after its
+    payload; two maxval-15 images between them; and two with a comment in
+    the header."""
+    _mixed_tree(root)
+    rng = Rng(9)
+    comment = b"P6 # shelf\n%d %d\n%d\n"
+    blobs = [_ppm(rng, 160, 160), _ppm(rng, 160, 160), _ppm(rng, 16, 16),
+             _ppm(rng, 16, 16, tail=b"\n# after"), _ppm(rng, 16, 16, 15), _ppm(rng, 16, 16, 15),
+             _ppm(rng, 16, 16), _ppm(rng, 16, 16, header=comment),
+             _ppm(rng, 16, 16, header=comment), _ppm(rng, 160, 160), _ppm(rng, 5, 7),
+             _ppm(rng, 16, 16)]
+    assert len(blobs[0]) > 1 << 16
+    (root / "aardvark").mkdir()
+    for i, blob in enumerate(blobs):
+        (root / "aardvark" / f"img_{i:02d}.ppm").write_bytes(blob)
+
+
+@pytest.mark.parametrize("size", [(16, 16), (5, 7), (160, 160)])
+def test_load_image_dir_shared_headers_equal_the_per_file_loop(tmp_path, size):
+    _shared_header_tree(tmp_path)
+    inputs, labels, class_names = _per_file_loader(tmp_path, size)
+    ds = load_image_dir(tmp_path, size)
+    assert ds.inputs.shape == inputs.shape and ds.inputs.tobytes() == inputs.tobytes()
+    assert ds.labels.tolist() == labels and ds.class_names == class_names
+
+
+def test_load_image_dir_parses_a_shared_header_once(tmp_path, monkeypatch):
+    rng = Rng(10)
+    for cls in ("a", "b"):
+        (tmp_path / cls).mkdir()
+        for i in range(3):
+            (tmp_path / cls / f"img_{i}.ppm").write_bytes(_ppm(rng, 16, 16))
+    parsed, decode = [], D._decode_ppm
+    monkeypatch.setattr(D, "_decode_ppm", lambda blob, p: parsed.append(p) or decode(blob, p))
+    ds = load_image_dir(tmp_path)
+    assert parsed == [str(tmp_path / "a" / "img_0.ppm")]
+    assert ds.inputs.tobytes() == _per_file_loader(tmp_path, (16, 16))[0].tobytes()
+
+
+_SHORT = ("aardvark/img_03.ppm", b"P6\n16 16\n255\n" + bytes(767),
+          "PPM payload is 767 bytes, need 768")
+_ABOVE = ("beta/img_1.ppm", b"P6\n1 1\n15\n" + bytes([200, 0, 15]),
+          "PPM sample exceeds maxval 15")
+_SHORT_LATER = ("gamma/img_2.ppm", b"P6\r16\t16 # w h\r\n255\n" + bytes(100),
+                "PPM payload is 100 bytes, need 768")
+
+
+@pytest.mark.parametrize("bad", [[_SHORT], [_SHORT, _ABOVE], [_ABOVE, _SHORT_LATER],
+                                 [_SHORT_LATER]], ids=["short", "short-then-above",
+                                                       "above-then-short", "short-later"])
+def test_load_image_dir_names_the_first_bad_file(tmp_path, bad):
+    """A payload one byte short under its predecessor's exact header is
+    refused as ``read_ppm`` refuses it, and of several bad files the first
+    in sorted order is named."""
+    _shared_header_tree(tmp_path)
+    for name, blob, _ in bad:
+        (tmp_path / name).write_bytes(blob)
+    first = tmp_path / bad[0][0]
+    message = f"^{re.escape(str(first))}: {bad[0][2]}$"
+    with pytest.raises(DataError, match=message):
+        load_image_dir(tmp_path)
+    with pytest.raises(DataError, match=message):
+        read_ppm(first)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_load_image_dir_refuses_a_fifo_without_waiting_for_a_writer(tmp_path):
+    _mixed_tree(tmp_path)
+    fifo = tmp_path / "alpha" / "img_9.ppm"
+    os.mkfifo(fifo)
+    with pytest.raises(DataError, match=f"^{re.escape(str(fifo))}: truncated PPM header$"):
+        load_image_dir(tmp_path)
 
 
 def test_load_image_dir_missing_root(tmp_path):
@@ -639,6 +729,20 @@ def test_epoch_covers_label_multiset():
     ds = small_dataset(10)
     seen = np.concatenate([b.labels for b in batches(ds, 3, rng=Rng(0))])
     assert sorted(seen.tolist()) == sorted(ds.labels.tolist())
+
+
+@pytest.mark.parametrize("rng", [None, Rng(3)], ids=["in-order", "shuffled"])
+def test_batch_holding_nan_or_inf_names_its_lowest_sample(rng):
+    """Samples 7 and 8 are bad; whichever batch holds one is refused, and
+    the message names that batch's lowest bad sample in the dataset."""
+    ds = small_dataset(10)
+    ds.inputs[8, 2, 1, 0] = np.nan
+    ds.inputs[7, 0, 0, 1] = -np.inf
+    with pytest.raises(DataError, match=r"^dataset: sample 7 holds NaN or inf$"):
+        next(batches(ds, 10, rng))
+    ds.source = "maps.lcaf"
+    with pytest.raises(DataError, match=r"^maps\.lcaf: sample [78] holds"):
+        list(batches(ds, 4, rng))
 
 
 def test_unshuffled_order_is_dataset_order():

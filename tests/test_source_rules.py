@@ -5,7 +5,7 @@ numpy is the only runtime dependency, and the tape's private plumbing
 only by ``lcanet.tensor``, where every adjoint is defined. A ``Model`` is
 built one way, by ``build_model`` or ``load_checkpoint``; an ``Architecture``
 is made from a config, a checkpoint or the gradient suite's end-to-end check;
-and one function parses an LCAF header.
+one function parses an LCAF header; and one function reads a PPM file.
 """
 
 import ast
@@ -75,3 +75,13 @@ def test_an_architecture_comes_from_a_config_a_checkpoint_or_gradcheck():
 def test_one_function_unpacks_an_lcaf_header():
     unpackers = {fn for mod, fn in _callers("unpack", "unpack_from") if mod == "data.py"}
     assert unpackers == {"read_feature_header"}
+
+
+def test_one_function_reads_a_ppm_file():
+    """``_read_bytes`` is the one place ``data.py`` opens a file to read a
+    PPM, and both functions that decode one read through it."""
+    readers = {("data.py", "read_ppm"), ("data.py", "load_image_dir")}
+    assert _callers("_decode_ppm") == readers
+    assert _callers("_read_bytes") == readers
+    openers = {fn for mod, fn in _callers("open") if mod == "data.py"}
+    assert openers == {"_read_bytes", "write_ppm", "write_feature_file", "read_feature_header"}
