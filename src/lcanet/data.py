@@ -76,6 +76,7 @@ _PPM_HEADER = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)" * 4)
 
 
 _FIRST_READ = 1 << 16  # bytes asked of a file whose size nothing hints at
+_MAX_READ = 1 << 24  # well under the 2 GiB that one read(2) returns at most
 # Binary mode where the platform has a text mode, and a FIFO reads as empty
 # instead of waiting for a writer.
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK", 0)
@@ -83,16 +84,20 @@ _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK
 
 def _read_bytes(path, size: int = _FIRST_READ) -> bytes:
     """The whole file at ``path``, from one ``os.read`` when the file is
-    shorter than ``size`` bytes: a short read of a regular file is its end,
-    so only a full read is followed by another, up to twice the size. An
-    error names ``path``, as ``open`` does; ``os.read`` on a directory would
-    not."""
+    shorter than ``size`` bytes (at most ``_MAX_READ``): a short read of a
+    regular file is its end. Only a full read is followed by more, up to an
+    empty read. An error names ``path``, as ``open`` does; ``os.read`` on a
+    directory would not."""
     fd = os.open(path, _READ_FLAGS)
     try:
+        size = min(size, _MAX_READ)
         blob = os.read(fd, size)
-        while len(blob) == size:
-            size *= 2
-            blob += os.read(fd, size - len(blob))
+        if len(blob) == size:
+            parts = [blob]
+            while part := os.read(fd, size):
+                parts.append(part)
+                size = min(2 * size, _MAX_READ)
+            blob = b"".join(parts)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     finally:

@@ -88,11 +88,18 @@ def test_ppm_malformed_inputs(tmp_path, blob):
 
 
 @pytest.mark.parametrize("length", [0, 7, 8, 9, 16, 17, 100])
-def test_read_bytes_returns_the_whole_file_whatever_the_first_read(tmp_path, length):
-    """A read of 8 bytes that comes back full is followed by more."""
+@pytest.mark.parametrize("size, most", [(8, 1 << 24), (100, 8)], ids=["first-8", "at-most-8"])
+def test_read_bytes_returns_the_whole_file_whatever_the_first_read(tmp_path, monkeypatch,
+                                                                   length, size, most):
+    """A full read is followed by more, and no read asks for more than
+    ``_MAX_READ`` bytes (a read(2) of 2 GiB or more returns less)."""
     path = tmp_path / "f.ppm"
     path.write_bytes(bytes(range(length)))
-    assert D._read_bytes(path, 8) == bytes(range(length))
+    asked, read = [], os.read
+    monkeypatch.setattr(D, "_MAX_READ", most)
+    monkeypatch.setattr(os, "read", lambda fd, n: asked.append(n) or read(fd, n))
+    assert D._read_bytes(path, size) == bytes(range(length))
+    assert max(asked) <= most
 
 
 def test_write_ppm_clips_and_quantizes(tmp_path):
