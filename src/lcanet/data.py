@@ -15,9 +15,11 @@ back is bit-identical to the in-memory one.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
 import struct
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,7 @@ class DataError(ValueError):
 
 @dataclass
 class Dataset:
-    inputs: np.ndarray  # [N, C, H, W] float32
+    inputs: np.ndarray | FeatureMaps  # [N, C, H, W] float32; FeatureMaps reads an LCAF file
     labels: np.ndarray  # [N] int64
     class_names: list | None = None
     source: str | None = None  # the file or tree it was read from, for messages
@@ -259,39 +261,50 @@ def load_image_dir(root, size=(16, 16)) -> Dataset:
 
 _LCAF_MAGIC = b"LCAF"
 _LCAF_VERSION = 1
+_WRITE_CHUNK = 1 << 24  # bytes of maps converted to <f4 and written at a time
 
 
 def write_feature_file(path, feats: np.ndarray, labels) -> None:
     """[N,C,H,W] float32 + labels -> little-endian LCAF file.
 
-    The file is written under ``<path>.tmp`` and renamed over ``path``, so a
-    dataset that maps the old file keeps reading the old bytes.
+    The maps are written from ``feats``' own buffer, converted to ``<f4`` a
+    chunk of whole maps (at most 16 MiB) at a time, so no copy of the whole
+    payload is made. The file is written under ``<path>.tmp`` and renamed
+    over ``path``, so a dataset loaded from the old file keeps reading the
+    old bytes; a failure before the rename removes the temp file.
     """
-    feats = np.ascontiguousarray(feats, dtype="<f4")
-    labels = np.asarray(labels, dtype="<u4")
+    feats = np.asarray(feats)
     if feats.ndim != 4:
         raise DataError(f"features must be [N,C,H,W], got {feats.shape}")
-    if labels.shape != (feats.shape[0],):
+    n = feats.shape[0]
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
         raise DataError("labels length does not match feature count")
+    kind = labels.dtype.kind
+    whole = kind in "iu" or (kind == "f" and (labels == np.trunc(labels)).all())
+    if not (whole and ((labels >= 0) & (labels < 2**32)).all()):
+        raise DataError(f"{path}: labels must be integers in [0, 2**32)")
+    per_chunk = max(1, _WRITE_CHUNK // max(1, 4 * math.prod(feats.shape[1:])))
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_LCAF_MAGIC)
-        fh.write(struct.pack("<5I", _LCAF_VERSION, *feats.shape))
-        fh.write(feats.tobytes())
-        fh.write(labels.tobytes())
+    fh = open(tmp, "wb")
     try:
+        with fh:
+            fh.write(_LCAF_MAGIC)
+            fh.write(struct.pack("<5I", _LCAF_VERSION, *feats.shape))
+            for start in range(0, n, per_chunk):
+                fh.write(np.ascontiguousarray(feats[start : start + per_chunk], dtype="<f4"))
+            fh.write(labels.astype("<u4"))
         os.replace(tmp, path)
-    except OSError:  # path is a directory, say: leave no stray temp file
+    except BaseException:  # a full disk, or path is a directory: leave no stray temp file
         os.unlink(tmp)
         raise
 
 
-def read_feature_header(path) -> tuple:
-    """(N, C, H, W) from an LCAF file's header; reads no payload. A bad magic,
-    version or size, or a zero C, H or W, is a ``DataError`` naming the file."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(24)
+def _read_header(fh, path) -> tuple:
+    """(N, C, H, W) from the header of the LCAF file open as ``fh``, checked
+    against the file's size."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(24)
     if head[:4] != _LCAF_MAGIC:
         raise DataError(f"{path}: bad magic, not an LCAF feature file")
     if len(head) < 24:
@@ -307,23 +320,95 @@ def read_feature_header(path) -> tuple:
     return n, c, h, w
 
 
-def load_feature_file(path) -> Dataset:
-    """LCAF file -> dataset, once ``read_feature_header`` passes it.
+def read_feature_header(path) -> tuple:
+    """(N, C, H, W) from an LCAF file's header; reads no payload. A bad magic,
+    version or size, or a zero C, H or W, is a ``DataError`` naming the file."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
 
-    The maps are a read-only memory map of the file: a batch reads only the
-    pages it copies out. Only the labels are read into memory. The file must
-    keep its size while the dataset is in use; a read of a truncated map
-    raises SIGBUS.
+
+def _read_at(fh, offset: int, out: np.ndarray, path) -> None:
+    """Fill ``out`` from ``fh`` at byte ``offset``: one request, repeated
+    from where it stopped until ``out`` is full. End of file first is a
+    ``DataError`` naming ``path``."""
+    view = memoryview(out).cast("B")
+    fh.seek(offset)
+    while view:
+        got = fh.readinto(view)
+        if not got:
+            raise DataError(f"{path}: LCAF file ends at byte {os.fstat(fh.fileno()).st_size}, "
+                            "short of what its header gives; it was cut short while in use")
+        view = view[got:]
+
+
+class FeatureMaps:
+    """The [N, C, H, W] float32 maps of an open LCAF file, read on demand.
+
+    Indexing the first axis by an int, a slice or a 1-D int array reads the
+    chosen maps into a fresh array, one positioned read per run of
+    consecutive indices; ``maps[:]`` reads them all. Nothing else reads the
+    file, so memory stays bounded by what one index asks for. The file is
+    closed when the object is collected.
     """
-    n, c, h, w = read_feature_header(path)
+
+    ndim = 4
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, fh, shape: tuple, path):
+        self._fh, self.shape, self.path = fh, shape, path
+        self._map_bytes = 4 * math.prod(shape[1:])
+        weakref.finalize(self, fh.close)
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __iter__(self):  # else numpy would read the file map by map as a sequence
+        raise TypeError("LCAF maps are read by index; maps[:] reads them all")
+
+    def __getitem__(self, key):
+        n = len(self)
+        if isinstance(key, slice):
+            rows = range(*key.indices(n))
+        elif isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu":
+            # A batch holds a few indices: plain ints beat numpy calls here.
+            rows = [i + n if i < 0 else i for i in key.tolist()]
+            if rows and not 0 <= min(rows) <= max(rows) < n:
+                raise IndexError(f"index out of range for {n} LCAF maps")
+        elif isinstance(key, np.ndarray):
+            raise IndexError(f"LCAF maps take a 1-D int index array, got {key.dtype} "
+                             f"of shape {key.shape}")
+        else:
+            return self[np.array([operator.index(key)])][0]
+        out = np.empty((len(rows),) + self.shape[1:], "<f4")
+        lo = 0
+        for hi in range(1, len(rows) + 1):  # one read per run of consecutive rows
+            if hi == len(rows) or rows[hi] != rows[hi - 1] + 1:
+                _read_at(self._fh, 24 + rows[lo] * self._map_bytes, out[lo:hi], self.path)
+                lo = hi
+        return out.astype(np.float32, copy=False)
+
+
+def load_feature_file(path) -> Dataset:
+    """LCAF file -> dataset, once its header passes ``read_feature_header``'s
+    checks.
+
+    The file is opened once, unbuffered, and stays open: only the labels are
+    read now, and ``inputs`` is a ``FeatureMaps`` that reads each batch's
+    maps from it with positioned reads. Memory stays bounded by one batch,
+    and the dataset keeps reading the file it opened even after another is
+    renamed over ``path``. A file cut short while in use is a ``DataError``
+    naming it at the next read.
+    """
+    fh = open(path, "rb", buffering=0)
     try:
-        maps = np.memmap(path, "<f4", "r", offset=24, shape=(n, c, h, w)).view(np.ndarray)
-    except ValueError:  # numpy's refusal of a map past the end of the file
-        maps = None
-    labels = np.fromfile(path, dtype="<u4", offset=24 + 4 * n * c * h * w)
-    if maps is None or labels.size != n:
-        raise DataError(f"{path}: LCAF file changed size while it was read")
-    return Dataset(maps, labels.astype(np.int64), source=str(path))
+        n, c, h, w = _read_header(fh, path)
+        labels = np.empty(n, "<u4")
+        _read_at(fh, 24 + 4 * n * c * h * w, labels, path)
+    except BaseException:
+        fh.close()
+        raise
+    return Dataset(FeatureMaps(fh, (n, c, h, w), path), labels.astype(np.int64),
+                   source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +580,8 @@ def batches(dataset: Dataset, batch_size: int, rng: Rng | None = None):
 
     Each batch is checked as it is copied out: one holding NaN or inf is a
     ``DataError`` naming the dataset's source and the lowest such sample's
-    index in it. Mapped LCAF maps are never checked whole, so each page is
-    read only by the batch that uses it.
+    index in it. LCAF maps are never checked whole, so each map is read
+    only by the batch that uses it.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")

@@ -294,13 +294,14 @@ def save_checkpoint(model: Model, path, *, velocities: dict, epoch: int,
 
     blob = b"".join(out)
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
+    fh = open(tmp, "wb")
     try:
+        with fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except OSError:  # path is a directory, say: leave no stray temp file
+    except BaseException:  # a full disk, or path is a directory: leave no stray temp file
         os.unlink(tmp)
         raise
 

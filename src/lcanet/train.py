@@ -186,11 +186,12 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
 
     kept = _rows_before(cfg.log_csv, start_epoch) if loaded else []
     tmp = f"{cfg.log_csv}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n" + "".join(kept))
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
     try:
+        with fh:
+            fh.write(CSV_HEADER + "\n" + "".join(kept))
         os.replace(tmp, cfg.log_csv)
-    except OSError:  # log.csv is a directory, say: leave no stray temp file
+    except BaseException:  # a full disk, or log.csv is a directory: leave no stray temp file
         os.unlink(tmp)
         raise
     csv = open(cfg.log_csv, "a", encoding="utf-8", newline="\n")
@@ -199,7 +200,8 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
         for epoch in range(start_epoch, cfg.epochs):
             if cfg.backbone == "external_features":
                 # LCAF maps are read from the files as the epoch runs: a file
-                # cut short would end the run with SIGBUS at its next batch.
+                # changed since loading is refused here, and one cut short
+                # mid-epoch at its next batch.
                 for path, ds in zip(splits.values(), (train_ds, test_ds)):
                     if data_mod.read_feature_header(path) != ds.inputs.shape:
                         raise DataError(f"{path}: LCAF header changed since the file was loaded")

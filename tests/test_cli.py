@@ -5,6 +5,7 @@ codes and stdout formats are part of the tool's contract (0 ok,
 1 verification failure, 2 config, 3 I/O or data, 4 numerical divergence).
 """
 
+import errno
 import os
 import re
 import shutil
@@ -382,6 +383,51 @@ def test_train_split_changed_between_epochs_exits_3(workdir, capsys, monkeypatch
         r.rsplit(",", 1)[0] for r in (workdir / "one.csv").read_text().splitlines()]
     assert len(rows) == 2
     assert (workdir / "model.lcac").read_bytes() == (workdir / "one.lcac").read_bytes()
+
+
+def test_train_split_cut_short_mid_epoch_exits_3_naming_it(workdir, capsys, monkeypatch):
+    """Training reads each batch's maps as it goes: a file cut short after
+    its first batch stops the run at the next one, with no row written."""
+    cfg = _maps_cfg(workdir, batch_size="2", epochs="1")
+    augment = lcanet.train.augment
+
+    def augment_then_truncate(batch, *args):
+        os.truncate("train.lcaf", 24 + batch.inputs[0].nbytes)
+        return augment(batch, *args)
+
+    monkeypatch.setattr(lcanet.train, "augment", augment_then_truncate)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: train.lcaf: LCAF file ends at byte 132, short of")
+    assert (workdir / "metrics.csv").read_text() == lcanet.train.CSV_HEADER + "\n"
+    assert not (workdir / "model.lcac").exists()
+
+
+def test_train_csv_write_failure_leaves_no_temp_file(workdir, monkeypatch):
+    cfg = _maps_cfg(workdir)
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def opener(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return FullDisk(fh) if mode == "w" else fh
+
+    monkeypatch.setattr(lcanet.train, "open", opener, raising=False)
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert sorted(os.listdir(workdir)) == ["run.cfg", "test.lcaf", "train.lcaf"]
 
 
 def test_train_resume_appends_rows(workdir):
@@ -818,7 +864,7 @@ def test_train_test_split_of_another_extent_exits_3(workdir, capsys):
         "eval_on_maps_of_another_extent"])
 def test_refusal_from_lcaf_headers_reads_no_payload(workdir, capsys, monkeypatch, train, test,
                                                     channels, command, code, message):
-    """Each of these is settled from the LCAF headers alone: ``np.fromfile``,
+    """Each of these is settled from the LCAF headers alone: ``_read_at``,
     the payload read, never runs before the refusal, not even for the other
     split's file when that one is well formed."""
     write_feature_file("maps.lcaf", np.zeros((4, 8, 5, 5), np.float32), [0, 1, 0, 1])
@@ -834,8 +880,8 @@ def test_refusal_from_lcaf_headers_reads_no_payload(workdir, capsys, monkeypatch
         argv = ["eval", "--ckpt", "model.lcac", "--data", "big.lcaf"]
     capsys.readouterr()
     reads = []
-    fromfile = np.fromfile
-    monkeypatch.setattr(np, "fromfile", lambda *a, **k: reads.append(a) or fromfile(*a, **k))
+    read_at = lcanet.data._read_at
+    monkeypatch.setattr(lcanet.data, "_read_at", lambda *a: reads.append(a) or read_at(*a))
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert out == "" and message in err

@@ -1,9 +1,11 @@
 """Data ingestion: PPM files, LCAF feature files, the synthetic glyph
 dataset, augmentation, and epoch batching."""
 
+import errno
 import itertools
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -326,17 +328,102 @@ def test_lcaf_roundtrip(tmp_path):
     path = tmp_path / "f.lcaf"
     write_feature_file(path, feats, labels)
     ds = load_feature_file(path)
-    np.testing.assert_array_equal(ds.inputs, feats)
+    np.testing.assert_array_equal(ds.inputs[:], feats)
     assert ds.labels.tolist() == labels
 
 
-def test_lcaf_maps_are_a_read_only_map_of_the_file(tmp_path):
+def test_lcaf_maps_are_read_from_the_file_on_demand(tmp_path):
+    """``inputs`` is a ``FeatureMaps``, not an array: each index reads a
+    fresh float32 array, and nothing reads the file as a sequence."""
     path = tmp_path / "f.lcaf"
     write_feature_file(path, np.ones((3, 2, 4, 5), np.float32), [0, 1, 0])
     ds = load_feature_file(path)
-    assert type(ds.inputs) is np.ndarray and ds.inputs.dtype == np.float32
-    assert not ds.inputs.flags.writeable and not ds.inputs.flags.owndata
+    maps = ds.inputs
+    assert type(maps) is D.FeatureMaps and len(maps) == len(ds) == 3
+    assert (maps.shape, maps.ndim, maps.dtype) == ((3, 2, 4, 5), 4, np.float32)
+    batch = maps[:2]
+    assert type(batch) is np.ndarray and batch.dtype == np.float32 and batch.flags.writeable
+    batch[:] = 7
+    np.testing.assert_array_equal(maps[:2], 1.0)
+    with pytest.raises(TypeError):
+        np.asarray(maps)
     assert ds.labels.flags.writeable and ds.labels.dtype == np.int64
+
+
+def test_lcaf_maps_index_by_int_slice_and_int_array(tmp_path):
+    feats = np.random.default_rng(1).standard_normal((7, 2, 3, 4), dtype=np.float32)
+    path = tmp_path / "f.lcaf"
+    write_feature_file(path, feats, np.arange(7) % 2)
+    maps = load_feature_file(path).inputs
+    for i in (0, 3, 6, -1, -7, np.int64(2)):
+        np.testing.assert_array_equal(maps[i], feats[i])
+    for key in (slice(None), slice(2, 5), slice(1, None, 2), slice(None, None, -1),
+                slice(-3, 100), slice(4, 2)):
+        np.testing.assert_array_equal(maps[key], feats[key])
+    for idx in ([6, 0, 1, 2, 5, 4], [3, 3, 4], [-1, 0, -7], [2], [], [1, 2, 3, 0, 1, 2]):
+        arr = np.array(idx, np.int64)
+        np.testing.assert_array_equal(maps[arr], feats[arr])
+    np.testing.assert_array_equal(maps[np.array([5, 1], np.uint32)], feats[[5, 1]])
+    for bad in (7, -8, np.array([0, 7]), np.array([-8])):
+        with pytest.raises(IndexError):
+            maps[bad]
+    for bad in (np.array([[0, 1]]), np.array([0.0, 1.0]), np.array([True, False] * 3 + [True])):
+        with pytest.raises(IndexError, match="1-D int index array"):
+            maps[bad]
+
+
+def test_lcaf_maps_read_one_request_per_run_of_consecutive_indices(tmp_path, monkeypatch):
+    path = tmp_path / "f.lcaf"
+    write_feature_file(path, np.zeros((8, 1, 2, 2), np.float32), np.arange(8) % 2)
+    maps = load_feature_file(path).inputs
+    offsets = []
+    read_at = D._read_at
+    monkeypatch.setattr(D, "_read_at", lambda fh, at, out, p: offsets.append((at, len(out)))
+                        or read_at(fh, at, out, p))
+    maps[np.array([2, 3, 4, 7, 0, 1, 1])]
+    assert offsets == [(24 + 16 * 2, 3), (24 + 16 * 7, 1), (24 + 16 * 0, 2), (24 + 16 * 1, 1)]
+    offsets.clear()
+    maps[:]
+    assert offsets == [(24, 8)]
+
+
+def test_lcaf_read_loops_until_the_batch_is_full(tmp_path, monkeypatch):
+    """A read may return fewer bytes than asked; the reader asks again."""
+    feats = np.random.default_rng(2).standard_normal((5, 3, 2, 2), dtype=np.float32)
+    path = tmp_path / "f.lcaf"
+    write_feature_file(path, feats, np.arange(5) % 2)
+    ds = load_feature_file(path)
+    fh = ds.inputs._fh
+    sizes = []
+
+    class Trickle:
+        def seek(self, at):
+            return fh.seek(at)
+
+        def readinto(self, view):
+            sizes.append(len(view))
+            return fh.readinto(view[:5])
+
+    monkeypatch.setattr(ds.inputs, "_fh", Trickle())
+    np.testing.assert_array_equal(ds.inputs[1:4], feats[1:4])
+    assert sizes[0] == 3 * 48 and len(sizes) == -(-3 * 48 // 5)
+
+
+def test_lcaf_file_cut_short_after_loading_is_refused_naming_it(tmp_path):
+    """A batch past the new end of the file is a ``DataError``, not SIGBUS;
+    batches before it read as written."""
+    feats = np.random.default_rng(3).standard_normal((6, 4, 8, 8), dtype=np.float32)
+    path = tmp_path / "cut.lcaf"
+    write_feature_file(path, feats, np.arange(6) % 2)
+    ds = load_feature_file(path)
+    os.truncate(path, 24 + 3 * feats[0].nbytes)
+    it = batches(ds, 2)
+    np.testing.assert_array_equal(next(it).inputs, feats[:2])
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: LCAF file ends at byte "
+                                        rf"{24 + 3 * feats[0].nbytes}, short of"):
+        next(it)
+    with pytest.raises(DataError, match="cut short while in use"):
+        ds.inputs[5]  # wholly past the end
 
 
 def test_lcaf_rewrite_leaves_a_loaded_dataset_its_bytes(tmp_path):
@@ -352,7 +439,7 @@ def test_lcaf_rewrite_leaves_a_loaded_dataset_its_bytes(tmp_path):
     np.testing.assert_array_equal(batch.inputs, old)
     assert batch.labels.tolist() == [0, 1, 0, 1, 0, 1]
     fresh = load_feature_file(path)
-    np.testing.assert_array_equal(fresh.inputs, new)
+    np.testing.assert_array_equal(fresh.inputs[:], new)
     assert fresh.labels.tolist() == [1, 0, 1, 0, 1, 0]
     assert os.listdir(tmp_path) == ["f.lcaf"]
 
@@ -373,7 +460,7 @@ def test_lcaf_fixture_matches_head_worked_example(tmp_path):
     ds = load_feature_file(path)
     fc_weight = Tensor(np.eye(1, dtype=np.float32))
     fc_bias = Tensor(np.zeros(1, dtype=np.float32))
-    out = lca_forward(Tensor(ds.inputs), fc_weight, fc_bias)
+    out = lca_forward(Tensor(ds.inputs[:]), fc_weight, fc_bias)
     np.testing.assert_allclose(out.data, [[2.5]], atol=1e-6)
 
 
@@ -390,6 +477,77 @@ def test_lcaf_without_samples_loads(tmp_path):
     write_feature_file(path, np.zeros((0, 4, 3, 3), dtype=np.float32), [])
     ds = load_feature_file(path)
     assert ds.inputs.shape == (0, 4, 3, 3) and len(ds) == 0
+
+
+def test_lcaf_empty_payload_loads_and_reads_nothing(tmp_path):
+    """A header-only file (N = 0: no maps, no labels) loads, and so does an
+    empty selection of a file that has maps; neither reads a byte."""
+    path = tmp_path / "n0.lcaf"
+    write_feature_file(path, np.zeros((0, 4, 3, 3), dtype=np.float32), np.zeros(0, np.int64))
+    assert path.read_bytes() == b"LCAF" + struct.pack("<5I", 1, 0, 4, 3, 3)
+    ds = load_feature_file(path)
+    assert ds.labels.shape == (0,) and ds.inputs[:].shape == (0, 4, 3, 3)
+    assert list(batches(ds, 4)) == []
+    full = tmp_path / "n2.lcaf"
+    write_feature_file(full, np.ones((2, 4, 3, 3), np.float32), [0, 1])
+    maps = load_feature_file(full).inputs
+    os.truncate(full, 24)  # any read of a map would now come up short
+    assert maps[1:1].shape == maps[np.array([], np.int64)].shape == (0, 4, 3, 3)
+
+
+@pytest.mark.parametrize("labels", [np.array([0, -1]), np.array([0, 2**32 + 1]),
+                                    np.array([0, 1.7]), [0, -1]],
+                         ids=["negative", "past-u32", "fraction", "list-negative"])
+def test_lcaf_label_outside_u32_is_refused_before_writing(tmp_path, labels):
+    """At the parent these were stored as 4294967295, 1 and 1, and the list
+    raised a bare ``OverflowError``."""
+    path = tmp_path / "f.lcaf"
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: labels must be integers"):
+        write_feature_file(path, np.ones((2, 1, 1, 1), np.float32), labels)
+    assert os.listdir(tmp_path) == []
+
+
+def test_lcaf_integral_labels_of_any_numeric_type_are_kept(tmp_path):
+    path = tmp_path / "f.lcaf"
+    for labels in ([0, 2**32 - 1], np.array([0.0, 4294967295.0]), np.array([0, 2**32 - 1], np.uint64)):
+        write_feature_file(path, np.ones((2, 1, 1, 1), np.float32), labels)
+        assert load_feature_file(path).labels.tolist() == [0, 2**32 - 1]
+
+
+def test_lcaf_write_from_a_strided_float64_array_is_chunked(tmp_path, monkeypatch):
+    """Maps are converted to ``<f4`` a chunk of whole maps at a time, from
+    any layout, to the bytes of a whole-array conversion."""
+    monkeypatch.setattr(D, "_WRITE_CHUNK", 3 * 4 * 2 * 2 * 3 - 1)  # 2 maps of 48 bytes a chunk
+    wide = np.random.default_rng(4).standard_normal((7, 3, 2, 4))
+    feats = wide[..., ::2]
+    path = tmp_path / "f.lcaf"
+    write_feature_file(path, feats, np.arange(7) % 2)
+    assert path.read_bytes()[24:-28] == feats.astype("<f4").tobytes()
+
+
+def test_lcaf_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    """A full disk in the middle of the payload leaves neither the file nor
+    ``<path>.tmp``."""
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            if memoryview(data).nbytes > 24:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(D, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_feature_file(tmp_path / "f.lcaf", np.ones((2, 4, 3, 3), np.float32), [0, 1])
+    assert os.listdir(tmp_path) == []
 
 
 def test_lcaf_zero_length_payload(tmp_path):

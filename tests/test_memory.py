@@ -8,10 +8,13 @@ are the child's own.
   glibc's default thresholds each step page-faults its temporaries in
   again: 52 to 1,187 minor faults per step at batch 32, by how the process
   started, against 0 to 0.8 with the thresholds ``lcanet`` sets.
-- LCAF maps are memory-mapped, so the anonymous memory a process holds does
-  not grow with the feature files it loads (a loader that read the maps
-  into memory held 18.1, 22.1 and 37.8 MB of ``RssAnon`` for the three
-  files below; the mapped loader holds 17.1 MB for each).
+- LCAF maps are read a batch at a time with positioned reads, so neither
+  the anonymous memory nor the whole resident set of a process grows with
+  the feature files it loads. A loader that read the maps into memory held
+  18.1, 22.1 and 37.8 MB of ``RssAnon`` for the three files below. One that
+  memory-mapped them held 17.1 MB of ``RssAnon`` for each, but its ``VmRSS``
+  grew by the 21 MB of the three files, since every page a batch read
+  stayed mapped.
 """
 
 import os
@@ -74,35 +77,53 @@ def test_a_glyph_step_does_not_fault_its_working_memory_back_in():
     assert int(faults) / steps < 10, f"{int(faults) / steps:.1f} minor faults per step"
 
 
-RSS_ANON = """
+AFTER_BATCHES = """
 import sys
 from lcanet import batches, load_feature_file
 
-def rss_anon_kb():
+def status_kb(field):
     with open("/proc/self/status") as fh:
         for line in fh:
-            if line.startswith("RssAnon:"):
+            if line.startswith(field + ":"):
                 return int(line.split()[1])
     return -1
 
 kept = []
-for path in sys.argv[1:]:
+for path in sys.argv[2:]:
     kept.append(load_feature_file(path))
     for _ in batches(kept[-1], 32):
         pass
-    print(rss_anon_kb())
+    print(status_kb(sys.argv[1]))
 """
 
 
-def test_anonymous_memory_does_not_grow_with_the_feature_files(tmp_path):
-    """Files of 160, 640 and 2,560 maps of 32x7x7 (1.0, 4.0 and 16.1 MB),
-    all held at once: ``RssAnon`` moves by less than 1 MB."""
+@pytest.fixture(scope="module")
+def feature_files(tmp_path_factory):
+    """Files of 160, 640 and 2,560 maps of 32x7x7 (1.0, 4.0 and 16.1 MB)."""
+    root = tmp_path_factory.mktemp("lcaf")
     base = np.random.default_rng(0).standard_normal((160, 32, 7, 7), dtype=np.float32)
     paths = []
     for k in (1, 4, 16):
-        paths.append(tmp_path / f"x{k}.lcaf")
+        paths.append(root / f"x{k}.lcaf")
         write_feature_file(paths[-1], np.tile(base, (k, 1, 1, 1)), np.arange(160 * k) % 2)
-    kb = [int(v) for v in run_child(RSS_ANON, *paths)]
+    return paths
+
+
+def kb_after_each_file(field, paths):
+    kb = [int(v) for v in run_child(AFTER_BATCHES, field, *paths)]
     if kb[0] < 0:
-        pytest.skip("/proc/self/status has no RssAnon line")
+        pytest.skip(f"/proc/self/status has no {field} line")
+    return kb
+
+
+def test_anonymous_memory_does_not_grow_with_the_feature_files(feature_files):
+    """All three files held at once: ``RssAnon`` moves by less than 1 MB."""
+    kb = kb_after_each_file("RssAnon", feature_files)
     assert max(kb) - kb[0] < 1024, f"RssAnon {kb} kB after the 1x, 4x and 16x files"
+
+
+def test_resident_set_does_not_grow_with_the_feature_files(feature_files):
+    """All three files held at once: ``VmRSS`` moves by less than 2 MB after
+    one pass of batches over each (it grew by 20 MB with mapped maps)."""
+    kb = kb_after_each_file("VmRSS", feature_files)
+    assert max(kb) - kb[0] < 2048, f"VmRSS {kb} kB after the 1x, 4x and 16x files"

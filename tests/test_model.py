@@ -1,6 +1,8 @@
 """Model assembly, forward composition, and checkpoint persistence."""
 
 import dataclasses
+import errno
+import os
 import re
 
 import numpy as np
@@ -378,6 +380,19 @@ def test_velocity_subset_is_legal(tmp_path):
     path = tmp_path / "m.lcac"
     save_checkpoint(m, path, velocities=vel, epoch=1, rng_state=RNG_STATE)
     assert set(load_checkpoint(path).velocities) == {"fc_weight"}
+
+
+def test_save_failing_before_the_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    """An ``fsync`` that finds the disk full raises, and removes ``c.lcac.tmp``."""
+
+    def full_disk(fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(small_model(), tmp_path / "c.lcac", velocities={}, epoch=0,
+                        rng_state=RNG_STATE)
+    assert os.listdir(tmp_path) == []
 
 
 def test_velocity_for_unknown_param_rejected(tmp_path):

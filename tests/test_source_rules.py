@@ -5,7 +5,8 @@ numpy is the only runtime dependency, and the tape's private plumbing
 only by ``lcanet.tensor``, where every adjoint is defined. A ``Model`` is
 built one way, by ``build_model`` or ``load_checkpoint``; an ``Architecture``
 is made from a config, a checkpoint or the gradient suite's end-to-end check;
-one function parses an LCAF header; and one function reads a PPM file.
+one function parses an LCAF header; one function reads a PPM file; and one
+function reads LCAF maps and labels, with no memory map.
 """
 
 import ast
@@ -74,7 +75,7 @@ def test_an_architecture_comes_from_a_config_a_checkpoint_or_gradcheck():
 
 def test_one_function_unpacks_an_lcaf_header():
     unpackers = {fn for mod, fn in _callers("unpack", "unpack_from") if mod == "data.py"}
-    assert unpackers == {"read_feature_header"}
+    assert unpackers == {"_read_header"}
 
 
 def test_one_function_reads_a_ppm_file():
@@ -84,4 +85,16 @@ def test_one_function_reads_a_ppm_file():
     assert _callers("_decode_ppm") == readers
     assert _callers("_read_bytes") == readers
     openers = {fn for mod, fn in _callers("open") if mod == "data.py"}
-    assert openers == {"_read_bytes", "write_ppm", "write_feature_file", "read_feature_header"}
+    assert openers == {"_read_bytes", "write_ppm", "write_feature_file", "read_feature_header",
+                       "load_feature_file"}
+
+
+def test_one_function_reads_lcaf_maps_and_labels():
+    """Nothing in ``src/lcanet`` memory-maps a file or calls ``fromfile``.
+    ``load_feature_file`` is the one function that opens an LCAF file for its
+    payload, and ``_read_at`` the one that reads it: the labels for the
+    loader, each batch's maps for ``FeatureMaps``."""
+    assert _callers("memmap", "fromfile", "mmap") == set()
+    assert _callers("readinto") == {("data.py", "_read_at")}
+    assert _callers("_read_at") == {("data.py", "load_feature_file"), ("data.py", "FeatureMaps")}
+    assert _callers("FeatureMaps") == {("data.py", "load_feature_file")}
