@@ -107,6 +107,26 @@ def _read_bytes(path, size: int = _FIRST_READ) -> bytes:
     return blob
 
 
+def _replace_file(path, write) -> None:
+    """The one way lcanet writes a file: ``write(fh)`` fills ``<path>.tmp``,
+    open for binary writing, which is then renamed over ``path``. A reader of
+    the old file keeps its bytes; any failure removes the temp file.
+
+    Only a checkpoint's ``write`` calls ``os.fsync``: resume trusts it. The
+    metrics CSV's rows are appended and never synced, so syncing its header
+    would make nothing durable. The directory is not synced after the rename.
+    """
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _decode_ppm(blob: bytes, path) -> tuple:
     """Binary PPM bytes -> ([H, W, 3] uint8 view of ``blob``, maxval, offset
     of the payload).
@@ -157,9 +177,7 @@ def write_ppm(path, img: np.ndarray) -> None:
     if img.dtype != np.uint8:
         img = np.round(np.clip(img, 0.0, 1.0) * 255).astype(np.uint8)
     h, w = img.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (w, h))
-        fh.write(img.tobytes())
+    _replace_file(path, lambda fh: fh.write(b"P6\n%d %d\n255\n" % (w, h) + img.tobytes()))
 
 
 def _resize_bilinear(img: np.ndarray, th: int, tw: int) -> np.ndarray:
@@ -269,9 +287,8 @@ def write_feature_file(path, feats: np.ndarray, labels) -> None:
 
     The maps are written from ``feats``' own buffer, converted to ``<f4`` a
     chunk of whole maps (at most 16 MiB) at a time, so no copy of the whole
-    payload is made. The file is written under ``<path>.tmp`` and renamed
-    over ``path``, so a dataset loaded from the old file keeps reading the
-    old bytes; a failure before the rename removes the temp file.
+    payload is made. ``_replace_file`` writes it, so a dataset loaded from
+    the old file keeps reading the old bytes.
     """
     feats = np.asarray(feats)
     if feats.ndim != 4:
@@ -285,19 +302,14 @@ def write_feature_file(path, feats: np.ndarray, labels) -> None:
     if not (whole and ((labels >= 0) & (labels < 2**32)).all()):
         raise DataError(f"{path}: labels must be integers in [0, 2**32)")
     per_chunk = max(1, _WRITE_CHUNK // max(1, 4 * math.prod(feats.shape[1:])))
-    tmp = f"{path}.tmp"
-    fh = open(tmp, "wb")
-    try:
-        with fh:
-            fh.write(_LCAF_MAGIC)
-            fh.write(struct.pack("<5I", _LCAF_VERSION, *feats.shape))
-            for start in range(0, n, per_chunk):
-                fh.write(np.ascontiguousarray(feats[start : start + per_chunk], dtype="<f4"))
-            fh.write(labels.astype("<u4"))
-        os.replace(tmp, path)
-    except BaseException:  # a full disk, or path is a directory: leave no stray temp file
-        os.unlink(tmp)
-        raise
+
+    def write(fh):
+        fh.write(_LCAF_MAGIC + struct.pack("<5I", _LCAF_VERSION, *feats.shape))
+        for start in range(0, n, per_chunk):
+            fh.write(np.ascontiguousarray(feats[start : start + per_chunk], dtype="<f4"))
+        fh.write(labels.astype("<u4"))
+
+    _replace_file(path, write)
 
 
 def _read_header(fh, path) -> tuple:

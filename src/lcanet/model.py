@@ -36,6 +36,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import BACKBONE_KINDS, HEAD_KINDS, ConfigError, check_backbone
+from .data import _replace_file
 from .lca import check_extent, lca_forward
 from .rng import Rng
 from .tensor import Parameter, ShapeError, Tensor
@@ -269,7 +270,7 @@ def _check_tables(path, arch: Architecture, params: list, velocities: list) -> N
 
 def save_checkpoint(model: Model, path, *, velocities: dict, epoch: int,
                     rng_state: bytes) -> None:
-    """Write atomically: temp file in the target directory, synced, then rename."""
+    """Write through ``data._replace_file``, synced: resume trusts a checkpoint."""
     if len(rng_state) != 32:
         raise CheckpointError(f"rng state must be 32 bytes, got {len(rng_state)}")
     params = model.parameters()
@@ -292,18 +293,12 @@ def save_checkpoint(model: Model, path, *, velocities: dict, epoch: int,
     out.append(struct.pack("<Q", epoch))
     out.append(rng_state)
 
-    blob = b"".join(out)
-    tmp = f"{path}.tmp"
-    fh = open(tmp, "wb")
-    try:
-        with fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:  # a full disk, or path is a directory: leave no stray temp file
-        os.unlink(tmp)
-        raise
+    def write(fh):
+        fh.write(b"".join(out))
+        fh.flush()
+        os.fsync(fh.fileno())
+
+    _replace_file(path, write)
 
 
 @dataclass

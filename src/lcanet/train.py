@@ -184,16 +184,8 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
         hflip=cfg.aug_hflip,
     )
 
-    kept = _rows_before(cfg.log_csv, start_epoch) if loaded else []
-    tmp = f"{cfg.log_csv}.tmp"
-    fh = open(tmp, "w", encoding="utf-8", newline="\n")
-    try:
-        with fh:
-            fh.write(CSV_HEADER + "\n" + "".join(kept))
-        os.replace(tmp, cfg.log_csv)
-    except BaseException:  # a full disk, or log.csv is a directory: leave no stray temp file
-        os.unlink(tmp)
-        raise
+    kept = "".join(_rows_before(cfg.log_csv, start_epoch)) if loaded else ""
+    data_mod._replace_file(cfg.log_csv, lambda fh: fh.write(f"{CSV_HEADER}\n{kept}".encode()))
     csv = open(cfg.log_csv, "a", encoding="utf-8", newline="\n")
     try:
         last_row = None

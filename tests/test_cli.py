@@ -423,9 +423,9 @@ def test_train_csv_write_failure_leaves_no_temp_file(workdir, monkeypatch):
 
     def opener(path, mode="r", *args, **kwargs):
         fh = real_open(path, mode, *args, **kwargs)
-        return FullDisk(fh) if mode == "w" else fh
+        return FullDisk(fh) if str(path).endswith(".csv.tmp") else fh
 
-    monkeypatch.setattr(lcanet.train, "open", opener, raising=False)
+    monkeypatch.setattr(lcanet.data, "open", opener, raising=False)
     assert main(["train", "--config", str(cfg)]) == 3
     assert sorted(os.listdir(workdir)) == ["run.cfg", "test.lcaf", "train.lcaf"]
 

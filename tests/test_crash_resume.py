@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lcanet import model as model_mod, train as train_mod, write_feature_file
+from lcanet import data as data_mod, train as train_mod, write_feature_file
 from lcanet.config import parse_config
 from lcanet.train import run_training
 
@@ -59,11 +59,16 @@ class File:
 
 
 def armed(mp, trip):
-    """Route every write point of a run through ``trip``."""
+    """Route every write point of a run through ``trip``. The CSV and the
+    checkpoint share one temp-file writer, ``data._replace_file``; the temp
+    file's suffix tells their writes apart."""
     def opener(points):
         def fake_open(path, mode="r", *args, **kwargs):
             fh = open(path, mode, *args, **kwargs)
-            return File(fh, trip, points[mode]) if mode in points else fh
+            for (want, suffix), point in points.items():
+                if mode == want and str(path).endswith(suffix):
+                    return File(fh, trip, point)
+            return fh
         return fake_open
 
     def wrap(point, real):
@@ -72,9 +77,10 @@ def armed(mp, trip):
             return real(*args)
         return fake
 
-    mp.setattr(train_mod, "open", opener({"w": "csv temp write", "a": "row append"}),
+    mp.setattr(train_mod, "open", opener({("a", ".csv"): "row append"}), raising=False)
+    mp.setattr(data_mod, "open", opener({("wb", ".csv.tmp"): "csv temp write",
+                                         ("wb", ".lcac.tmp"): "checkpoint temp write"}),
                raising=False)
-    mp.setattr(model_mod, "open", opener({"wb": "checkpoint temp write"}), raising=False)
     mp.setattr(os, "fsync", wrap("fsync", os.fsync))
     mp.setattr(os, "replace", wrap("replace", os.replace))
 

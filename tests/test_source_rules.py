@@ -85,8 +85,7 @@ def test_one_function_reads_a_ppm_file():
     assert _callers("_decode_ppm") == readers
     assert _callers("_read_bytes") == readers
     openers = {fn for mod, fn in _callers("open") if mod == "data.py"}
-    assert openers == {"_read_bytes", "write_ppm", "write_feature_file", "read_feature_header",
-                       "load_feature_file"}
+    assert openers == {"_read_bytes", "_replace_file", "read_feature_header", "load_feature_file"}
 
 
 def test_one_function_reads_lcaf_maps_and_labels():
