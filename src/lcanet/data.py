@@ -288,15 +288,24 @@ def write_feature_file(path, feats: np.ndarray, labels) -> None:
     The maps are written from ``feats``' own buffer, converted to ``<f4`` a
     chunk of whole maps (at most 16 MiB) at a time, so no copy of the whole
     payload is made. ``_replace_file`` writes it, so a dataset loaded from
-    the old file keeps reading the old bytes.
+    the old file keeps reading the old bytes. Malformed arguments are a
+    ``DataError`` starting with ``path``, raised before the temp file opens;
+    the maps are refused by dtype kind, not converted up front.
     """
-    feats = np.asarray(feats)
-    if feats.ndim != 4:
-        raise DataError(f"features must be [N,C,H,W], got {feats.shape}")
+    try:
+        feats = np.asarray(feats)
+    except ValueError:  # numpy refuses a ragged nested list
+        raise DataError(f"{path}: features are ragged, not an [N,C,H,W] array") from None
+    if feats.ndim != 4 or feats.dtype.kind not in "biuf" or max(feats.shape) >= 2**32:
+        raise DataError(f"{path}: features must be [N,C,H,W] real numbers, each extent "
+                        f"below 2**32; got {feats.dtype} of shape {feats.shape}")
     n = feats.shape[0]
-    labels = np.asarray(labels)
+    try:
+        labels = np.asarray(labels)
+    except ValueError:
+        raise DataError(f"{path}: labels are ragged, not a list of {n}") from None
     if labels.shape != (n,):
-        raise DataError("labels length does not match feature count")
+        raise DataError(f"{path}: labels of shape {labels.shape} for {n} feature maps")
     kind = labels.dtype.kind
     whole = kind in "iu" or (kind == "f" and (labels == np.trunc(labels)).all())
     if not (whole and ((labels >= 0) & (labels < 2**32)).all()):

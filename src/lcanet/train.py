@@ -109,8 +109,11 @@ def _rows_before(path: str, epoch: int) -> list:
     """
     if not os.path.exists(path):
         return []
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        lines = fh.read().splitlines(keepends=True)
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            lines = fh.read().splitlines(keepends=True)
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text; not resuming into it") from None
     if lines and lines[0].rstrip("\n") != CSV_HEADER:
         raise DataError(f"{path}: header is not the metrics CSV header; not resuming into it")
     try:

@@ -638,6 +638,23 @@ def test_train_resume_into_csv_with_a_non_epoch_row_exits_3(workdir, capsys):
     assert (workdir / "model.lcac").read_bytes() == ckpt
 
 
+def test_train_resume_into_a_csv_that_is_not_utf8_exits_3(workdir, capsys):
+    """A byte that is not UTF-8 in the metrics CSV is refused, naming the
+    file, before the CSV is rewritten: both files stay as they were."""
+    make_data(workdir)
+    assert main(["train", "--config", str(write_cfg(workdir))]) == 0
+    with open(workdir / "metrics.csv", "ab") as fh:
+        fh.write(b"1,\xff\n")
+    csv, ckpt = (workdir / "metrics.csv").read_bytes(), (workdir / "model.lcac").read_bytes()
+    cfg = write_cfg(workdir, name="two.cfg", epochs="2")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--resume", "model.lcac"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: metrics.csv: not UTF-8") and "Traceback" not in err
+    assert (workdir / "metrics.csv").read_bytes() == csv
+    assert (workdir / "model.lcac").read_bytes() == ckpt
+
+
 def _zero_rng_state(path):
     """Overwrite the checkpoint's trailing 32-byte rng state with zeros."""
     raw = path.read_bytes()

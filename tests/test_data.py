@@ -507,6 +507,33 @@ def test_lcaf_label_outside_u32_is_refused_before_writing(tmp_path, labels):
     assert os.listdir(tmp_path) == []
 
 
+ONES = np.ones((2, 1, 1, 1), np.float32)
+
+
+@pytest.mark.parametrize("feats,labels,says", [
+    (ONES, [[0], [1, 2]], "labels are ragged"),
+    ([[[[1.0]]], [[[1.0], [2.0]]]], [0, 1], "features are ragged"),
+    (np.full((2, 1, 1, 1), "a"), [0, 1], "got <U1"),
+    (np.ones((2, 1, 1), np.float32), [0, 1], "features must be [N,C,H,W]"),
+    (ONES, [0], "labels of shape (1,) for 2 feature maps"),
+    (ONES.astype(complex), [0, 1], "got complex128"),
+    (np.empty((2, 1, 1, 1), object), [0, 1], "got object"),
+    (np.broadcast_to(np.float32(0), (1, 2**32, 1, 1)), [0], "each extent below 2**32"),
+], ids=["ragged-labels", "ragged-maps", "string-maps", "rank-3", "label-count", "complex-maps",
+        "object-maps", "extent-past-u32"])
+def test_lcaf_malformed_arguments_are_refused_before_writing(tmp_path, monkeypatch, feats,
+                                                             labels, says):
+    """Each is a ``DataError`` starting with the path, raised before a temp
+    file opens. The writer once let numpy's ``ValueError`` out for the ragged
+    lists and the string maps (those mid-write), dropped the imaginary part of
+    complex maps, wrote object maps of ``None`` as NaN, raised ``struct.error``
+    for the extent, and named no file in the rank and count refusals."""
+    monkeypatch.setattr(D, "_replace_file", lambda *a: pytest.fail("a temp file was opened"))
+    path = tmp_path / "f.lcaf"
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: .*{re.escape(says)}"):
+        write_feature_file(path, feats, labels)
+
+
 def test_lcaf_integral_labels_of_any_numeric_type_are_kept(tmp_path):
     path = tmp_path / "f.lcaf"
     for labels in ([0, 2**32 - 1], np.array([0.0, 4294967295.0]), np.array([0, 2**32 - 1], np.uint64)):
@@ -525,28 +552,39 @@ def test_lcaf_write_from_a_strided_float64_array_is_chunked(tmp_path, monkeypatc
     assert path.read_bytes()[24:-28] == feats.astype("<f4").tobytes()
 
 
+class FullDisk:
+    """A file open for writing on a disk that fills after 24 bytes."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        if memoryview(data).nbytes > 24:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
 def test_lcaf_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     """A full disk in the middle of the payload leaves neither the file nor
     ``<path>.tmp``."""
-
-    class FullDisk:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def write(self, data):
-            if memoryview(data).nbytes > 24:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return self.fh.write(data)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
     monkeypatch.setattr(D, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
     with pytest.raises(OSError, match="No space left"):
         write_feature_file(tmp_path / "f.lcaf", np.ones((2, 4, 3, 3), np.float32), [0, 1])
+    assert os.listdir(tmp_path) == []
+
+
+def test_ppm_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    """A full disk leaves neither the PPM nor ``<path>.tmp``. PPMs were once
+    written in place, so a failure left a partial file."""
+    monkeypatch.setattr(D, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_ppm(tmp_path / "a.ppm", np.zeros((4, 4, 3), np.uint8))
     assert os.listdir(tmp_path) == []
 
 

@@ -1,11 +1,15 @@
 """Seeded generated guards: random-shape gradient checks of the windowed
-ops, and malformed-input probes of every file and config parser.
+ops, malformed-input probes of every file and config parser, and malformed
+arguments to the LCAF writer.
 
 Cases come from ``np.random.default_rng`` with fixed seeds, so every run
 draws the same shapes and bytes. A gradient case passes below 1e-6 relative
 error; a parser probe may succeed or raise its documented error class, and
-nothing else.
+nothing else; a writer probe may write or raise ``DataError``, and leaves no
+temp file either way.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -213,3 +217,60 @@ def test_config_random_bytes_raise_only_config_error(tmp_path):
     for _ in range(300):
         path.write_bytes(gen.integers(0, 256, int(gen.integers(0, 64)), dtype=np.uint8).tobytes())
         parses_or_refuses(load_config, path, ConfigError, names_file=False)
+
+
+# ---------------------------------------------------------------------------
+# the LCAF writer
+# ---------------------------------------------------------------------------
+
+# One dtype of each numpy kind: bool, signed, unsigned, float, complex,
+# bytes, str, object, datetime, timedelta and void.
+KIND_DTYPES = ["?", "i2", "u1", "f8", "c8", "S2", "U2", "O", "M8[s]", "m8[s]", "V4"]
+LABEL_VALUES = [0, 1, 2**32 - 1, -1, 2**32, 2**70, 0.5, 1.0, float("nan"), float("inf"), "a"]
+
+
+def writer_args(gen):
+    """Seeded ``write_feature_file`` arguments with at most one fault: a
+    rank other than 4, maps of any dtype kind, ragged maps, a label count
+    off by one, ragged labels, or label values drawn from integers in and
+    out of range, fractions, NaN, inf and a string."""
+    # N may be 0; C, H and W start at 1, as a zero map extent is the reader's refusal.
+    shape = [int(v) for v in gen.integers([0, 1, 1, 1], 3)]
+    labels = [int(v) for v in gen.integers(0, 4, shape[0])]
+    fault = int(gen.integers(0, 7))
+    if fault == 1:
+        shape = [int(v) for v in gen.integers(1, 3, int(gen.choice([0, 1, 2, 3, 5])))]
+    feats = gen.uniform(-2, 2, shape).astype(np.float32)
+    if fault == 2:
+        feats = np.zeros(shape, KIND_DTYPES[int(gen.integers(0, len(KIND_DTYPES)))])
+    elif fault == 3:
+        feats = [[[[0.0]]], [[[0.0], [1.0]]]]
+    elif fault == 4:
+        labels = labels[1:] if labels and gen.random() < 0.5 else labels + [0]
+    elif fault == 5:
+        labels = [[0, 1], 2]
+    elif fault == 6:
+        labels = [LABEL_VALUES[int(i)] for i in gen.integers(0, len(LABEL_VALUES), len(labels))]
+    return feats, labels
+
+
+def writes_or_refuses(path, feats, labels):
+    """True when the file was written and loads with those labels, False on
+    a ``DataError`` starting with ``f"{path}: "``; no ``<path>.tmp`` is left."""
+    try:
+        write_feature_file(path, feats, labels)
+    except DataError as exc:
+        assert str(exc).startswith(f"{path}: "), exc
+        written = False
+    else:
+        assert load_feature_file(path).labels.tolist() == labels
+        written = True
+    assert not os.path.exists(f"{path}.tmp")
+    return written
+
+
+def test_lcaf_writer_arguments_raise_only_data_error(tmp_path):
+    gen = np.random.default_rng(206)
+    path = tmp_path / "f.lcaf"
+    written = [writes_or_refuses(path, *writer_args(gen)) for _ in range(300)]
+    assert 30 < sum(written) < 270, sum(written)

@@ -5,8 +5,9 @@ numpy is the only runtime dependency, and the tape's private plumbing
 only by ``lcanet.tensor``, where every adjoint is defined. A ``Model`` is
 built one way, by ``build_model`` or ``load_checkpoint``; an ``Architecture``
 is made from a config, a checkpoint or the gradient suite's end-to-end check;
-one function parses an LCAF header; one function reads a PPM file; and one
-function reads LCAF maps and labels, with no memory map.
+one function parses an LCAF header; one function reads a PPM file; one
+function reads LCAF maps and labels, with no memory map; and one function
+writes a file.
 """
 
 import ast
@@ -31,16 +32,19 @@ def _imported_top_levels(path):
             yield node.module.split(".")[0]
 
 
-def _callers(*names):
-    """(module, top-level function or class) of every call to one of ``names``."""
-    found = set()
+def _calls():
+    """(module, top-level function or class, call node) of every call."""
     for path in MODULES:
         for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and getattr(
-                        node.func, "id", getattr(node.func, "attr", None)) in names:
-                    found.add((path.name, getattr(top, "name", "<module>")))
-    return found
+                if isinstance(node, ast.Call):
+                    yield path.name, getattr(top, "name", "<module>"), node
+
+
+def _callers(*names):
+    """(module, top-level function or class) of every call to one of ``names``."""
+    return {(mod, top) for mod, top, node in _calls()
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) in names}
 
 
 def test_modules_are_found():
@@ -97,3 +101,27 @@ def test_one_function_reads_lcaf_maps_and_labels():
     assert _callers("readinto") == {("data.py", "_read_at")}
     assert _callers("_read_at") == {("data.py", "load_feature_file"), ("data.py", "FeatureMaps")}
     assert _callers("FeatureMaps") == {("data.py", "load_feature_file")}
+
+
+def test_one_function_writes_a_file():
+    """``data._replace_file`` is the one function that renames a file into
+    place or opens one for writing; ``run_training`` also opens the metrics
+    CSV to append its rows, and ``_read_bytes`` alone calls ``os.open``, to
+    read. The null device that ``cli.main`` sends a closed stdout to is not
+    a file lcanet writes. A mode that is not a literal fails the rule."""
+    def callers(spelling):
+        return {(mod, top) for mod, top, node in _calls() if ast.unparse(node.func) == spelling}
+
+    assert callers("os.replace") == {("data.py", "_replace_file")}
+    assert callers("os.rename") == set()
+    assert callers("os.open") == {("data.py", "_read_bytes")}
+    writers = set()
+    for mod, top, node in _calls():
+        if ast.unparse(node.func) != "open" or ast.unparse(node.args[0]) == "os.devnull":
+            continue
+        kwargs = {kw.arg: kw.value for kw in node.keywords}
+        mode = ast.literal_eval(node.args[1] if len(node.args) > 1 else
+                                kwargs.get("mode", ast.Constant("r")))
+        if set(mode) & set("wax+"):
+            writers.add((mod, top, mode))
+    assert writers == {("data.py", "_replace_file", "wb"), ("train.py", "run_training", "a")}
