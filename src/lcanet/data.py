@@ -290,7 +290,11 @@ def write_feature_file(path, feats: np.ndarray, labels) -> None:
     payload is made. ``_replace_file`` writes it, so a dataset loaded from
     the old file keeps reading the old bytes. Malformed arguments are a
     ``DataError`` starting with ``path``, raised before the temp file opens;
-    the maps are refused by dtype kind, not converted up front.
+    the maps are refused by dtype kind and by a zero C, H or W, not
+    converted up front. A map holding NaN or inf after the conversion (a
+    float64 beyond the ``<f4`` range becomes inf) is refused as its chunk
+    is written, and the temp file is removed: no file the readers refuse
+    is written.
     """
     try:
         feats = np.asarray(feats)
@@ -299,6 +303,9 @@ def write_feature_file(path, feats: np.ndarray, labels) -> None:
     if feats.ndim != 4 or feats.dtype.kind not in "biuf" or max(feats.shape) >= 2**32:
         raise DataError(f"{path}: features must be [N,C,H,W] real numbers, each extent "
                         f"below 2**32; got {feats.dtype} of shape {feats.shape}")
+    if 0 in feats.shape[1:]:
+        c, h, w = feats.shape[1:]
+        raise DataError(f"{path}: LCAF maps are {c}x{h}x{w} (C, H, W); each must be >= 1")
     n = feats.shape[0]
     try:
         labels = np.asarray(labels)
@@ -315,7 +322,14 @@ def write_feature_file(path, feats: np.ndarray, labels) -> None:
     def write(fh):
         fh.write(_LCAF_MAGIC + struct.pack("<5I", _LCAF_VERSION, *feats.shape))
         for start in range(0, n, per_chunk):
-            fh.write(np.ascontiguousarray(feats[start : start + per_chunk], dtype="<f4"))
+            with np.errstate(over="ignore"):  # an overflow to inf is refused below
+                chunk = np.ascontiguousarray(feats[start : start + per_chunk], dtype="<f4")
+            # min and max propagate NaN and make no temporary the chunk's size.
+            if not (np.isfinite(chunk.min()) and np.isfinite(chunk.max())):
+                finite = np.isfinite(chunk).reshape(len(chunk), -1).all(axis=1)
+                bad = start + int(np.argmin(finite))
+                raise DataError(f"{path}: map {bad} holds NaN or inf as float32")
+            fh.write(chunk)
         fh.write(labels.astype("<u4"))
 
     _replace_file(path, write)

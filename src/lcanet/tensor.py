@@ -10,7 +10,10 @@ The tape is implicit: nodes carry a global creation sequence number, and
 ``backward`` replays the nodes the loss reaches newest first, a valid
 topological order because an operation can only consume tensors created
 before it. Each such node runs once; leaf tensors marked ``requires_grad``
-accumulate into their ``.grad`` buffer.
+accumulate into their ``.grad`` buffer. The walk consumes the tape: a node
+drops its inputs and adjoint rule as soon as its rule has run, so each
+activation is freed after the last adjoint that reads it, and a graph can
+be walked only once.
 
 Tensors are treated as immutable values once produced. Gradients are kept
 as plain numpy arrays, never on the tape.
@@ -68,6 +71,8 @@ class Node:
     """One tape entry: operation tag, inputs and the adjoint rule.
 
     It holds no reference to its output, so no tensor and node form a cycle.
+    ``backward`` consumes it: once ``grad_fn`` has run, ``parents`` is ``()``
+    and ``grad_fn`` is ``None``.
     """
 
     __slots__ = ("op", "parents", "grad_fn", "seq")
@@ -174,6 +179,14 @@ def backward(loss: Tensor) -> None:
     contribution on, and the newest runs next. Its consumers are all newer,
     so its adjoint is complete when it runs; contributions arrive in
     descending consumer ``seq``, in parent order within one consumer.
+
+    The walk consumes the tape it reaches: after a node's ``grad_fn`` has
+    run, the node's ``parents`` become ``()`` and its ``grad_fn`` ``None``,
+    so each activation is freed once the last adjoint that reads it is out.
+    Nodes the loss does not reach keep theirs. Reaching a consumed node, as
+    a second ``backward`` of the same loss or of a loss sharing a walked
+    subgraph does, is a ``ContractError``; leaves may then hold the
+    contributions of the nodes that ran before it.
     """
     if not isinstance(loss, Tensor) or loss.shape != ():
         shape = getattr(loss, "shape", None)
@@ -185,7 +198,13 @@ def backward(loss: Tensor) -> None:
     pending = [(-loss.node.seq, loss.node)]
     while pending:
         _, node = heapq.heappop(pending)
-        for p, gp in zip(node.parents, node.grad_fn(adjoint.pop(node.seq))):
+        if node.grad_fn is None:
+            raise ContractError(f"backward reached a {node.op} node whose graph an earlier "
+                                "backward consumed; each graph can be walked once")
+        grads = node.grad_fn(adjoint.pop(node.seq))
+        parents = node.parents
+        node.parents, node.grad_fn = (), None
+        for p, gp in zip(parents, grads):
             if gp is None or not p.requires_grad:
                 continue
             if p.node is None:
@@ -197,6 +216,9 @@ def backward(loss: Tensor) -> None:
             else:
                 adjoint[p.node.seq] = gp
                 heapq.heappush(pending, (-p.node.seq, p.node))
+        # The loop's own names would keep this node's inputs alive through
+        # the next grad_fn call.
+        parents = grads = p = gp = None
 
 
 # ---------------------------------------------------------------------------

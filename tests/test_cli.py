@@ -9,6 +9,7 @@ import errno
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -217,8 +218,14 @@ def test_train_feature_channels_mismatch_exits_3_and_writes_nothing(workdir, cap
     assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
 
 
+def _write_lcaf_bytes(path, maps, labels):
+    """An LCAF file built with ``struct``, for maps ``write_feature_file`` refuses."""
+    Path(path).write_bytes(b"LCAF" + struct.pack("<5I", 1, *maps.shape)
+                           + maps.astype("<f4").tobytes() + np.asarray(labels, "<u4").tobytes())
+
+
 def test_train_feature_maps_of_zero_height_exit_3(workdir, capsys):
-    write_feature_file("flat.lcaf", np.zeros((4, 8, 0, 4), dtype=np.float32), [0, 1, 0, 1])
+    _write_lcaf_bytes("flat.lcaf", np.zeros((4, 8, 0, 4), dtype=np.float32), [0, 1, 0, 1])
     cfg = write_cfg(workdir, backbone="external_features", channels="8", head="gap",
                     **{"data.format": "lcaf", "data.train": "flat.lcaf",
                        "data.test": "flat.lcaf"})
@@ -338,7 +345,7 @@ def test_map_value_nan_or_inf_exits_3_and_writes_no_row(workdir, capsys, split, 
     maps[2, 1, 2, 0] = value
     if command == "eval":
         assert main(["train", "--config", str(cfg)]) == 0
-    write_feature_file(f"{split}.lcaf", maps, [0, 1, 0, 1])
+    _write_lcaf_bytes(f"{split}.lcaf", maps, [0, 1, 0, 1])
     capsys.readouterr()
     if command == "eval":
         assert main(["eval", "--ckpt", "model.lcac", "--data", "test.lcaf"]) == 3

@@ -466,10 +466,50 @@ def test_lcaf_fixture_matches_head_worked_example(tmp_path):
 
 @pytest.mark.parametrize("shape", [(2, 0, 3, 3), (2, 4, 0, 3), (2, 4, 3, 0)])
 def test_lcaf_empty_map_dimension_rejected(tmp_path, shape):
+    """Built with ``struct``: the writer refuses these maps."""
     path = tmp_path / "e.lcaf"
-    write_feature_file(path, np.zeros(shape, dtype=np.float32), [0, 1])
+    path.write_bytes(b"LCAF" + struct.pack("<5I", 1, *shape) + struct.pack("<2I", 0, 1))
     with pytest.raises(DataError, match="each must be >= 1"):
         load_feature_file(path)
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 3, 3), (2, 4, 0, 3), (2, 4, 3, 0), (0, 4, 0, 3)])
+def test_lcaf_writer_refuses_an_empty_map_dimension(tmp_path, shape):
+    """The reader's refusal, raised by the writer before a temp file opens;
+    N = 0 alone stays legal (``test_lcaf_without_samples_loads``)."""
+    path = tmp_path / "e.lcaf"
+    c, h, w = shape[1:]
+    want = rf"^{re.escape(str(path))}: LCAF maps are {c}x{h}x{w} \(C, H, W\); each must be >= 1$"
+    with pytest.raises(DataError, match=want):
+        write_feature_file(path, np.zeros(shape, dtype=np.float32), [0, 1][: shape[0]])
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("value, dtype", [(np.nan, np.float32), (np.inf, np.float32),
+                                          (-np.inf, np.float32), (1e39, np.float64),
+                                          (-1e39, np.float64), (np.nan, np.float64)],
+                         ids=["nan", "inf", "-inf", "f64-past-f4", "-f64-past-f4", "f64-nan"])
+def test_lcaf_writer_refuses_nan_or_inf_maps_and_leaves_no_file(tmp_path, monkeypatch, value,
+                                                                dtype):
+    """Checked chunk by chunk after the ``<f4`` conversion, so a float64
+    beyond the float32 range is refused too; the message names the first
+    bad map across chunks, and neither the file nor ``<path>.tmp`` is left."""
+    monkeypatch.setattr(D, "_WRITE_CHUNK", 2 * 4 * 2 * 3 * 3)  # 2 maps a chunk
+    feats = np.random.default_rng(5).standard_normal((7, 2, 3, 3)).astype(dtype)
+    feats[4, 1, 2, 0] = value
+    feats[6, 0, 0, 0] = value
+    path = tmp_path / "f.lcaf"
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: map 4 holds NaN or inf"):
+        write_feature_file(path, feats, np.arange(7) % 2)
+    assert os.listdir(tmp_path) == []
+
+
+def test_lcaf_writer_keeps_the_float32_extremes(tmp_path):
+    feats = np.array([np.finfo(np.float32).max, np.finfo(np.float32).min, np.float32(1e-45),
+                      0.0]).reshape(4, 1, 1, 1)
+    path = tmp_path / "f.lcaf"
+    write_feature_file(path, feats, [0, 1, 2, 3])
+    assert load_feature_file(path).inputs[:].tobytes() == feats.astype("<f4").tobytes()
 
 
 def test_lcaf_without_samples_loads(tmp_path):

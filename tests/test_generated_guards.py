@@ -21,6 +21,7 @@ from lcanet import (
     ConfigError,
     DataError,
     Rng,
+    batches,
     build_model,
     grad_check,
     lca_forward,
@@ -227,19 +228,23 @@ def test_config_random_bytes_raise_only_config_error(tmp_path):
 # bytes, str, object, datetime, timedelta and void.
 KIND_DTYPES = ["?", "i2", "u1", "f8", "c8", "S2", "U2", "O", "M8[s]", "m8[s]", "V4"]
 LABEL_VALUES = [0, 1, 2**32 - 1, -1, 2**32, 2**70, 0.5, 1.0, float("nan"), float("inf"), "a"]
+MAP_VALUES = [float("nan"), float("inf"), -float("inf"), 1e39]
 
 
 def writer_args(gen):
     """Seeded ``write_feature_file`` arguments with at most one fault: a
     rank other than 4, maps of any dtype kind, ragged maps, a label count
-    off by one, ragged labels, or label values drawn from integers in and
-    out of range, fractions, NaN, inf and a string."""
-    # N may be 0; C, H and W start at 1, as a zero map extent is the reader's refusal.
+    off by one, ragged labels, label values drawn from integers in and out
+    of range, fractions, NaN, inf and a string, a zero C, H or W, or one map
+    cell of NaN, inf or a float64 beyond the float32 range."""
+    # N may be 0; C, H and W start at 1 unless the fault zeroes one of them.
     shape = [int(v) for v in gen.integers([0, 1, 1, 1], 3)]
     labels = [int(v) for v in gen.integers(0, 4, shape[0])]
-    fault = int(gen.integers(0, 7))
+    fault = int(gen.integers(0, 9))
     if fault == 1:
         shape = [int(v) for v in gen.integers(1, 3, int(gen.choice([0, 1, 2, 3, 5])))]
+    elif fault == 7:
+        shape[int(gen.integers(1, 4))] = 0
     feats = gen.uniform(-2, 2, shape).astype(np.float32)
     if fault == 2:
         feats = np.zeros(shape, KIND_DTYPES[int(gen.integers(0, len(KIND_DTYPES)))])
@@ -251,19 +256,29 @@ def writer_args(gen):
         labels = [[0, 1], 2]
     elif fault == 6:
         labels = [LABEL_VALUES[int(i)] for i in gen.integers(0, len(LABEL_VALUES), len(labels))]
+    elif fault == 8 and feats.size:  # N = 0 leaves no cell to spoil
+        feats = feats.astype(np.float64)
+        feats.flat[int(gen.integers(0, feats.size))] = MAP_VALUES[int(gen.integers(0, 4))]
     return feats, labels
 
 
 def writes_or_refuses(path, feats, labels):
-    """True when the file was written and loads with those labels, False on
-    a ``DataError`` starting with ``f"{path}: "``; no ``<path>.tmp`` is left."""
+    """True when the file was written and loads and batches with those
+    labels and maps, False on a ``DataError`` starting with ``f"{path}: "``
+    that leaves no file; no ``<path>.tmp`` is left either way."""
+    if os.path.exists(path):
+        os.remove(path)
     try:
         write_feature_file(path, feats, labels)
     except DataError as exc:
         assert str(exc).startswith(f"{path}: "), exc
+        assert not os.path.exists(path)
         written = False
     else:
-        assert load_feature_file(path).labels.tolist() == labels
+        loaded = load_feature_file(path)
+        assert loaded.labels.tolist() == labels
+        assert loaded.inputs[:].tobytes() == np.asarray(feats, "<f4").tobytes()
+        assert sum(len(b.labels) for b in batches(loaded, 2)) == len(labels)
         written = True
     assert not os.path.exists(f"{path}.tmp")
     return written

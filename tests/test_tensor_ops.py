@@ -6,10 +6,14 @@ Gradient correctness at scale lives in test_gradcheck; this file checks the
 hand-sized cases and the error contracts.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
 import lcanet.tensor as T
+from lcanet import Architecture, Rng, build_model
+from lcanet.losses import loss_terms
 from lcanet.tensor import ContractError, NumericsError, Parameter, ShapeError, Tensor
 
 
@@ -188,13 +192,15 @@ def test_conv2d_adjoints_match_direct_loop(xshape, wshape, stride, pad, x_grad):
     b = t64(rng.uniform(-1, 1, size=wshape[0]), requires_grad=True)
     out = T.conv2d(x, w, b, stride=stride, pad=pad)
     g = rng.uniform(-1, 1, size=out.shape)
+    # Before backward, which consumes the node's grad_fn.
+    x_adjoint = out.node.grad_fn(g)[0]
     T.backward(T.tensor_sum(T.mul(out, t64(g))))
 
     gx, gw, gb = _conv_adjoints_direct(x_nchw, w.data, nchw(g), stride, pad)
     if x_grad:
         np.testing.assert_allclose(nchw(x.grad), gx, rtol=0, atol=1e-12)
     else:
-        assert out.node.grad_fn(g)[0] is None and x.grad is None
+        assert x_adjoint is None and x.grad is None
     np.testing.assert_allclose(w.grad, gw, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b.grad, gb, rtol=0, atol=1e-12)
 
@@ -645,6 +651,61 @@ def test_backward_accumulates_across_calls():
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
+def test_second_backward_of_a_loss_is_a_contract_error():
+    """The first walk consumed the tape; a second one would have added the
+    gradient again. It is refused before any leaf changes."""
+    x = t64([1.0, -2.0, 3.0], requires_grad=True)
+    loss = T.tensor_sum(T.mul(T.relu(x), x))
+    T.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ContractError, match="earlier backward consumed"):
+        T.backward(loss)
+    np.testing.assert_array_equal(x.grad, first)
+
+
+def test_backward_through_a_subgraph_another_backward_walked_is_a_contract_error():
+    x = t64([1.0, -2.0, 3.0], requires_grad=True)
+    h = T.relu(T.mul(x, x))
+    T.backward(T.tensor_sum(h))
+    with pytest.raises(ContractError, match="relu node whose graph an earlier backward consumed"):
+        T.backward(T.tensor_sum(T.scale(h, 2.0)))
+
+
+def _activation_refs(loss, held):
+    """Weak references to the data of every taped tensor behind ``loss``,
+    leaving out the tensors in ``held``, and the oldest node behind it."""
+    refs, seen, stack, oldest = [], set(), [loss], loss.node
+    while stack:
+        t = stack.pop()
+        if t.node is None or id(t) in seen:
+            continue
+        seen.add(id(t))
+        if all(t is not h for h in held):
+            refs.append(weakref.ref(t.data))
+        oldest = min(oldest, t.node, key=lambda n: n.seq)
+        stack.extend(t.node.parents)
+    return refs, oldest
+
+
+def test_backward_frees_each_activation_while_the_caller_holds_loss_and_logits():
+    """As in ``run_training``, the step's logits and loss terms stay bound
+    past ``backward``; the activations behind them must not. By the time the
+    oldest node's adjoint runs, no newer node's input is left: not even
+    through the walk's own loop names. Freeing is by reference count alone,
+    with no ``gc.collect``."""
+    model = build_model(Architecture("tiny_cnn", (4, 8), (16, 16), 8, 3), rng=Rng(3))
+    x = Tensor(np.random.default_rng(3).uniform(0, 1, (4, 3, 16, 16)).astype(np.float32))
+    logits = model.forward(x)
+    loss, nll, ent = loss_terms(logits, np.array([0, 1, 2, 0]), 0.5)
+    refs, oldest = _activation_refs(loss, (loss, nll, ent, logits))
+    assert len(refs) > 10 and all(r() is not None for r in refs)
+    live_at_oldest, fn = [], oldest.grad_fn
+    oldest.grad_fn = lambda g: (live_at_oldest.append(sum(r() is not None for r in refs)), fn(g))[1]
+    T.backward(loss)
+    assert live_at_oldest == [0]
+    assert [r for r in refs if r() is not None] == []
+
+
 @pytest.mark.parametrize("shared_is_leaf", [True, False], ids=["leaf", "taped"])
 def test_backward_replays_each_reached_node_once_newest_first(shared_is_leaf):
     """One tensor feeds three consumers and a branch that never reaches the
@@ -678,6 +739,12 @@ def test_backward_replays_each_reached_node_once_newest_first(shared_is_leaf):
 
     dead_seqs = {dead.node.seq, dead.node.parents[0].node.seq}
     assert runs == sorted(set(nodes) - dead_seqs, reverse=True)
+    # The walk consumed every node it reached and none it did not.
+    for seq, node in nodes.items():
+        if seq in dead_seqs:
+            assert node.parents and node.grad_fn is not None
+        else:
+            assert node.parents == () and node.grad_fn is None
 
     # Consumers newest first: relu, scale, then mul's two slots.
     parts = [wc.data * (x.data > 0), wb.data * 0.3, wa.data * x.data, wa.data * x.data]
