@@ -113,8 +113,8 @@ def _replace_file(path, write) -> None:
     the old file keeps its bytes; any failure removes the temp file.
 
     Only a checkpoint's ``write`` calls ``os.fsync``: resume trusts it. The
-    metrics CSV's rows are appended and never synced, so syncing its header
-    would make nothing durable. The directory is not synced after the rename.
+    metrics CSV is not synced: a resume writes its rows again from the
+    checkpoint's epoch on. The directory is not synced after the rename.
     """
     tmp = f"{path}.tmp"
     fh = open(tmp, "wb")

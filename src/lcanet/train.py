@@ -18,6 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
+from stat import S_ISDIR
 
 import numpy as np
 
@@ -105,7 +106,8 @@ def _rows_before(path: str, epoch: int) -> list:
 
     A resumed run restarts at its checkpoint's epoch; rows from that epoch
     on (a run that went further, or one that crashed between its CSV and
-    checkpoint writes) would otherwise repeat.
+    checkpoint writes) would otherwise repeat. Kept rows whose epochs do not
+    rise strictly are refused; gaps are kept.
     """
     if not os.path.exists(path):
         return []
@@ -117,12 +119,59 @@ def _rows_before(path: str, epoch: int) -> list:
     if lines and lines[0].rstrip("\n") != CSV_HEADER:
         raise DataError(f"{path}: header is not the metrics CSV header; not resuming into it")
     try:
-        return [ln for ln in lines[1:] if int(ln.split(",", 1)[0]) < epoch]
+        kept = [(int(ln.split(",", 1)[0]), ln) for ln in lines[1:]]
     except ValueError:
         raise DataError(f"{path}: a metrics row does not start with an epoch number") from None
+    kept = [(e, ln) for e, ln in kept if e < epoch]
+    for (prev, _), (e, _) in zip(kept, kept[1:]):
+        if e <= prev:
+            raise DataError(f"{path}: the row for epoch {e} follows the row for epoch {prev}; "
+                            f"not resuming into it")
+    return [ln for _, ln in kept]
+
+
+def _check_outputs(cfg: RunConfig) -> None:
+    """Refuse ``ckpt.out`` and ``log.csv`` before any file is opened: when
+    they, or the ``<path>.tmp`` files their writes go through, name the same
+    file as each other or as a data path, or lie inside a data directory
+    (``ConfigError``); and when one is a directory or its directory does not
+    exist (``DataError``). A file is known by its directory's inode and its
+    name, and by its own inode where it exists (a hard link), so neither a
+    spelling nor a symbolic link hides an alias. One ``os.stat`` per path."""
+    named = (("ckpt.out", cfg.ckpt_out), ("log.csv", cfg.log_csv))
+    outs = [out for key, path in named
+            for out in ((key, path), (f"{key} temp file", f"{path}.tmp"))]
+    ins = [(k, p) for k, p in (("data.train", cfg.data_train), ("data.test", cfg.data_test)) if p]
+    where = {path: os.path.dirname(path) or "." for _, path in outs + ins}
+    ids, dirs = {}, set()
+    for path in {*where, *where.values()}:
+        try:
+            st = os.stat(path)
+        except OSError:
+            continue
+        ids[path] = st.st_dev, st.st_ino
+        if S_ISDIR(st.st_mode):
+            dirs.add(path)
+    # A path that does not exist stands for itself.
+    known = {path: {(ids.get(d, d), os.path.basename(path)), ids.get(path, path)}
+             for path, d in where.items()}
+    trees = [(k, p, os.path.realpath(p)) for k, p in ins if p in dirs]
+    for i, (key, path) in enumerate(outs):
+        for other, other_path in outs[i + 1:] + ins:
+            if known[path] & known[other_path]:
+                raise ConfigError(f"{key} {path} would overwrite {other} {other_path}")
+    for key, path in named:
+        for other, other_path, tree in trees:
+            if os.path.commonpath([os.path.realpath(where[path]), tree]) == tree:
+                raise ConfigError(f"{key} {path} lies inside {other} {other_path}")
+        if path in dirs:
+            raise DataError(f"{key} {path} is a directory")
+        if where[path] not in dirs:
+            raise DataError(f"{key} {path}: no directory {where[path]}")
 
 
 def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
+    _check_outputs(cfg)
     master = Rng(cfg.seed)
     init_rng = master.spawn()
     train_rng = master.spawn()
@@ -187,79 +236,77 @@ def run_training(cfg: RunConfig, resume: str | None = None) -> TrainSummary:
         hflip=cfg.aug_hflip,
     )
 
-    kept = "".join(_rows_before(cfg.log_csv, start_epoch)) if loaded else ""
-    data_mod._replace_file(cfg.log_csv, lambda fh: fh.write(f"{CSV_HEADER}\n{kept}".encode()))
-    csv = open(cfg.log_csv, "a", encoding="utf-8", newline="\n")
-    try:
-        last_row = None
-        for epoch in range(start_epoch, cfg.epochs):
-            if cfg.backbone == "external_features":
-                # LCAF maps are read from the files as the epoch runs: a file
-                # changed since loading is refused here, and one cut short
-                # mid-epoch at its next batch.
-                for path, ds in zip(splits.values(), (train_ds, test_ds)):
-                    if data_mod.read_feature_header(path) != ds.inputs.shape:
-                        raise DataError(f"{path}: LCAF header changed since the file was loaded")
-            t0 = time.perf_counter()
-            optim.lr = cfg.lr * cfg.lr_step_factor if 0 < cfg.lr_step_epoch <= epoch else cfg.lr
+    # Written whole: the header and kept rows now, and again after each epoch.
+    csv = CSV_HEADER + "\n" + ("".join(_rows_before(cfg.log_csv, start_epoch)) if loaded else "")
+    data_mod._replace_file(cfg.log_csv, lambda fh: fh.write(csv.encode()))
+    last_row = None
+    for epoch in range(start_epoch, cfg.epochs):
+        if cfg.backbone == "external_features" and epoch > start_epoch:
+            # LCAF maps are read from the files as the epoch runs: a file
+            # changed since loading is refused here (the first epoch follows
+            # the load's own header reads), and one cut short mid-epoch at
+            # its next batch.
+            for path, ds in zip(splits.values(), (train_ds, test_ds)):
+                if data_mod.read_feature_header(path) != ds.inputs.shape:
+                    raise DataError(f"{path}: LCAF header changed since the file was loaded")
+        t0 = time.perf_counter()
+        optim.lr = cfg.lr * cfg.lr_step_factor if 0 < cfg.lr_step_epoch <= epoch else cfg.lr
 
-            loss_sum = nll_sum = ent_sum = 0.0
-            hits = seen = 0
-            for step, raw in enumerate(batches(train_ds, cfg.batch_size, rng=train_rng)):
-                b = augment(raw, aug_cfg, train_rng)
-                x = Tensor(b.inputs)
-                # Divergence is detected by the isfinite check below and
-                # reported as NumericsError; numpy's overflow/NaN warnings on
-                # the way there are redundant noise.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    logits = model.forward(x)
-                    loss, nll, ent = losses.loss_terms(logits, b.labels, cfg.lambda_entropy)
+        loss_sum = nll_sum = ent_sum = 0.0
+        hits = seen = 0
+        for step, raw in enumerate(batches(train_ds, cfg.batch_size, rng=train_rng)):
+            b = augment(raw, aug_cfg, train_rng)
+            x = Tensor(b.inputs)
+            # Divergence is detected by the isfinite check below and
+            # reported as NumericsError; numpy's overflow/NaN warnings on
+            # the way there are redundant noise.
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits = model.forward(x)
+                loss, nll, ent = losses.loss_terms(logits, b.labels, cfg.lambda_entropy)
 
-                lv, nv, ev = loss.item(), nll.item(), ent.item()
-                if not math.isfinite(lv):
-                    raise NumericsError(
-                        f"non-finite training loss at epoch {epoch}, step {step}"
-                    )
-                bs = len(b.labels)
-                loss_sum += lv * bs
-                nll_sum += nv * bs
-                ent_sum += ev * bs
-                hits += int((logits.data.argmax(axis=1) == b.labels).sum())
-                seen += bs
+            lv, nv, ev = loss.item(), nll.item(), ent.item()
+            if not math.isfinite(lv):
+                raise NumericsError(
+                    f"non-finite training loss at epoch {epoch}, step {step}"
+                )
+            bs = len(b.labels)
+            loss_sum += lv * bs
+            nll_sum += nv * bs
+            ent_sum += ev * bs
+            hits += int((logits.data.argmax(axis=1) == b.labels).sum())
+            seen += bs
 
-                with np.errstate(over="ignore", invalid="ignore"):
-                    backward(loss)
-                    optim.step()
-                bad = next((p.name for p in optim.params if not np.isfinite(p.data).all()), None)
-                if bad is not None:
-                    raise NumericsError(
-                        f"non-finite parameter {bad} after the update at epoch {epoch}, step {step}"
-                    )
+            with np.errstate(over="ignore", invalid="ignore"):
+                backward(loss)
+                optim.step()
+            bad = next((p.name for p in optim.params if not np.isfinite(p.data).all()), None)
+            if bad is not None:
+                raise NumericsError(
+                    f"non-finite parameter {bad} after the update at epoch {epoch}, step {step}"
+                )
 
-            train_acc = 100.0 * hits / seen
-            test_acc = 100.0 * evaluate(model, test_ds, cfg.batch_size).accuracy
-            wall = time.perf_counter() - t0
-            # 8 decimals on the loss columns: the row must satisfy
-            # loss == nll - lambda*entropy within 1e-6 even after each column
-            # is rounded independently.
-            row = (
-                f"{epoch},{loss_sum / seen:.8f},{nll_sum / seen:.8f},"
-                f"{ent_sum / seen:.8f},{train_acc:.4f},{test_acc:.4f},"
-                f"{optim.lr:.8g},{wall:.3f}"
-            )
-            csv.write(row + "\n")
-            csv.flush()
-            last_row = (loss_sum / seen, train_acc, test_acc)
+        train_acc = 100.0 * hits / seen
+        test_acc = 100.0 * evaluate(model, test_ds, cfg.batch_size).accuracy
+        wall = time.perf_counter() - t0
+        # 8 decimals on the loss columns: the row must satisfy
+        # loss == nll - lambda*entropy within 1e-6 even after each column
+        # is rounded independently.
+        row = (
+            f"{epoch},{loss_sum / seen:.8f},{nll_sum / seen:.8f},"
+            f"{ent_sum / seen:.8f},{train_acc:.4f},{test_acc:.4f},"
+            f"{optim.lr:.8g},{wall:.3f}"
+        )
+        csv += row + "\n"
+        data_mod._replace_file(cfg.log_csv, lambda fh: fh.write(csv.encode()))
+        last_row = (loss_sum / seen, train_acc, test_acc)
 
-            model_mod.save_checkpoint(
-                model,
-                cfg.ckpt_out,
-                velocities=optim.velocity,
-                epoch=epoch + 1,
-                rng_state=train_rng.state_bytes(),
-            )
-    finally:
-        csv.close()
+        model_mod.save_checkpoint(
+            model,
+            cfg.ckpt_out,
+            velocities=optim.velocity,
+            epoch=epoch + 1,
+            rng_state=train_rng.state_bytes(),
+        )
 
     return TrainSummary(
         epochs_run=cfg.epochs - start_epoch,

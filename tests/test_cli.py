@@ -662,6 +662,40 @@ def test_train_resume_into_a_csv_that_is_not_utf8_exits_3(workdir, capsys):
     assert (workdir / "model.lcac").read_bytes() == ckpt
 
 
+@pytest.mark.parametrize("epochs, message", [
+    ((0, 1, 1, 2), "the row for epoch 1 follows the row for epoch 1"),
+    ((1, 0, 2), "the row for epoch 0 follows the row for epoch 1"),
+], ids=["duplicated_row", "swapped_pair"])
+def test_train_resume_into_rows_that_repeat_an_epoch_exits_3(workdir, capsys, epochs, message):
+    """Kept rows whose epochs do not rise strictly are refused, naming the
+    file, before either file is rewritten: no epoch appears twice."""
+    make_data(workdir)
+    assert main(["train", "--config", str(write_cfg(workdir, epochs="3"))]) == 0
+    header, *rows = (workdir / "metrics.csv").read_text().splitlines(keepends=True)
+    (workdir / "metrics.csv").write_text(header + "".join(rows[e] for e in epochs))
+    csv, ckpt = (workdir / "metrics.csv").read_bytes(), (workdir / "model.lcac").read_bytes()
+    cfg = write_cfg(workdir, name="four.cfg", epochs="4")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--resume", "model.lcac"]) == 3
+    assert capsys.readouterr().err == (f"data error: metrics.csv: {message}; "
+                                       f"not resuming into it\n")
+    assert (workdir / "metrics.csv").read_bytes() == csv
+    assert (workdir / "model.lcac").read_bytes() == ckpt
+
+
+def test_train_resume_keeps_a_gap_in_the_epochs(workdir):
+    """Rows may skip epochs (the CSV path changed between runs, say); the
+    resumed run keeps them and adds its own."""
+    make_data(workdir)
+    assert main(["train", "--config", str(write_cfg(workdir, epochs="3"))]) == 0
+    header, *rows = (workdir / "metrics.csv").read_text().splitlines(keepends=True)
+    (workdir / "metrics.csv").write_text(header + rows[0] + rows[2])
+    cfg = write_cfg(workdir, name="four.cfg", epochs="4")
+    assert main(["train", "--config", str(cfg), "--resume", "model.lcac"]) == 0
+    rows = (workdir / "metrics.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows] == ["epoch", "0", "2", "3"]
+
+
 def _zero_rng_state(path):
     """Overwrite the checkpoint's trailing 32-byte rng state with zeros."""
     raw = path.read_bytes()
@@ -760,6 +794,92 @@ def test_train_output_onto_a_directory_exits_3_and_leaves_no_temp_file(workdir, 
     assert not (workdir / "taken.tmp").exists()
     assert os.listdir(workdir / "taken") == ["keep.txt"]
     assert (workdir / "taken" / "keep.txt").read_text() == "kept\n"
+
+
+def _spy_data_reads(monkeypatch):
+    """Record every PPM or LCAF file opened from here on."""
+    reads = []
+    real_open = open
+
+    def spy(file, *args, **kwargs):
+        if str(file).endswith((".ppm", ".lcaf")):
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    return reads
+
+
+def _tree(root):
+    """Every path under ``root`` with its bytes (None for a directory or a link)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() and not p.is_symlink() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("key", ["ckpt.out", "log.csv"])
+@pytest.mark.parametrize("path, message", [
+    ("taken", "taken is a directory"),
+    ("nodir/m.out", "nodir/m.out: no directory nodir"),
+], ids=["directory", "missing_directory"])
+def test_train_unwritable_output_exits_3_before_any_read(workdir, capsys, monkeypatch, key,
+                                                         path, message):
+    """An output that is a directory, or whose directory does not exist, is
+    refused, naming the key and the path, before any data file is opened."""
+    (workdir / "taken").mkdir()
+    cfg = _maps_cfg(workdir, **{key: path})
+    before = _tree(workdir)
+    capsys.readouterr()
+    reads = _spy_data_reads(monkeypatch)
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"data error: {key} {message}\n"
+    assert reads == []
+    assert _tree(workdir) == before
+
+
+@pytest.mark.parametrize("setup, overrides, message", [
+    (None, {"log.csv": "train.lcaf"}, "log.csv train.lcaf would overwrite data.train train.lcaf"),
+    (None, {"ckpt.out": "test.lcaf"}, "ckpt.out test.lcaf would overwrite data.test test.lcaf"),
+    (None, {"log.csv": "model.lcac"}, "ckpt.out model.lcac would overwrite log.csv model.lcac"),
+    (lambda: shutil.copy("train.lcaf", "train.tmp"),
+     {"log.csv": "train", "data.train": "train.tmp"},
+     "log.csv temp file train.tmp would overwrite data.train train.tmp"),
+    (None, {"log.csv": "./train.lcaf"},
+     "log.csv ./train.lcaf would overwrite data.train train.lcaf"),
+    (lambda: os.symlink(".", "here"), {"ckpt.out": "here/test.lcaf"},
+     "ckpt.out here/test.lcaf would overwrite data.test test.lcaf"),
+    (lambda: os.symlink(".", "here"), {"log.csv": "here/model.lcac"},
+     "ckpt.out model.lcac would overwrite log.csv here/model.lcac"),
+    (lambda: os.link("train.lcaf", "metrics.csv.tmp"), {},
+     "log.csv temp file metrics.csv.tmp would overwrite data.train train.lcaf"),
+    (None, {"backbone": "tiny_cnn", "channels": "4,8", "lca.embed_dim": "8", "data.format": "ppm",
+            "data.train": "data/train", "data.test": "data/test",
+            "ckpt.out": "data/train/model.lcac"},
+     "ckpt.out data/train/model.lcac lies inside data.train data/train"),
+], ids=["log_csv_is_data_train", "ckpt_out_is_data_test", "log_csv_is_ckpt_out",
+        "csv_temp_file_is_data_train", "dot_slash_alias", "symlinked_directory",
+        "symlinked_outputs", "hard_link", "inside_a_ppm_tree"])
+def test_train_output_that_would_overwrite_a_file_exits_2_and_changes_nothing(
+        workdir, capsys, monkeypatch, setup, overrides, message):
+    """Outputs that name an input, a file inside an input tree, or each
+    other (their temp files included) are refused before any file is
+    opened: every input keeps its bytes, and no CSV, checkpoint or temp file
+    appears."""
+    make_data(workdir)
+    cfg = _maps_cfg(workdir, **overrides)
+    if setup:
+        setup()
+    before = _tree(workdir)
+    capsys.readouterr()
+    reads = _spy_data_reads(monkeypatch)
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert reads == []
+    assert _tree(workdir) == before
+
+
+def test_train_data_train_may_equal_data_test(workdir):
+    cfg = _maps_cfg(workdir, **{"data.test": "train.lcaf"})
+    assert main(["train", "--config", str(cfg)]) == 0
 
 
 def test_train_resume_with_invalid_config_architecture_exits_2(workdir, capsys):

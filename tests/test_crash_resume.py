@@ -2,24 +2,25 @@
 bytes of a run that never crashed.
 
 Each write point of ``run_training`` raises in turn, at every occurrence in
-a short run: the CSV temp-file write, the row append, the checkpoint
-temp-file write, ``os.fsync`` and ``os.replace``. The run is then resumed
-from its checkpoint, or started afresh when none was written yet, and its
-metrics rows (without ``wall_seconds``) and checkpoint bytes must equal a
-straight run's.
+a short run: the CSV temp-file write (the header, then the whole file after
+each epoch), the checkpoint temp-file write, ``os.fsync`` and
+``os.replace``. The run is then resumed from its checkpoint, or started
+afresh when none was written yet, and its metrics rows (without
+``wall_seconds``) and checkpoint bytes must equal a straight run's.
 """
 
 import os
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lcanet import data as data_mod, train as train_mod, write_feature_file
+from lcanet import data as data_mod, write_feature_file
 from lcanet.config import parse_config
-from lcanet.train import run_training
+from lcanet.train import CSV_HEADER, run_training
 
-POINTS = ("csv temp write", "row append", "checkpoint temp write", "fsync", "replace")
+POINTS = ("csv temp write", "checkpoint temp write", "fsync", "replace")
 
 
 class Crash(Exception):
@@ -77,7 +78,6 @@ def armed(mp, trip):
             return real(*args)
         return fake
 
-    mp.setattr(train_mod, "open", opener({("a", ".csv"): "row append"}), raising=False)
     mp.setattr(data_mod, "open", opener({("wb", ".csv.tmp"): "csv temp write",
                                          ("wb", ".lcac.tmp"): "checkpoint temp write"}),
                raising=False)
@@ -112,11 +112,12 @@ def test_a_crash_at_any_write_resumes_to_the_straight_run(tmp_path):
     with pytest.MonkeyPatch.context() as mp:
         armed(mp, counts)
         run_training(config(straight, feats))
-    assert all(counts.calls[p] for p in POINTS), counts.calls
+    assert counts.calls == {"csv temp write": 4, "checkpoint temp write": 3, "fsync": 3,
+                            "replace": 7}
     want = outputs(straight)
 
     cases = [(p, n) for p in POINTS for n in range(counts.calls[p])]
-    assert len(cases) == 14
+    assert len(cases) == 17
     for point, n in cases:
         run_dir = tmp_path / f"{point.replace(' ', '_')}_{n}"
         run_dir.mkdir()
@@ -128,3 +129,36 @@ def test_a_crash_at_any_write_resumes_to_the_straight_run(tmp_path):
         ckpt = run_dir / "model.lcac"
         run_training(cfg, resume=str(ckpt) if ckpt.exists() else None)
         assert outputs(run_dir) == want, (point, n)
+
+
+def test_the_csv_is_written_whole_with_one_more_row_each_epoch(tmp_path, monkeypatch):
+    """Each write of the metrics CSV is the whole file: the header first,
+    then the previous write plus one row per epoch. A resumed run's first
+    write is the header and the rows it keeps."""
+    gen = np.random.default_rng(3)
+    feats = tmp_path / "feats.lcaf"
+    write_feature_file(feats, gen.standard_normal((10, 3, 3, 3), dtype=np.float32),
+                       np.arange(10) % 2)
+    cfg = config(tmp_path, feats)
+    writes = []
+    real = data_mod._replace_file
+
+    def spy(path, write):
+        real(path, write)
+        if path == cfg.log_csv:
+            writes.append((tmp_path / "log.csv").read_text())
+
+    monkeypatch.setattr(data_mod, "_replace_file", spy)
+    run_training(cfg)
+    assert writes[0] == CSV_HEADER + "\n" and len(writes) == 4
+    for epoch, (before, after) in enumerate(zip(writes, writes[1:])):
+        row = after[len(before):]
+        assert after.startswith(before) and row.count("\n") == 1 and row.endswith("\n")
+        assert row.split(",")[0] == str(epoch) and row.count(",") == CSV_HEADER.count(",")
+
+    writes.clear()
+    run_training(replace(cfg, epochs=2))
+    two_epochs = writes[-1]
+    writes.clear()
+    run_training(cfg, resume=str(tmp_path / "model.lcac"))
+    assert writes[0] == two_epochs and len(writes) == 2

@@ -105,10 +105,10 @@ def test_one_function_reads_lcaf_maps_and_labels():
 
 def test_one_function_writes_a_file():
     """``data._replace_file`` is the one function that renames a file into
-    place or opens one for writing; ``run_training`` also opens the metrics
-    CSV to append its rows, and ``_read_bytes`` alone calls ``os.open``, to
-    read. The null device that ``cli.main`` sends a closed stdout to is not
-    a file lcanet writes. A mode that is not a literal fails the rule."""
+    place or opens one for writing, and ``_read_bytes`` alone calls
+    ``os.open``, to read. The null device that ``cli.main`` sends a closed
+    stdout to is not a file lcanet writes. A mode that is not a literal
+    fails the rule."""
     def callers(spelling):
         return {(mod, top) for mod, top, node in _calls() if ast.unparse(node.func) == spelling}
 
@@ -124,4 +124,4 @@ def test_one_function_writes_a_file():
                                 kwargs.get("mode", ast.Constant("r")))
         if set(mode) & set("wax+"):
             writers.add((mod, top, mode))
-    assert writers == {("data.py", "_replace_file", "wb"), ("train.py", "run_training", "a")}
+    assert writers == {("data.py", "_replace_file", "wb")}
