@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, model as model_mod, tensor as T
-from .lca import lca_forward
+from .lca import lca_forward, pooling_matrix
 from .rng import Rng
 from .tensor import Tensor, backward, no_grad
 
@@ -212,39 +212,50 @@ def _check_max_entropy(rng):
     return grad_check(lambda z: losses.max_entropy_loss(z, targets, 0.1), logits)
 
 
-def _kink_margin(loss: Tensor) -> float:
-    """Distance from a recorded forward pass to its nearest kink.
+def _window_gap(y: np.ndarray, k: int) -> float:
+    """Smallest gap from a window's max down to its runner-up.
 
-    Walks the tape behind ``loss``. For each relu the margin is min |pre|;
-    for each maxpool window whose max is > 0 it is the gap down to the
-    runner-up. The tiny backbone pools pre-activations and applies the
-    relu after the pool, so a window whose max is <= 0 is zeroed by that
-    relu, whose |max| margin covers it. Pools are read as the tiny
-    backbone's ``model.POOL``-wide windows at that stride, on its
-    [C, H, W, B] maps; the rows and columns no window reads are trimmed
-    first.
+    The windows are ``k`` wide at stride ``k`` on a [C, H, W, B] map, as
+    the tiny backbone's pools read it; the rows and columns no window reads
+    are trimmed first. Only windows whose max is > 0 count: the tiny
+    backbone applies its relu after the pool, so a window whose max is <= 0
+    is zeroed by that relu, whose |max| margin covers it.
     """
+    c, h, w, n = y.shape
+    oh, ow = h // k, w // k
+    win = y[:, : k * oh, : k * ow].reshape(c, oh, k, ow, k, n).transpose(0, 1, 3, 5, 2, 4)
+    top2 = np.sort(win.reshape(c, oh, ow, n, k * k), axis=-1)[..., -2:]
+    live = top2[..., 1] > 0
+    return float((top2[..., 1] - top2[..., 0])[live].min()) if live.any() else np.inf
+
+
+def _kink_margin(m: model_mod.Model, x: Tensor) -> float:
+    """Distance from the tiny_cnn model ``m``'s forward pass on ``x`` to its
+    nearest kink.
+
+    The tape keeps no relu or pool input, so this replays the backbone and
+    the LCA head's pre-activations without one, from ``m``'s parameters,
+    by the ops ``Model.forward`` runs and so with its bytes. For each relu
+    the margin is min |pre|: the pooled maps' and the head's pooled
+    embedding's. For each pool it is ``_window_gap`` of the conv output.
+    """
+    k = model_mod.POOL
     margin = np.inf
-    seen: set[int] = set()
-    stack = [loss]
-    while stack:
-        out = stack.pop()  # a node's output, as its consumer holds it
-        node = out.node
-        if node is None or id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node.op == "relu":
-            margin = min(margin, float(np.abs(node.parents[0].data).min()))
-        elif node.op == "maxpool2d":
-            c, oh, ow, n = out.shape
-            k = model_mod.POOL
-            xin = node.parents[0].data[:, : k * oh, : k * ow]
-            win = xin.reshape(c, oh, k, ow, k, n).transpose(0, 1, 3, 5, 2, 4)
-            top2 = np.sort(win.reshape(c, oh, ow, n, k * k), axis=-1)[..., -2:]
-            live = top2[..., 1] > 0
-            if live.any():
-                margin = min(margin, float((top2[..., 1] - top2[..., 0])[live].min()))
-        stack.extend(node.parents)
+    with no_grad():
+        y = T.transpose(x, (1, 2, 3, 0))
+        for conv in ("conv1", "conv2"):
+            y = T.conv2d(y, m.param(f"{conv}_weight"), m.param(f"{conv}_bias"), 1, 1)
+            margin = min(margin, _window_gap(y.data, k))
+            y = T.maxpool2d(y, k, k)
+            margin = min(margin, float(np.abs(y.data).min()))
+            y = T.relu(y)
+        if m.arch.embed_dim is not None:
+            c, h, w, b = y.shape
+            fm = T.transpose(y, (3, 0, 1, 2))
+            cells = T.reshape(T.transpose(fm, (2, 3, 0, 1)), (h * w * b, c))
+            emb = T.add(T.matmul(cells, T.transpose(m.param("fc_weight"))), m.param("fc_bias"))
+            pooled = pooling_matrix(h, w, emb.dtype) @ emb.data.reshape(h * w, -1)
+            margin = min(margin, float(np.abs(pooled).min()))
     return margin
 
 
@@ -280,7 +291,7 @@ def _e2e(rng, embed_dim, input_hw: int):
         def f(*_params):
             return losses.max_entropy_loss(m.forward(x), targets, 0.1)
 
-        if _kink_margin(f()) > _E2E_MARGIN:
+        if _kink_margin(m, x) > _E2E_MARGIN:
             return grad_check(f, m.parameters())
     raise RuntimeError("could not draw a kink-free end-to-end model in 64 tries")
 

@@ -3,17 +3,26 @@
 A ``Tensor`` wraps a contiguous row-major numpy array of float32 or
 float64. Every differentiable operation lives in this module: it computes
 its result eagerly and, while gradients are enabled, records a tape node
-holding the operation tag, the input tensors and a closure that maps the
+holding the operation tag, one edge per input and a closure that maps the
 output adjoint to input adjoints.
+
+An edge is the input's node when a recorded operation produced the input,
+else the input tensor itself: a leaf, such as a parameter, a batch or a
+constant. A node never holds an input tensor that has a node, so the tape
+keeps an activation only where an adjoint reads it: each adjoint closes
+over the arrays it reads (an operand, a mask's source, columns, an
+argmax), never over a ``Tensor``, and over nothing but shapes where it
+reads no values. An activation no adjoint reads is freed in the forward,
+as soon as its consumers are built and the caller lets it go.
 
 The tape is implicit: nodes carry a global creation sequence number, and
 ``backward`` replays the nodes the loss reaches newest first, a valid
 topological order because an operation can only consume tensors created
 before it. Each such node runs once; leaf tensors marked ``requires_grad``
 accumulate into their ``.grad`` buffer. The walk consumes the tape: a node
-drops its inputs and adjoint rule as soon as its rule has run, so each
-activation is freed after the last adjoint that reads it, and a graph can
-be walked only once.
+drops its edges and adjoint rule as soon as its rule has run, so each kept
+array is freed after the adjoint that reads it, and a graph can be walked
+only once.
 
 Tensors are treated as immutable values once produced. Gradients are kept
 as plain numpy arrays, never on the tape.
@@ -68,11 +77,16 @@ def no_grad():
 
 
 class Node:
-    """One tape entry: operation tag, inputs and the adjoint rule.
+    """One tape entry: operation tag, edges and the adjoint rule.
 
-    It holds no reference to its output, so no tensor and node form a cycle.
-    ``backward`` consumes it: once ``grad_fn`` has run, ``parents`` is ``()``
-    and ``grad_fn`` is ``None``.
+    ``parents`` holds one edge per input, in the op's argument order: the
+    input's ``Node`` when a recorded op produced it, else the input tensor,
+    a leaf. ``grad_fn`` maps the output adjoint to one adjoint (or ``None``)
+    per edge, from arrays it closed over. The node holds no reference to
+    its output and no produced tensor, so no tensor and node form a cycle
+    and no activation lives on through an edge. ``backward`` consumes it:
+    once ``grad_fn`` has run, ``parents`` is ``()`` and ``grad_fn`` is
+    ``None``.
     """
 
     __slots__ = ("op", "parents", "grad_fn", "seq")
@@ -157,7 +171,7 @@ def _record(op: str, out: np.ndarray, parents, grad_fn) -> Tensor:
     t.requires_grad = False
     if _taped(parents):
         t.requires_grad = True
-        t.node = Node(op, tuple(parents), grad_fn)
+        t.node = Node(op, tuple(p if p.node is None else p.node for p in parents), grad_fn)
     return t
 
 
@@ -205,17 +219,18 @@ def backward(loss: Tensor) -> None:
         parents = node.parents
         node.parents, node.grad_fn = (), None
         for p, gp in zip(parents, grads):
-            if gp is None or not p.requires_grad:
+            if gp is None:
                 continue
-            if p.node is None:
+            if isinstance(p, Node):
+                if p.seq in adjoint:
+                    adjoint[p.seq] = adjoint[p.seq] + gp
+                else:
+                    adjoint[p.seq] = gp
+                    heapq.heappush(pending, (-p.seq, p))
+            elif p.requires_grad:  # a leaf tensor
                 if p.grad is None:
                     p.grad = np.zeros_like(p.data)
                 p.grad += gp.astype(p.dtype, copy=False)
-            elif p.node.seq in adjoint:
-                adjoint[p.node.seq] = adjoint[p.node.seq] + gp
-            else:
-                adjoint[p.node.seq] = gp
-                heapq.heappush(pending, (-p.node.seq, p.node))
         # The loop's own names would keep this node's inputs alive through
         # the next grad_fn call.
         parents = grads = p = gp = None
@@ -248,7 +263,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes("mul", a, b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-    return _record("mul", a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    ad, bd = a.data, b.data
+    return _record("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -262,17 +278,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
     out = a.data @ b.data
+    # Keep only the operand a requested gradient reads.
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
 
     def grad_fn(g):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
+        ga = g @ bd.T if bd is not None else None
+        gb = ad.T @ g if ad is not None else None
         return ga, gb
 
     return _record("matmul", out, (a, b), grad_fn)
 
 
 def relu(x: Tensor) -> Tensor:
-    return _record("relu", np.fmax(x.data, 0), (x,), lambda g: (g * (x.data > 0),))
+    xd = x.data
+    return _record("relu", np.fmax(xd, 0), (x,), lambda g: (g * (xd > 0),))
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -302,9 +322,10 @@ def nll_loss(logp: Tensor, targets) -> Tensor:
 
     rows = np.arange(b)
     out = -logp.data[rows, targets].mean()
+    shape, dtype = logp.shape, logp.dtype
 
     def grad_fn(g):
-        gx = np.zeros_like(logp.data)
+        gx = np.zeros(shape, dtype=dtype)
         gx[rows, targets] = -g / b
         return (gx,)
 
@@ -316,18 +337,19 @@ def entropy(logp: Tensor) -> Tensor:
     if logp.ndim != 2:
         raise ShapeError(f"entropy expects [B,K] log-probs, got {logp.shape}")
     b = logp.shape[0]
-    p = np.exp(logp.data)
+    lp = logp.data
+    p = np.exp(lp)
     # logp = -inf at p = 0 would make the discarded branch of np.where
     # evaluate 0 * inf; errstate keeps that expected case silent.
     with np.errstate(invalid="ignore"):
-        plogp = np.where(p > 0, p * logp.data, 0.0)
+        plogp = np.where(p > 0, p * lp, 0.0)
     out = -plogp.sum(axis=1).mean()
 
     def grad_fn(g):
         # d(−p·logp)/dl = −e^l·(l + 1); the p=0 branch is constant 0.
         with np.errstate(invalid="ignore"):
-            gx = np.where(p > 0, -p * (logp.data + 1.0), 0.0) * (g / b)
-        return (gx.astype(logp.dtype, copy=False),)
+            gx = np.where(p > 0, -p * (lp + 1.0), 0.0) * (g / b)
+        return (gx.astype(lp.dtype, copy=False),)
 
     return _record("entropy", np.asarray(out, dtype=logp.dtype), (logp,), grad_fn)
 
@@ -386,8 +408,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     their own, so the forward is one matrix product per sample, as on NCHW
     batches, and a sample's output bits do not depend on its batch. The
     columns are kept for the weight gradient, one matrix product over
-    (b, h', w'), and only while that gradient is taped. The input gradient
-    is a col2im sum: one matrix product and one slice-add per kernel offset.
+    (b, h', w'), and only while that gradient is taped; the adjoint drops
+    them once it has that gradient, before the input gradient's columns
+    exist. The input gradient is a col2im sum: one matrix product and one
+    slice-add per kernel offset.
     """
     _check_dtypes("conv2d", x, w, b)
     if x.ndim != 4 or w.ndim != 4:
@@ -422,21 +446,26 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     del prod
     out = out.reshape(cout, hout, wout, bsz)
     cols = cols.reshape(cin * kh * kw, -1) if _taped((w,)) else None
+    x_grad, b_grad = x.requires_grad, b.requires_grad
 
     def grad_fn(g):
+        nonlocal cols
         gb = gw = gx = None
-        if b.requires_grad or cols is not None:
+        if b_grad or cols is not None:
             # The upstream gradient in (b, h', w') order, the columns' order.
             gt = np.ascontiguousarray(g.reshape(cout, hw, bsz).transpose(0, 2, 1))
-            if b.requires_grad:
+            if b_grad:
                 # A pairwise sum over each sample's (h', w'), then the samples
                 # in order, as numpy reduces an NCHW gradient.
                 gb = np.ascontiguousarray(gt.sum(axis=2).T).sum(axis=0)
             if cols is not None:
-                gw = (cols @ gt.reshape(cout, -1).T).T.reshape(w.shape)
+                gw = (cols @ gt.reshape(cout, -1).T).T.reshape(cout, cin, kh, kw)
+            # The tape runs each adjoint once, so the columns can go before
+            # the input gradient's are allocated.
             del gt
+            cols = None
         g = g.reshape(cout, -1)
-        if x.requires_grad:
+        if x_grad:
             # col2im: every cell sums its terms in kernel-offset order.
             gcols = (wmat.T @ g).reshape(cin, kh, kw, hout, wout, bsz)
             gxp = np.zeros((cin, hp, wp, bsz), dtype=g.dtype)
@@ -467,9 +496,10 @@ def avgpool2d(x: Tensor, kh: int, kw: int, stride: int = 1) -> Tensor:
     # whole map's H·W cells does.
     out = np.ascontiguousarray(win).reshape(*win.shape[:4], kh * kw).mean(axis=-1)
     hout, wout = out.shape[1], out.shape[2]
+    shape, dtype = x.shape, x.dtype
 
     def grad_fn(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype=dtype)
         share = g / np.asarray(kh * kw, dtype=g.dtype)
         for i, j in itertools.product(range(kh), range(kw)):
             gx[_offset_slices(hout, wout, i, j, stride)] += share
@@ -507,9 +537,10 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
             # Offsets rise, so the max keeps the last offset that beat the running max.
             np.maximum(arg, (plane > out) * arg.dtype.type(idx), out=arg)
         np.maximum(out, plane, out=out)
+    shape, dtype = x.shape, x.dtype
 
     def grad_fn(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype=dtype)
         if stride == k:
             # Each cell is written at most once; adding +0 afterwards turns a
             # -0.0 into +0.0, as accumulating into the zeros would.
@@ -535,7 +566,8 @@ def reshape(x: Tensor, shape) -> Tensor:
     # math.prod is exact: a product of dims cannot wrap around to x.size.
     if min(shape, default=0) < 0 or math.prod(shape) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    return _record("reshape", x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
+    xshape = x.shape
+    return _record("reshape", x.data.reshape(shape), (x,), lambda g: (g.reshape(xshape),))
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
@@ -552,20 +584,23 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
 
 def tensor_sum(x: Tensor, axis=None) -> Tensor:
+    shape = x.shape
+
     def grad_fn(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _record("sum", x.data.sum(axis=axis), (x,), grad_fn)
 
 
 def tensor_mean(x: Tensor, axis=None) -> Tensor:
     n = x.size if axis is None else x.shape[axis]
+    shape, dtype = x.shape, x.dtype
 
     def grad_fn(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / np.asarray(n, dtype=x.dtype), x.shape).astype(x.dtype),)
+        return (np.broadcast_to(g / np.asarray(n, dtype=dtype), shape).astype(dtype),)
 
     return _record("mean", x.data.mean(axis=axis), (x,), grad_fn)

@@ -75,16 +75,16 @@ def _taped_positions(out, h, w):
     window may appear twice, so the row count measures what the forward
     actually pooled, independent of its own bookkeeping.
     """
-    pools, seen, stack = [], set(), [out]
+    pools, seen, stack = [], set(), [out.node]
     while stack:
-        t = stack.pop()
-        node = t.node
-        if node is None or id(node) in seen:
+        node = stack.pop()
+        if id(node) in seen:
             continue
         seen.add(id(node))
-        if node.op == "matmul" and not node.parents[0].requires_grad:
-            pools.append(node.parents[0].data)
-        stack.extend(node.parents)
+        first = node.parents[0]
+        if node.op == "matmul" and isinstance(first, Tensor) and not first.requires_grad:
+            pools.append(first.data)  # a constant is a leaf edge: the tensor itself
+        stack.extend(p for p in node.parents if isinstance(p, T.Node))
     assert len(pools) == 1, f"expected one constant pooling operand, found {len(pools)}"
     a = pools[0]
     assert a.shape[1] == h * w

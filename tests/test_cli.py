@@ -271,12 +271,15 @@ def test_train_include_one_by_k_key_exits_2_and_writes_nothing(workdir, capsys, 
         "external_features_two_channel_counts"])
 def test_train_unbuildable_architecture_exits_2_before_any_read(workdir, capsys, monkeypatch,
                                                                 overrides, message):
+    """LCAF files are opened with ``open`` and PPM files read by
+    ``data._read_bytes``; the spy watches both, and a buildable config
+    under it shows that it sees every data file the run reads."""
     make_data(workdir)
     write_feature_file("feats.lcaf", np.zeros((4, 8, 4, 4), dtype=np.float32), [0, 1, 0, 1])
     cfg = write_cfg(workdir, **overrides)
     capsys.readouterr()
     reads = []
-    real_open = open
+    real_open, read_bytes = open, lcanet.data._read_bytes
 
     def spy(file, *args, **kwargs):
         if str(file).endswith((".ppm", ".lcaf")):
@@ -284,10 +287,21 @@ def test_train_unbuildable_architecture_exits_2_before_any_read(workdir, capsys,
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", spy)
+    monkeypatch.setattr(lcanet.data, "_read_bytes", lambda path, *a: reads.append(path)
+                        or read_bytes(path, *a))
     assert main(["train", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert reads == []
     assert not (workdir / "model.lcac").exists() and not (workdir / "metrics.csv").exists()
+
+    # The positive control: the same keys, with the one that breaks them mended.
+    lcaf = "data.format" in overrides
+    buildable = {**overrides, "channels": "8" if lcaf else "4,8"}
+    buildable.pop("input_size", None)
+    assert main(["train", "--config", str(write_cfg(workdir, "ok.cfg", **buildable))]) == 0
+    tree = [workdir / "feats.lcaf"] if lcaf else list((workdir / "data").rglob("*.ppm"))
+    assert len(tree) in (1, 12)
+    assert {os.path.realpath(f) for f in reads} == {os.path.realpath(f) for f in tree}
 
 
 def test_train_divergence_exits_4(workdir, capsys):

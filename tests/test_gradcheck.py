@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lcanet.tensor as T
-from lcanet import Architecture, build_model, gradcheck, max_entropy_loss
+from lcanet import Architecture, build_model, gradcheck
 from lcanet.gradcheck import (
     COMPOSITE_TOL,
     N_SEEDS,
@@ -56,16 +56,16 @@ def test_kink_margin_on_odd_pooled_extents():
         if p.name.endswith("_bias"):
             p.data[...] = 0.1
     x = Tensor(Rng(1).uniform_array((2, 3, 10, 10), 0.0, 1.0, dtype=np.float64))
-    margin = gradcheck._kink_margin(max_entropy_loss(m.forward(x), np.array([0, 2]), 0.1))
+    margin = gradcheck._kink_margin(m, x)
     assert np.isfinite(margin) and margin > 0
 
 
 def test_kink_margin_reads_2x2_windows_on_a_pooled_extent_of_one():
     """A 3x3 map pools to 1x1 through the top-left 2x2 window only."""
     cells = np.array([[1.0, 0.5, 9.0], [0.25, 0.125, 9.0], [9.0, 9.0, 9.0]])
-    x = Tensor(cells.reshape(1, 3, 3, 1), requires_grad=True)  # a [C, H, W, B] map
-    loss = T.tensor_sum(T.relu(T.maxpool2d(x, 2, 2)))
-    assert gradcheck._kink_margin(loss) == 0.5  # 1.0 down to 0.5; the relu's is 1.0
+    y = cells.reshape(1, 3, 3, 1)  # a [C, H, W, B] map
+    assert gradcheck._window_gap(y, 2) == 0.5  # 1.0 down to 0.5
+    assert gradcheck._window_gap(-y, 2) == np.inf  # no window's max is > 0
 
 
 def test_multi_leaf_checking():

@@ -7,7 +7,7 @@ import pytest
 
 from lcanet import Rng, entropy, loss_terms, max_entropy_loss, nll_loss
 from lcanet.gradcheck import grad_check
-from lcanet.tensor import Tensor, backward, log_softmax
+from lcanet.tensor import Node, Tensor, backward, log_softmax
 
 
 def logp_of(probs) -> Tensor:
@@ -186,8 +186,8 @@ def test_lambda_zero_records_no_entropy_op():
     stack = [loss.node]
     while stack:
         node = stack.pop()
-        if node is None or id(node) in seen:
+        if id(node) in seen:
             continue
         seen.add(id(node))
         assert node.op != "entropy"
-        stack.extend(p.node for p in node.parents)
+        stack.extend(p for p in node.parents if isinstance(p, Node))

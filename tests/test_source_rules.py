@@ -6,18 +6,20 @@ only by ``lcanet.tensor``, where every adjoint is defined. A ``Model`` is
 built one way, by ``build_model`` or ``load_checkpoint``; an ``Architecture``
 is made from a config, a checkpoint or the gradient suite's end-to-end check;
 one function parses an LCAF header; one function reads a PPM file; one
-function reads LCAF maps and labels, with no memory map; and one function
-writes a file.
+function reads LCAF maps and labels, with no memory map; one function
+writes a file; and no adjoint closes over a ``Tensor``, so the tape keeps
+only the arrays its adjoints read.
 """
 
 import ast
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lcanet.losses
-import lcanet.tensor
+import lcanet.tensor as T
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lcanet"
 MODULES = sorted(SRC.glob("*.py"))
@@ -125,3 +127,54 @@ def test_one_function_writes_a_file():
         if set(mode) & set("wax+"):
             writers.add((mod, top, mode))
     assert writers == {("data.py", "_replace_file", "wb")}
+
+
+def _leaf(*shape):
+    return T.Tensor(np.linspace(-1.0, 1.0, int(np.prod(shape))).reshape(shape), requires_grad=True)
+
+
+# One or more builds of each taped op, on float64 leaves that require grad.
+_TAPED_OPS = {
+    "add": lambda: [T.add(_leaf(2, 3), _leaf(2, 3)), T.add(_leaf(2, 3), _leaf(3))],
+    "sub": lambda: [T.sub(_leaf(2, 3), _leaf(2, 3))],
+    "mul": lambda: [T.mul(_leaf(2, 3), _leaf(2, 3))],
+    "scale": lambda: [T.scale(_leaf(2, 3), 0.5)],
+    "matmul": lambda: [T.matmul(_leaf(2, 3), _leaf(3, 4))],
+    "relu": lambda: [T.relu(_leaf(2, 3))],
+    "log_softmax": lambda: [T.log_softmax(_leaf(2, 3))],
+    "nll_loss": lambda: [T.nll_loss(_leaf(2, 3), [0, 2])],
+    "entropy": lambda: [T.entropy(_leaf(2, 3))],
+    "conv2d": lambda: [T.conv2d(_leaf(2, 5, 4, 2), _leaf(3, 2, 3, 3), _leaf(3), 1, 1),
+                       T.conv2d(_leaf(2, 5, 4, 2), _leaf(3, 2, 2, 3), _leaf(3), 2, 0)],
+    "avgpool2d": lambda: [T.avgpool2d(_leaf(2, 4, 4, 2), 2, 3),
+                          T.avgpool2d(_leaf(2, 4, 4, 2), 1, 1)],
+    "maxpool2d": lambda: [T.maxpool2d(_leaf(2, 4, 4, 2), 2, 2),
+                          T.maxpool2d(_leaf(2, 4, 4, 2), 3, 1)],
+    "reshape": lambda: [T.reshape(_leaf(2, 3), (3, 2))],
+    "transpose": lambda: [T.transpose(_leaf(2, 3, 4), (2, 0, 1))],
+    "tensor_sum": lambda: [T.tensor_sum(_leaf(2, 3)), T.tensor_sum(_leaf(2, 3), axis=1)],
+    "tensor_mean": lambda: [T.tensor_mean(_leaf(2, 3)), T.tensor_mean(_leaf(2, 3), axis=0)],
+}
+
+
+def test_every_taped_op_is_built_by_the_closure_rule():
+    """The rule below builds every public function of ``tensor.py`` that
+    calls ``_record``; a new op must join it."""
+    tree = ast.parse((SRC / "tensor.py").read_text(encoding="utf-8"))
+    recorders = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                 and not top.name.startswith("_")
+                 and any(getattr(n.func, "id", None) == "_record"
+                         for n in ast.walk(top) if isinstance(n, ast.Call))}
+    assert recorders == set(_TAPED_OPS)
+
+
+@pytest.mark.parametrize("op", sorted(_TAPED_OPS))
+def test_no_adjoint_closes_over_a_tensor(op):
+    """An adjoint keeps the arrays it reads, never a ``Tensor``: a tensor's
+    data, and through its node the whole graph behind it, would outlive
+    every use but that one read."""
+    for out in _TAPED_OPS[op]():
+        assert out.node is not None
+        cells = [c.cell_contents for c in out.node.grad_fn.__closure__ or ()]
+        held = [type(v).__name__ for v in cells if isinstance(v, T.Tensor)]
+        assert held == [], f"{op}'s adjoint closes over {held}"

@@ -131,6 +131,26 @@ def test_conv2d_keeps_its_columns_only_for_a_taped_weight_gradient():
     assert out.node is None
 
 
+def test_conv2d_adjoint_drops_its_columns_once_it_has_run():
+    """The weight gradient is the columns' one reader, and the tape runs an
+    adjoint once: once it has run, its closure holds no columns, so they are
+    gone before the input gradient's are allocated."""
+    rng = np.random.default_rng(4)
+    x = t64(rng.uniform(-1, 1, (3, 6, 5, 4)), requires_grad=True)
+    w = t64(rng.uniform(-1, 1, (2, 3, 3, 3)), requires_grad=True)
+    out = T.conv2d(x, w, t64(np.zeros(2), requires_grad=True), stride=1, pad=1)
+    grad_fn, n_cols = out.node.grad_fn, 3 * 3 * 3 * 6 * 5 * 4
+
+    def sizes():
+        return [c.cell_contents.size for c in grad_fn.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+
+    assert n_cols in sizes()
+    gx, gw, gb = grad_fn(rng.uniform(-1, 1, out.shape))
+    assert gx is not None and gw is not None and gb is not None
+    assert n_cols not in sizes()
+
+
 def test_conv2d_matches_direct_loop():
     """Independent triple-loop cross-correlation oracle."""
     rng = np.random.default_rng(1)
@@ -192,8 +212,9 @@ def test_conv2d_adjoints_match_direct_loop(xshape, wshape, stride, pad, x_grad):
     b = t64(rng.uniform(-1, 1, size=wshape[0]), requires_grad=True)
     out = T.conv2d(x, w, b, stride=stride, pad=pad)
     g = rng.uniform(-1, 1, size=out.shape)
-    # Before backward, which consumes the node's grad_fn.
-    x_adjoint = out.node.grad_fn(g)[0]
+    # From a second node of the same tensors: an adjoint runs once, and
+    # backward consumes the first node's.
+    x_adjoint = T.conv2d(x, w, b, stride=stride, pad=pad).node.grad_fn(g)[0]
     T.backward(T.tensor_sum(T.mul(out, t64(g))))
 
     gx, gw, gb = _conv_adjoints_direct(x_nchw, w.data, nchw(g), stride, pad)
@@ -671,39 +692,80 @@ def test_backward_through_a_subgraph_another_backward_walked_is_a_contract_error
         T.backward(T.tensor_sum(T.scale(h, 2.0)))
 
 
+def _kept_arrays(node):
+    """The arrays that ``node``'s adjoint closed over."""
+    cells = node.grad_fn.__closure__ or ()
+    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+
+
 def _activation_refs(loss, held):
-    """Weak references to the data of every taped tensor behind ``loss``,
-    leaving out the tensors in ``held``, and the oldest node behind it."""
-    refs, seen, stack, oldest = [], set(), [loss], loss.node
+    """Weak references to the arrays that the adjoints behind ``loss`` keep,
+    leaving out the data of the tensors in ``held`` and of leaf edges; the
+    oldest node's references apart from the others', and that node."""
+    nodes, stack = {}, [loss.node]
     while stack:
-        t = stack.pop()
-        if t.node is None or id(t) in seen:
-            continue
-        seen.add(id(t))
-        if all(t is not h for h in held):
-            refs.append(weakref.ref(t.data))
-        oldest = min(oldest, t.node, key=lambda n: n.seq)
-        stack.extend(t.node.parents)
-    return refs, oldest
+        node = stack.pop()
+        if node.seq not in nodes:
+            nodes[node.seq] = node
+            stack.extend(p for p in node.parents if isinstance(p, T.Node))
+    owned = [h.data for h in held]
+    owned += [p.data for n in nodes.values() for p in n.parents if isinstance(p, Tensor)]
+
+    def refs(node):
+        return [weakref.ref(a) for a in _kept_arrays(node) if all(a is not o for o in owned)]
+
+    oldest = nodes.pop(min(nodes))
+    return [r for n in nodes.values() for r in refs(n)], refs(oldest), oldest
 
 
 def test_backward_frees_each_activation_while_the_caller_holds_loss_and_logits():
     """As in ``run_training``, the step's logits and loss terms stay bound
-    past ``backward``; the activations behind them must not. By the time the
-    oldest node's adjoint runs, no newer node's input is left: not even
-    through the walk's own loop names. Freeing is by reference count alone,
-    with no ``gc.collect``."""
+    past ``backward``; the arrays the adjoints behind them keep must not. By
+    the time the oldest node's adjoint runs, no newer node's kept array is
+    left: not even through the walk's own loop names. Freeing is by
+    reference count alone, with no ``gc.collect``."""
     model = build_model(Architecture("tiny_cnn", (4, 8), (16, 16), 8, 3), rng=Rng(3))
     x = Tensor(np.random.default_rng(3).uniform(0, 1, (4, 3, 16, 16)).astype(np.float32))
     logits = model.forward(x)
     loss, nll, ent = loss_terms(logits, np.array([0, 1, 2, 0]), 0.5)
-    refs, oldest = _activation_refs(loss, (loss, nll, ent, logits))
-    assert len(refs) > 10 and all(r() is not None for r in refs)
-    live_at_oldest, fn = [], oldest.grad_fn
-    oldest.grad_fn = lambda g: (live_at_oldest.append(sum(r() is not None for r in refs)), fn(g))[1]
+    refs, own, oldest = _activation_refs(loss, (loss, nll, ent, logits))
+    assert len(refs) > 10 and all(r() is not None for r in refs + own)
+    live_at_oldest = []
+    oldest.grad_fn = (lambda fn: lambda g: (
+        live_at_oldest.append(sum(r() is not None for r in refs)), fn(g))[1])(oldest.grad_fn)
     T.backward(loss)
     assert live_at_oldest == [0]
-    assert [r for r in refs if r() is not None] == []
+    assert [r for r in refs + own if r() is not None] == []
+
+
+def test_forward_frees_what_no_adjoint_reads(monkeypatch):
+    """A pool's adjoint reads only its argmax, ``conv2d``'s its columns,
+    a sum's only a shape: so while the caller holds the logits and the loss,
+    before any ``backward``, every conv output and every relu output of a
+    ``tiny_cnn`` LCA model, the head's included, is already gone. Freeing is
+    by reference count alone, with no ``gc.collect``."""
+    made = {"conv2d": [], "relu": []}
+
+    def spy(op):
+        real = getattr(T, op)
+
+        def call(*args, **kwargs):
+            out = real(*args, **kwargs)
+            made[op].append((out.ndim, weakref.ref(out.data)))
+            return out
+        return call
+
+    for op in made:
+        monkeypatch.setattr(T, op, spy(op))
+    model = build_model(Architecture("tiny_cnn", (4, 8), (16, 16), 8, 3), rng=Rng(3))
+    x = Tensor(np.random.default_rng(3).uniform(0, 1, (4, 3, 16, 16)).astype(np.float32))
+    logits = model.forward(x)
+    loss, _, _ = loss_terms(logits, np.array([0, 1, 2, 0]), 0.5)
+    # Two convs; the backbone's two relus and the head's, on [P, B·D].
+    assert [ndim for ndim, _ in made["conv2d"]] == [4, 4]
+    assert [ndim for ndim, _ in made["relu"]] == [4, 4, 2]
+    assert [r for _, r in made["conv2d"] + made["relu"] if r() is not None] == []
+    assert loss.node.grad_fn is not None  # nothing was walked
 
 
 @pytest.mark.parametrize("shared_is_leaf", [True, False], ids=["leaf", "taped"])
@@ -726,18 +788,18 @@ def test_backward_replays_each_reached_node_once_newest_first(shared_is_leaf):
     dead = T.relu(T.scale(shared, 9.0))
     loss = T.tensor_sum(T.add(T.add(T.mul(a, wa), T.mul(b, wb)), T.mul(c, wc)))
 
-    runs, nodes, stack = [], {}, [loss, dead]
+    runs, nodes, stack = [], {}, [loss.node, dead.node]
     while stack:
-        node = stack.pop().node
-        if node is None or node.seq in nodes:
+        node = stack.pop()
+        if node.seq in nodes:
             continue
         nodes[node.seq] = node
         node.grad_fn = (lambda fn, seq: lambda g: (runs.append(seq), fn(g))[1])(
             node.grad_fn, node.seq)
-        stack.extend(node.parents)
+        stack.extend(p for p in node.parents if isinstance(p, T.Node))
     T.backward(loss)
 
-    dead_seqs = {dead.node.seq, dead.node.parents[0].node.seq}
+    dead_seqs = {dead.node.seq, dead.node.parents[0].seq}
     assert runs == sorted(set(nodes) - dead_seqs, reverse=True)
     # The walk consumed every node it reached and none it did not.
     for seq, node in nodes.items():
